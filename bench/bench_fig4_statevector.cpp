@@ -4,10 +4,10 @@
 //
 // Paper setup: 35-qubit Steane-encoded MSD circuit on 4×H100, ~10^6×
 // efficiency gain at 10^6–10^7 shots/batch, unique fraction > 0.5 at 10^6
-// shots. Here (single CPU core — see DESIGN.md §1) the same code path runs
-// the bare 5-qubit MSD and an 18-qubit surrogate; the *shape* — near-linear
-// shots/s growth until sampling rivals preparation, then saturation — is the
-// reproduced result. The expected unique-fraction behaviour also reproduces:
+// shots. Here (a CPU host — see the scaling note in workloads.hpp) the same
+// code path runs the bare 5-qubit MSD and an 18-qubit surrogate; the
+// *shape* — near-linear shots/s growth until sampling rivals preparation,
+// then saturation — is the reproduced result. The expected unique-fraction behaviour also reproduces:
 // it collapses for small state spaces and stays high while the batch is
 // small relative to the effective outcome space.
 

@@ -3,13 +3,13 @@
 //
 // The paper's inset shows near-linear *intra*-trajectory scaling with GPU
 // count, and notes inter-trajectory scaling is linear by definition
-// (embarrassing parallelism). Our substitution maps devices to worker
-// threads (DevicePool) and measures the inter-trajectory layer, which is
-// the one PTSBE itself contributes. NOTE: this container exposes a single
-// CPU core, so the measured curve is flat — the bench still demonstrates
-// correct parallel decomposition (per-trajectory Philox substreams keep
-// results identical at every device count) and reports the scheduling
-// overhead, which is the honest measurement available on this host.
+// (embarrassing parallelism). Our substitution maps devices to the
+// executor's worker threads (`be::Options::threads`) and measures the
+// inter-trajectory layer, which is the one PTSBE itself contributes. On a
+// single-core host the measured curve is flat — the bench still
+// demonstrates correct parallel decomposition (per-trajectory Philox
+// substreams keep results identical at every device count) and reports the
+// scheduling overhead.
 
 #include <cstdio>
 #include <thread>
@@ -42,7 +42,7 @@ int main() {
     be::Options exec;
     exec.backend = "mps";
     exec.config.mps.max_bond = 64;
-    exec.num_devices = devices;
+    exec.threads = devices;
     WallTimer t;
     const be::Result result = be::execute(noisy, specs, exec);
     const double secs = t.seconds();
@@ -60,6 +60,7 @@ int main() {
       "\nOn a multi-core host the speedup column approaches the device count\n"
       "(trajectories are independent); identical=yes shows determinism is\n"
       "preserved under any scheduling, which is what counter-based RNG\n"
-      "substreams buy (cuRAND-style, DESIGN.md section 4).\n");
+      "substreams buy (cuRAND-style; see the RNG reproducibility guarantee\n"
+      "in docs/architecture.md).\n");
   return 0;
 }

@@ -16,8 +16,8 @@
 //       reused across shots (the improvement the paper's §4 calls for).
 //
 // Workloads: the 35-qubit Steane-encoded preparation circuit (the paper's
-// other MSD encoding) and the 125-qubit distance-5 block (see DESIGN.md for
-// the [[17,1,5]] → [[25,1,5]] substitution).
+// other MSD encoding) and the 125-qubit distance-5 block (qec/codes.hpp
+// explains the [[17,1,5]] → [[25,1,5]] substitution).
 
 #include <cstdio>
 

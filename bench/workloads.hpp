@@ -3,11 +3,12 @@
 /// \file workloads.hpp
 /// \brief Shared workload builders for the benchmark harnesses.
 ///
-/// Scaling note (see DESIGN.md §1): the paper's statevector workload is the
-/// 35-qubit Steane-encoded MSD circuit on 4×H100; this host is a single CPU
-/// core, so the statevector benches run (a) the exact bare 5-qubit MSD
-/// protocol and (b) an 18-qubit surrogate whose preparation/sampling cost
-/// ratio plays the same role as the 35-qubit footprint. The tensor-network
+/// Scaling note: the paper's statevector workload is the 35-qubit
+/// Steane-encoded MSD circuit on 4×H100, whose 2^35-amplitude state (512 GiB)
+/// does not fit a CPU host, so the statevector benches run (a) the exact
+/// bare 5-qubit MSD protocol and (b) an 18-qubit surrogate whose
+/// preparation/sampling cost ratio plays the same role as the 35-qubit
+/// footprint. The tensor-network
 /// benches run the paper's actual encoded workloads (35 and 125 physical
 /// qubits) on the MPS backend.
 

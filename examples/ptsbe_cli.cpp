@@ -1,6 +1,6 @@
 // ptsbe_cli — the "config file / CLI selects components by name" promise of
 // the registries, end to end: every pipeline stage (PTS strategy, simulator
-// backend, shot budgets, devices, seed) is chosen by command-line flag and
+// backend, shot budgets, threads, seed) is chosen by command-line flag and
 // wired through the ptsbe::Pipeline facade. No flag maps to a type; strategy
 // and backend are plain registry names, so a plugin registered at startup is
 // immediately scriptable here.
@@ -11,7 +11,7 @@
 //
 //   ptsbe_cli --list
 //   ptsbe_cli --strategy band --p-min 1e-6 --p-max 1e-2 --backend mps
-//   ptsbe_cli --strategy enumerate --cutoff 1e-5 --devices 8 --seed 7
+//   ptsbe_cli --strategy enumerate --cutoff 1e-5 --threads 8 --seed 7
 //   ptsbe_cli --circuit bell.ptq --nshots 1000
 //   ptsbe_cli --qec repetition --distance 5 --rounds 3
 //   ptsbe_cli --compare shard_a.bin shard_b.bin --json
@@ -103,8 +103,6 @@ void usage(std::FILE* os, const char* argv0) {
       "  --threads N            worker threads for trajectory execution\n"
       "                         (0 = hardware concurrency; records are\n"
       "                         bit-identical at every thread count) [1]\n"
-      "  --devices N            simulated devices (legacy alias for the\n"
-      "                         same worker pool) [1]\n"
       "  --seed S               master seed for PTS and BE [42]\n"
       "  --cutoff P             'enumerate' probability cutoff [1e-6]\n"
       "  --p-min P --p-max P    'band' probability window [0, 1]\n"
@@ -153,7 +151,6 @@ int main(int argc, char** argv) {
   unsigned qubits = 6;
   double noise_p = 0.01;
   std::size_t threads = 1;
-  std::size_t devices = 1;
   std::uint64_t seed = 42;
   pts::StrategyConfig cfg;
   cfg.nsamples = 2000;
@@ -232,8 +229,6 @@ int main(int argc, char** argv) {
       cfg.nshots = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--threads") {
       threads = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--devices") {
-      devices = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--seed") {
       seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--cutoff") {
@@ -419,7 +414,6 @@ int main(int argc, char** argv) {
                                 .backend(qec_backend, backend_cfg)
                                 .schedule(be::schedule_from_string(schedule))
                                 .threads(threads)
-                                .devices(devices)
                                 .seed(seed)
                                 .run();
       qec::LogicalErrorAccumulator acc(*decoder, run.weighting);
@@ -427,11 +421,11 @@ int main(int argc, char** argv) {
 
       std::printf(
           "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d "
-          "threads=%zu devices=%zu seed=%llu\n",
+          "threads=%zu seed=%llu\n",
           run.strategy.c_str(), run.backend.c_str(),
           to_string(run.schedule_executed).c_str(),
           run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
-          fuse ? 1 : 0, threads, devices,
+          fuse ? 1 : 0, threads,
           static_cast<unsigned long long>(seed));
       std::printf(
           "qec: code=%s distance=%u rounds=%u basis=%s decoder=%s "
@@ -512,17 +506,16 @@ int main(int argc, char** argv) {
                               .backend(backend, backend_cfg)
                               .schedule(be::schedule_from_string(schedule))
                               .threads(threads)
-                              .devices(devices)
                               .seed(seed)
                               .run();
 
     std::printf(
         "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d threads=%zu "
-        "devices=%zu seed=%llu\n",
+        "seed=%llu\n",
         run.strategy.c_str(), run.backend.c_str(),
         to_string(run.schedule_executed).c_str(),
         run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
-        fuse ? 1 : 0, threads, devices,
+        fuse ? 1 : 0, threads,
         static_cast<unsigned long long>(seed));
     std::printf("specs=%zu shots=%llu prep=%.3fs sample=%.3fs\n", run.num_specs,
                 static_cast<unsigned long long>(run.result.total_shots()),

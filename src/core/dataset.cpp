@@ -1,66 +1,121 @@
 #include "ptsbe/core/dataset.hpp"
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <fstream>
+#include <type_traits>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 
 namespace ptsbe::dataset {
 
 namespace {
 
-// Version 2 dropped the per-batch device id: which worker prepared a batch
-// is a thread-scheduling artifact, and persisting it broke the contract
-// that a batch's *bytes* depend only on (program, spec, seed). With it
-// gone, spec-ordered exports (write_binary over a materialised Result) are
-// byte-identical at every thread count; a streamed file can still order
-// its blocks by completion, but the blocks themselves are bitwise stable.
-constexpr const char (&kMagic)[4] = kFormatMagic;
-constexpr std::uint32_t kVersion = kFormatVersion;
+static_assert(std::endian::native == std::endian::little,
+              "the PTSB block codec is little-endian");
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t) &&
+                  sizeof(BranchChoice) == 2 * sizeof(std::uint64_t) &&
+                  std::is_trivially_copyable_v<BranchChoice>,
+              "a branch pair is stored as its two u64 fields, in place");
+
+/// Bytes of a block with no branches and no records.
+constexpr std::uint64_t kBlockFixedBytes = 6 * sizeof(std::uint64_t);
+
+/// The five fixed fields before the branch pairs.
+struct BlockHead {
+  std::uint64_t spec_index;
+  double nominal_probability;
+  double realized_probability;
+  std::uint64_t shots;
+  std::uint64_t num_branches;
+};
+static_assert(sizeof(BlockHead) == kBlockFixedBytes - sizeof(std::uint64_t));
+
+constexpr std::uint64_t kPairBytes = sizeof(BranchChoice);
+constexpr std::uint64_t kRecordBytes = sizeof(std::uint64_t);
+
+/// Byte offset of the header's batch-count field (after magic + version).
+constexpr std::streamoff kBatchCountOffset =
+    sizeof(kFormatMagic) + sizeof(kFormatVersion);
 
 template <typename T>
 void put(std::ofstream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-template <typename T>
-T get(std::ifstream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  PTSBE_CHECK(static_cast<bool>(is), "truncated dataset file");
-  return v;
-}
-
-/// One batch block — the single serialisation point shared by the bulk and
-/// streaming writers.
-void put_batch(std::ofstream& os, const be::TrajectoryBatch& batch) {
-  put(os, static_cast<std::uint64_t>(batch.spec_index));
-  put(os, batch.spec.nominal_probability);
-  put(os, batch.realized_probability);
-  put(os, static_cast<std::uint64_t>(batch.spec.shots));
-  put(os, static_cast<std::uint64_t>(batch.spec.branches.size()));
-  for (const BranchChoice& bc : batch.spec.branches) {
-    put(os, static_cast<std::uint64_t>(bc.site));
-    put(os, static_cast<std::uint64_t>(bc.branch));
-  }
-  put(os, static_cast<std::uint64_t>(batch.records.size()));
-  os.write(reinterpret_cast<const char*>(batch.records.data()),
-           static_cast<std::streamsize>(batch.records.size() *
-                                        sizeof(std::uint64_t)));
-}
-
-/// Byte offset of the header's batch-count field (after magic + version).
-constexpr std::streamoff kBatchCountOffset = 4 + sizeof(kVersion);
-
-/// On-disk size of one batch block (mirrors put_batch exactly).
-std::uint64_t batch_bytes(const be::TrajectoryBatch& batch) {
-  return 6 * sizeof(std::uint64_t) +
-         2 * sizeof(std::uint64_t) * batch.spec.branches.size() +
-         sizeof(std::uint64_t) * batch.records.size();
-}
-
 }  // namespace
+
+std::uint64_t block_bytes(const be::TrajectoryBatch& batch) noexcept {
+  return kBlockFixedBytes + kPairBytes * batch.spec.branches.size() +
+         kRecordBytes * batch.records.size();
+}
+
+void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write) {
+  const auto piece = [&write](const void* data, std::size_t size) {
+    if (size > 0) write(data, size);
+  };
+  const BlockHead head{batch.spec_index, batch.spec.nominal_probability,
+                       batch.realized_probability, batch.spec.shots,
+                       batch.spec.branches.size()};
+  piece(&head, sizeof head);
+  piece(batch.spec.branches.data(), kPairBytes * batch.spec.branches.size());
+  const std::uint64_t num_records = batch.records.size();
+  piece(&num_records, sizeof num_records);
+  piece(batch.records.data(), kRecordBytes * num_records);
+}
+
+void MemorySource::read_at(std::uint64_t offset, void* dst,
+                           std::size_t n) const {
+  PTSBE_CHECK(offset <= bytes_.size() && n <= bytes_.size() - offset,
+              "truncated " + name());
+  if (n > 0) std::memcpy(dst, bytes_.data() + offset, n);
+}
+
+BlockExtent block_extent(const ByteSource& source, std::uint64_t offset) {
+  const std::uint64_t size = source.size();
+  const std::string& name = source.name();
+  PTSBE_CHECK(offset <= size && kBlockFixedBytes <= size - offset,
+              "truncated " + name);
+  BlockExtent extent;
+  source.read_at(offset + offsetof(BlockHead, num_branches),
+                 &extent.num_branches, sizeof extent.num_branches);
+  // Where the records start, before adding the branch pairs.
+  std::uint64_t at = offset + kBlockFixedBytes;
+  PTSBE_CHECK(extent.num_branches <= (size - at) / kPairBytes,
+              "batch block in " + name + " claims more branches than fit");
+  at += kPairBytes * extent.num_branches;
+  source.read_at(at - sizeof extent.num_records, &extent.num_records,
+                 sizeof extent.num_records);
+  PTSBE_CHECK(extent.num_records <= (size - at) / kRecordBytes,
+              "batch block in " + name + " claims more records than fit");
+  extent.end = at + kRecordBytes * extent.num_records;
+  return extent;
+}
+
+std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
+                           be::TrajectoryBatch& out) {
+  // Sizes come from the checked extent, never from a second read of the
+  // count fields.
+  const BlockExtent extent = block_extent(source, offset);
+  BlockHead head{};
+  source.read_at(offset, &head, sizeof head);
+  out.spec_index = head.spec_index;
+  out.spec.nominal_probability = head.nominal_probability;
+  out.realized_probability = head.realized_probability;
+  out.spec.shots = head.shots;
+  out.spec.branches.resize(extent.num_branches);
+  source.read_at(offset + sizeof head, out.spec.branches.data(),
+                 kPairBytes * extent.num_branches);
+  out.records.resize(extent.num_records);
+  source.read_at(extent.end - kRecordBytes * extent.num_records,
+                 out.records.data(), kRecordBytes * extent.num_records);
+  out.device_id = 0;  // scheduling artifact; not stored
+  return extent.end;
+}
 
 void write_csv(const std::string& path, const be::Result& result) {
   std::ofstream os(path);
@@ -92,8 +147,8 @@ StreamWriter::StreamWriter(const std::string& path)
       os_(path, std::ios::binary),
       uncaught_at_open_(std::uncaught_exceptions()) {
   if (!os_) throw runtime_failure("cannot open '" + path + "' for writing");
-  os_.write(kMagic, 4);
-  put(os_, kVersion);
+  os_.write(kFormatMagic, sizeof kFormatMagic);
+  put(os_, kFormatVersion);
   put(os_, std::uint64_t{0});  // batch count, patched by flush()/close()
   bytes_ = kHeaderBytes;
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
@@ -112,11 +167,14 @@ StreamWriter::~StreamWriter() {
 
 void StreamWriter::append(const be::TrajectoryBatch& batch) {
   PTSBE_REQUIRE(!closed_, "StreamWriter is closed");
-  put_batch(os_, batch);
+  encode_block(batch, [this](const void* data, std::size_t size) {
+    os_.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+  });
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
   ++count_;
   records_ += batch.records.size();
-  bytes_ += batch_bytes(batch);
+  bytes_ += block_bytes(batch);
 }
 
 void StreamWriter::flush() {
@@ -142,39 +200,10 @@ void StreamWriter::close() {
 }
 
 be::Result read_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw runtime_failure("cannot open '" + path + "' for reading");
-  char magic[4];
-  is.read(magic, 4);
-  if (!is || std::string(magic, 4) != std::string(kMagic, 4))
-    throw runtime_failure("'" + path + "' is not a PTSB dataset");
-  const auto version = get<std::uint32_t>(is);
-  if (version != kVersion)
-    throw runtime_failure(
-        "unsupported dataset version " + std::to_string(version) +
-        (version == 1 ? " (version 1 embedded scheduler-dependent device "
-                        "ids; regenerate the dataset)"
-                      : ""));
+  Reader reader(path);
   be::Result result;
-  const auto num_batches = get<std::uint64_t>(is);
-  result.batches.resize(num_batches);
-  for (be::TrajectoryBatch& batch : result.batches) {
-    batch.spec_index = get<std::uint64_t>(is);
-    batch.spec.nominal_probability = get<double>(is);
-    batch.realized_probability = get<double>(is);
-    batch.spec.shots = get<std::uint64_t>(is);
-    const auto num_branches = get<std::uint64_t>(is);
-    batch.spec.branches.resize(num_branches);
-    for (BranchChoice& bc : batch.spec.branches) {
-      bc.site = get<std::uint64_t>(is);
-      bc.branch = get<std::uint64_t>(is);
-    }
-    const auto num_records = get<std::uint64_t>(is);
-    batch.records.resize(num_records);
-    is.read(reinterpret_cast<char*>(batch.records.data()),
-            static_cast<std::streamsize>(num_records * sizeof(std::uint64_t)));
-    PTSBE_CHECK(static_cast<bool>(is), "truncated dataset file");
-  }
+  be::TrajectoryBatch batch;
+  while (reader.next(batch)) result.batches.push_back(std::move(batch));
   return result;
 }
 

@@ -72,10 +72,6 @@ struct Options {
   /// OpenMP-parallel — cap them (OMP_NUM_THREADS=1) when oversubscription
   /// matters.
   std::size_t threads = 1;
-  /// Legacy name for the same worker pool ("simulated devices"); the
-  /// effective worker count is max(threads, num_devices) — see
-  /// `be::resolved_threads`.
-  std::size_t num_devices = 1;
   /// Master seed; trajectory t uses substream (t+1) so results are
   /// reproducible regardless of device scheduling.
   std::uint64_t seed = 0x5EEDBA5EDULL;

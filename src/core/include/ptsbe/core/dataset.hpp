@@ -15,23 +15,108 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/core/batched_execution.hpp"
 
 namespace ptsbe::dataset {
 
-/// Binary-format framing shared by the writers here and the out-of-core
-/// reader layer (`ptsbe::stats`): magic, current version, and the fixed
-/// header size (magic + version + u64 batch count). These are part of the
-/// on-disk contract — bump `kFormatVersion` on any incompatible layout
-/// change and keep the version-rejection diagnostics in both readers in
-/// sync.
+/// Binary-format framing: magic, current version, and the fixed header size
+/// (magic + version + u64 batch count). These are part of the on-disk
+/// contract — bump `kFormatVersion` on any incompatible layout change.
 inline constexpr char kFormatMagic[4] = {'P', 'T', 'S', 'B'};
 inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes =
     sizeof(kFormatMagic) + sizeof(kFormatVersion) + sizeof(std::uint64_t);
+
+// ---------------------------------------------------------------------------
+// The batch-block codec. A format-v2 file is the header followed by one
+// *block* per trajectory batch, and a net BATCH frame's payload is exactly
+// one block, so the disk and the wire share this single encoder/decoder
+// pair. Every field is a little-endian u64 (probabilities as raw IEEE-754
+// bits, so a block round-trips bit-identically):
+//
+//   spec_index, nominal_probability, realized_probability, shots,
+//   num_branches, (site, branch) × num_branches,
+//   num_records, record × num_records
+//
+// The per-batch `device_id` is not stored: which worker prepared a batch is
+// a scheduling artifact (format v1 stored it, which broke byte identity
+// across thread counts).
+
+/// Encoded size of `batch`'s block.
+[[nodiscard]] std::uint64_t block_bytes(
+    const be::TrajectoryBatch& batch) noexcept;
+
+/// Receives the encoded bytes of one block as a few consecutive pieces.
+using BlockWriter = std::function<void(const void* data, std::size_t size)>;
+
+/// Encode `batch` as one block. The record payload is handed to `write`
+/// straight from `batch.records` (never copied); empty pieces are skipped.
+void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write);
+
+/// Random-access bytes that blocks are decoded from: a mapped or pread
+/// dataset file (`Reader`) or an in-memory wire payload (`MemorySource`).
+class ByteSource {
+ public:
+  /// `name` identifies the bytes in error messages ("dataset file 'x.bin'",
+  /// "BATCH payload").
+  explicit ByteSource(std::string name) : name_(std::move(name)) {}
+  virtual ~ByteSource() = default;
+  ByteSource(const ByteSource&) = delete;
+  ByteSource& operator=(const ByteSource&) = delete;
+
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] virtual std::uint64_t size() const noexcept = 0;
+  /// Copy `n` bytes at `offset` into `dst`.
+  /// \throws invariant_error when [offset, offset + n) is not in the source.
+  virtual void read_at(std::uint64_t offset, void* dst,
+                       std::size_t n) const = 0;
+
+ private:
+  std::string name_;
+};
+
+/// A ByteSource over bytes already in memory (not owned).
+class MemorySource : public ByteSource {
+ public:
+  MemorySource(std::string_view bytes, std::string name)
+      : ByteSource(std::move(name)), bytes_(bytes) {}
+  [[nodiscard]] std::uint64_t size() const noexcept override {
+    return bytes_.size();
+  }
+  void read_at(std::uint64_t offset, void* dst, std::size_t n) const override;
+
+ private:
+  std::string_view bytes_;
+};
+
+/// Where one block lies: its two counts and the offset one past its end.
+struct BlockExtent {
+  std::uint64_t num_branches = 0;
+  std::uint64_t num_records = 0;
+  std::uint64_t end = 0;
+};
+
+/// Measure the block that starts at `offset` — the one length walk, shared
+/// by `decode_block` and `Reader`'s skip-scan seek index. Reads only the two
+/// count fields, and bounds each by the bytes that remain before trusting
+/// it.
+/// \throws invariant_error when the block does not fit in `source`.
+[[nodiscard]] BlockExtent block_extent(const ByteSource& source,
+                                       std::uint64_t offset);
+
+/// Decode the block at `offset` into `out` and return the offset one past
+/// it. Its extent is checked by `block_extent` before anything is allocated,
+/// so a hostile count cannot force a huge resize. `out`'s vectors are
+/// reused, so a decode loop allocates only on growth; `device_id` is 0.
+/// \throws invariant_error on a truncated block or hostile counts.
+std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
+                           be::TrajectoryBatch& out);
 
 /// Write a BE result as CSV: columns
 /// `trajectory,shot,record,nominal_probability,errors` where `errors` is a
@@ -123,8 +208,10 @@ class StreamWriter {
 };
 
 /// Read a binary dataset back (round-trip of write_binary; prepare/sample
-/// timings are not persisted).
-/// \throws runtime_failure on missing/corrupt files.
+/// timings are not persisted). Collects `Reader::next` over the file, so it
+/// shares the reader's guards and never pre-sizes from the header's count.
+/// \throws runtime_failure for unreadable, non-PTSB or wrong-version files;
+///         invariant_error for truncated blocks or hostile length fields.
 [[nodiscard]] be::Result read_binary(const std::string& path);
 
 }  // namespace ptsbe::dataset

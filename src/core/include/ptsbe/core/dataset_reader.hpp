@@ -1,28 +1,26 @@
 #pragma once
 
 /// \file dataset_reader.hpp
-/// \brief Seekable, out-of-core reader for PTSB binary datasets.
+/// \brief Seekable, out-of-core reader for PTSB binary datasets — the one
+/// reader of the format (`read_binary` is a loop over it).
 ///
-/// `dataset::read_binary` materialises a whole file into a `be::Result` —
-/// fine for tests, wrong for the trillion-shot corpora the paper targets
-/// and for the sharded serve/QEC outputs PR 6/7 produce. `Reader` iterates
-/// the same format-v2 bytes one batch at a time:
+/// `Reader` iterates format-v2 bytes one batch at a time, decoding each
+/// block with the shared `decode_block`:
 ///
-///  - **Header validation** is the same contract as `read_binary`: bad
-///    magic and v1/future versions are rejected with the same diagnostics,
-///    so the two readers can never drift apart on what a valid file is.
-///  - **Bounded memory.** Only the batch currently being decoded is held;
-///    batch counts are validated against the remaining file size before
-///    any allocation, so a hostile length field cannot force a huge
-///    resize (the same guard discipline as the net batch codec).
+///  - **Header validation.** Bad magic and v1/future versions are rejected
+///    with `runtime_failure`.
+///  - **Bounded memory.** Only the batch currently being decoded is held,
+///    and `block_extent` bounds every count by the remaining file size
+///    before any allocation, so a hostile length field cannot force a huge
+///    resize.
 ///  - **Two byte sources.** `open_view` maps the file read-only
 ///    (`ViewMode::kMmap`) so iteration touches only the pages it decodes,
 ///    with a `pread`-based fallback (`ViewMode::kStream`) for filesystems
 ///    where mapping fails; `kAuto` tries the map first. Decoded batches
 ///    are bit-identical across sources — both feed the same decoder.
 ///  - **Seekable.** Batches are variable-length, so `seek_batch` builds a
-///    byte-offset index lazily by skip-scanning block headers (payloads
-///    are never read); re-seeking backwards is O(1) once indexed.
+///    byte-offset index lazily by skip-scanning blocks with `block_extent`
+///    (payloads are never read); re-seeking backwards is O(1) once indexed.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,18 +37,13 @@ namespace ptsbe::dataset {
 enum class ViewMode : std::uint8_t {
   kAuto,    ///< mmap when the platform allows it, else the stream path.
   kMmap,    ///< memory-map read-only; \throws runtime_failure if impossible.
-  kStream,  ///< pread into a per-batch buffer (bounded-memory fallback).
+  kStream,  ///< pread each block (bounded-memory fallback).
 };
 
 /// Registry-style name ("auto" | "mmap" | "stream").
 [[nodiscard]] const std::string& to_string(ViewMode mode);
 /// \throws precondition_error for unknown names (the message lists all).
 [[nodiscard]] ViewMode view_mode_from_string(const std::string& name);
-
-namespace detail {
-/// Random-access byte source behind a Reader (mmap view or pread stream).
-class ByteSource;
-}  // namespace detail
 
 /// Seekable streaming reader over one PTSB format-v2 file. Move-only; not
 /// thread-safe (clone one per thread — sources are stateless under pread
@@ -59,7 +52,7 @@ class Reader {
  public:
   /// Open `path` and validate the dataset header.
   /// \throws runtime_failure for unreadable files, non-PTSB magic, and
-  ///         v1/future versions (same diagnostics as `read_binary`).
+  ///         v1/future versions.
   explicit Reader(const std::string& path, ViewMode mode = ViewMode::kAuto);
   ~Reader();
   Reader(Reader&&) noexcept;
@@ -75,11 +68,13 @@ class Reader {
   }
 
   /// Total file size in bytes.
-  [[nodiscard]] std::uint64_t file_bytes() const noexcept { return size_; }
+  [[nodiscard]] std::uint64_t file_bytes() const noexcept {
+    return source_->size();
+  }
 
   /// True when the bytes are memory-mapped (diagnostics; `kAuto` resolves
   /// here).
-  [[nodiscard]] bool mapped() const noexcept;
+  [[nodiscard]] bool mapped() const noexcept { return mapped_; }
 
   /// Index of the batch the next `next()` call returns.
   [[nodiscard]] std::uint64_t position() const noexcept { return index_; }
@@ -92,8 +87,8 @@ class Reader {
   bool next(be::TrajectoryBatch& out);
 
   /// Position the cursor on batch `index` (0-based; == num_batches() pins
-  /// the cursor at end). Skip-scans block headers forward from the last
-  /// indexed batch; never decodes payloads.
+  /// the cursor at end). Skip-scans blocks forward from the last indexed
+  /// batch with `block_extent`; never decodes payloads.
   /// \throws precondition_error when index > num_batches();
   ///         invariant_error on truncated blocks.
   void seek_batch(std::uint64_t index);
@@ -101,9 +96,8 @@ class Reader {
  private:
   [[nodiscard]] std::uint64_t offset_of(std::uint64_t index);
 
-  std::string path_;
-  std::unique_ptr<detail::ByteSource> source_;
-  std::uint64_t size_ = 0;
+  std::unique_ptr<ByteSource> source_;
+  bool mapped_ = false;
   std::uint64_t num_batches_ = 0;
   std::uint64_t index_ = 0;   ///< Next batch to decode.
   std::uint64_t offset_ = 0;  ///< Byte offset of batch `index_`.

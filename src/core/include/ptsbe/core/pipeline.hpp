@@ -18,7 +18,7 @@
 /// const RunResult run = Pipeline(circuit, noise)
 ///                           .strategy("band", cfg)
 ///                           .backend("mps", mps_cfg)
-///                           .devices(8)
+///                           .threads(8)
 ///                           .seed(42)
 ///                           .run();
 /// const auto tail = run.estimate_probability(accept);
@@ -113,11 +113,6 @@ class Pipeline {
   /// hardware concurrency). Records are bit-identical at every thread
   /// count — see be::Options::threads.
   Pipeline& threads(std::size_t num_threads);
-
-  /// Simulated devices for inter-trajectory parallelism (default 1).
-  /// Legacy alias for the same worker pool as `threads`; the effective
-  /// worker count is the max of the two knobs.
-  Pipeline& devices(std::size_t num_devices);
 
   /// Master seed for *both* stages: PTS samples from the master stream
   /// (subsequence 0) and BE gives trajectory t substream t+1, so the two

@@ -89,8 +89,7 @@ class WorkerTask {
 };
 
 /// Resolve `Options::threads` to a concrete worker count: 0 means hardware
-/// concurrency (at least 1); the legacy `Options::num_devices` knob maps
-/// onto the same pool, so the effective count is the max of the two.
+/// concurrency (at least 1), otherwise `threads`.
 [[nodiscard]] std::size_t resolved_threads(const Options& options) noexcept;
 
 /// The work-stealing pool plus the lock-free completion queue. One instance

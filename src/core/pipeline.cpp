@@ -55,11 +55,6 @@ Pipeline& Pipeline::threads(std::size_t num_threads) {
   return *this;
 }
 
-Pipeline& Pipeline::devices(std::size_t num_devices) {
-  exec_.num_devices = num_devices;
-  return *this;
-}
-
 Pipeline& Pipeline::seed(std::uint64_t seed) {
   exec_.seed = seed;
   return *this;

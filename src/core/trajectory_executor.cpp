@@ -8,12 +8,8 @@
 namespace ptsbe::be {
 
 std::size_t resolved_threads(const Options& options) noexcept {
-  std::size_t threads = options.threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  return std::max({threads, options.num_devices, std::size_t{1}});
+  if (options.threads != 0) return options.threads;
+  return std::max(std::thread::hardware_concurrency(), 1u);
 }
 
 TrajectoryExecutor::TrajectoryExecutor(std::size_t num_workers) {

@@ -25,9 +25,10 @@
 /// Frames the server sends (per SUBMIT, in order):
 ///
 ///  - `ACK 0` — the frame was read and the job is being admitted.
-///  - `BATCH <len>` — one serialised `be::TrajectoryBatch`, streamed off
-///    the engine's `BatchSink` path as the worker completes it
-///    (completion order; reassemble by `spec_index`).
+///  - `BATCH <len>` — one `be::TrajectoryBatch` as exactly one PTSB
+///    format-v2 block (the bytes `dataset::StreamWriter` appends for it),
+///    streamed off the engine's `BatchSink` path as the worker completes
+///    it (completion order; reassemble by `spec_index`).
 ///  - `RESULT <len>` — run metadata (`key=value` lines: job_id, strategy,
 ///    backend, weighting, schedules, num_specs, num_batches,
 ///    plan_cache_hit).
@@ -38,10 +39,11 @@
 ///    payload). Codes are in `ptsbe::net::errc`.
 ///  - `STATS <len>` / `PONG 0` — replies to STATS / PING.
 ///
-/// Batch payloads are little-endian fixed-width binary (doubles as raw
-/// IEEE-754 bit patterns), so a batch round-trips *bit-identically* — the
-/// loopback determinism matrix pins served bytes to standalone
-/// `Pipeline::run`.
+/// Batch payloads go through the dataset block codec
+/// (`dataset::encode_block` / `decode_block`): little-endian u64 fields with
+/// doubles as raw IEEE-754 bit patterns, so a batch round-trips
+/// *bit-identically* — the loopback determinism matrix pins served bytes to
+/// standalone `Pipeline::run`.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,8 +57,9 @@
 
 namespace ptsbe::net {
 
-/// Protocol revision (bumped on incompatible frame changes).
-inline constexpr int kProtocolVersion = 1;
+/// Protocol revision (bumped on incompatible frame changes; 2 made the
+/// BATCH payload a PTSB format-v2 block).
+inline constexpr int kProtocolVersion = 2;
 /// Hard bound on one header line, including the trailing newline.
 inline constexpr std::size_t kMaxHeaderBytes = 256;
 /// Default bound on one frame payload (servers reject bigger with
@@ -140,12 +143,13 @@ class FdStream {
   std::size_t pos_ = 0;  ///< Consumed prefix of buf_.
 };
 
-/// Serialise one trajectory batch as the BATCH payload (little-endian;
-/// doubles bit-exact). `device_id` is deliberately not carried: it is a
-/// scheduling artifact the dataset formats also drop.
+/// Serialise one trajectory batch as the BATCH payload: one PTSB format-v2
+/// block (`dataset::encode_block`), so wire and disk bytes are identical.
 [[nodiscard]] std::string encode_batch(const be::TrajectoryBatch& batch);
 
-/// Decode a BATCH payload. \throws ProtocolError on malformed bytes.
+/// Decode a BATCH payload (`dataset::decode_block`).
+/// \throws ProtocolError(errc::kProtocol) on a truncated or hostile block
+///         or trailing bytes after it.
 [[nodiscard]] be::TrajectoryBatch decode_batch(std::string_view bytes);
 
 /// Serialise the pipeline configuration of `job` (strategy/backend/

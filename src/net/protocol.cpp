@@ -10,6 +10,8 @@
 #include <cstring>
 #include <utility>
 
+#include "ptsbe/core/dataset.hpp"
+
 namespace ptsbe::net {
 
 namespace {
@@ -17,61 +19,6 @@ namespace {
 [[noreturn]] void throw_errno(const char* what) {
   throw runtime_failure(std::string(what) + ": " + std::strerror(errno));
 }
-
-// ---------------------------------------------------------------------------
-// Little-endian primitives. Doubles travel as their raw IEEE-754 bit pattern
-// so a batch round-trips bit-identically regardless of formatting locale.
-
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_f64(std::string& out, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over one payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint64_t u64() {
-    if (bytes_.size() - pos_ < 8) {
-      throw ProtocolError(errc::kProtocol, "truncated batch payload");
-    }
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(bytes_[pos_ + i]))
-               << (8 * i);
-    }
-    pos_ += 8;
-    return value;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept {
-    return pos_ == bytes_.size();
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // key=value text codec helpers. Doubles use hexfloat (%a / strtod), which is
@@ -329,49 +276,23 @@ void FdStream::write_frame(const Frame& frame) {
 
 std::string encode_batch(const be::TrajectoryBatch& batch) {
   std::string out;
-  out.reserve(40 + 16 * batch.spec.branches.size() +
-              8 * batch.records.size());
-  put_u64(out, batch.spec_index);
-  put_u64(out, batch.spec.shots);
-  put_f64(out, batch.spec.nominal_probability);
-  put_f64(out, batch.realized_probability);
-  put_u64(out, batch.spec.branches.size());
-  for (const BranchChoice& choice : batch.spec.branches) {
-    put_u64(out, choice.site);
-    put_u64(out, choice.branch);
-  }
-  put_u64(out, batch.records.size());
-  for (const std::uint64_t record : batch.records) put_u64(out, record);
+  out.reserve(dataset::block_bytes(batch));
+  dataset::encode_block(batch, [&out](const void* data, std::size_t size) {
+    out.append(static_cast<const char*>(data), size);
+  });
   return out;
 }
 
 be::TrajectoryBatch decode_batch(std::string_view bytes) {
-  Cursor cur(bytes);
   be::TrajectoryBatch batch;
-  batch.spec_index = static_cast<std::size_t>(cur.u64());
-  batch.spec.shots = cur.u64();
-  batch.spec.nominal_probability = cur.f64();
-  batch.realized_probability = cur.f64();
-  const std::uint64_t nbranches = cur.u64();
-  if (nbranches > cur.remaining() / 16) {
-    throw ProtocolError(errc::kProtocol, "truncated batch payload");
+  std::uint64_t end = 0;
+  try {
+    end = dataset::decode_block(dataset::MemorySource(bytes, "BATCH payload"),
+                                0, batch);
+  } catch (const invariant_error& e) {
+    throw ProtocolError(errc::kProtocol, e.what());
   }
-  batch.spec.branches.reserve(static_cast<std::size_t>(nbranches));
-  for (std::uint64_t i = 0; i < nbranches; ++i) {
-    BranchChoice choice;
-    choice.site = static_cast<std::size_t>(cur.u64());
-    choice.branch = static_cast<std::size_t>(cur.u64());
-    batch.spec.branches.push_back(choice);
-  }
-  const std::uint64_t nrecords = cur.u64();
-  if (nrecords > cur.remaining() / 8) {
-    throw ProtocolError(errc::kProtocol, "truncated batch payload");
-  }
-  batch.records.reserve(static_cast<std::size_t>(nrecords));
-  for (std::uint64_t i = 0; i < nrecords; ++i) {
-    batch.records.push_back(cur.u64());
-  }
-  if (!cur.exhausted()) {
+  if (end != bytes.size()) {
     throw ProtocolError(errc::kProtocol, "trailing bytes after batch payload");
   }
   return batch;

@@ -9,9 +9,11 @@
 /// Steane code exactly. For the distance-5 block we substitute the rotated
 /// surface code [[25,1,5]] — a distance-5 CSS code we can construct and
 /// brute-force-verify programmatically (the 4.8.8 face layout is not
-/// recoverable from the paper text alone); DESIGN.md documents why the
-/// substitution preserves the workload's role. See qec::distillation for how
-/// the codes are consumed.
+/// recoverable from the paper text alone). The distance-5 block only feeds
+/// the Fig. 5 preparation workload, which encodes five magic states through
+/// any CSS code's synthesised encoder, so the substitution keeps its role at
+/// 125 instead of 85 physical qubits. See qec::distillation for how the
+/// codes are consumed.
 
 #include <cstdint>
 #include <string>

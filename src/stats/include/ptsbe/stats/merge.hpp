@@ -8,17 +8,17 @@
 /// `merge_datasets` recombines N such shards into one spec-ordered file
 /// under a fixed memory budget: one `Reader` per input, one buffered head
 /// batch per input, a min-heap on (spec_index, input index), and a
-/// `StreamWriter` on the output. Batch *bytes* are never re-encoded —
-/// blocks pass through the shared put_batch serialisation — so merging the
-/// shards of a deterministic job reproduces the local single-process
-/// `write_binary` file byte for byte.
+/// `StreamWriter` on the output. Blocks are decoded and re-encoded by the
+/// one block codec (`dataset::decode_block` / `encode_block`), which
+/// round-trips bit-exactly, so merging the shards of a deterministic job
+/// reproduces the local single-process `write_binary` file byte for byte.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "ptsbe/stats/dataset_reader.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 
 namespace ptsbe::stats {
 

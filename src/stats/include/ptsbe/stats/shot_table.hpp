@@ -18,7 +18,7 @@
 #include <string>
 
 #include "ptsbe/core/batched_execution.hpp"
-#include "ptsbe/stats/dataset_reader.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 
 namespace ptsbe::stats {
 

@@ -11,14 +11,6 @@ namespace ptsbe::stats {
 
 namespace {
 
-/// On-disk bytes of one batch block (mirrors the dataset writer's layout:
-/// six fixed u64-sized fields + the branch pairs + the records).
-std::uint64_t block_bytes(const be::TrajectoryBatch& batch) {
-  return 6 * sizeof(std::uint64_t) +
-         2 * sizeof(std::uint64_t) * batch.spec.branches.size() +
-         sizeof(std::uint64_t) * batch.records.size();
-}
-
 /// One input shard: its reader and the buffered head batch.
 struct Input {
   explicit Input(const std::string& path, dataset::ViewMode view)
@@ -43,8 +35,16 @@ MergeReport merge_datasets(const std::string& out_path,
   shards.reserve(inputs.size());
   std::uint64_t buffered = 0;
 
-  const auto account = [&](std::uint64_t added) {
-    buffered += added;
+  // Replace a shard's head batch, accounting it at its block size.
+  const auto advance = [&](Input& shard) {
+    buffered -= shard.head_bytes;
+    shard.head_bytes = 0;
+    if (!shard.reader.next(shard.head)) {
+      shard.exhausted = true;
+      return;
+    }
+    shard.head_bytes = dataset::block_bytes(shard.head);
+    buffered += shard.head_bytes;
     report.peak_buffered_bytes =
         std::max(report.peak_buffered_bytes, buffered);
     if (buffered > options.memory_budget_bytes)
@@ -56,27 +56,9 @@ MergeReport merge_datasets(const std::string& out_path,
           " bytes buffered); raise MergeOptions::memory_budget_bytes");
   };
 
-  const auto advance = [&](Input& shard) {
-    buffered -= shard.head_bytes;
-    shard.head_bytes = 0;
-    if (shard.reader.next(shard.head)) {
-      shard.head_bytes = block_bytes(shard.head);
-      account(shard.head_bytes);
-    } else {
-      shard.exhausted = true;
-    }
-  };
-
   for (const std::string& path : inputs) {
     shards.push_back(std::make_unique<Input>(path, options.view));
-    Input& shard = *shards.back();
-    shard.head_bytes = 0;
-    if (shard.reader.next(shard.head)) {
-      shard.head_bytes = block_bytes(shard.head);
-      account(shard.head_bytes);
-    } else {
-      shard.exhausted = true;
-    }
+    advance(*shards.back());
   }
 
   dataset::StreamWriter writer(out_path);

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "ptsbe/core/batched_execution.hpp"
 #include "ptsbe/core/dataset.hpp"
@@ -147,18 +150,12 @@ TEST(BatchedExecution, MpsBackendMatchesStatevectorBackend) {
 }
 
 TEST(BatchedExecution, ResolvedThreadsMapsKnobsToWorkerCount) {
-  be::Options options;  // threads = 1, num_devices = 1
+  be::Options options;  // threads = 1
   EXPECT_EQ(be::resolved_threads(options), 1u);
   options.threads = 6;
   EXPECT_EQ(be::resolved_threads(options), 6u);
-  // The legacy devices knob maps onto the same pool: effective = max.
-  options.num_devices = 8;
-  EXPECT_EQ(be::resolved_threads(options), 8u);
-  options.threads = 12;
-  EXPECT_EQ(be::resolved_threads(options), 12u);
   // 0 = hardware concurrency, never less than one worker.
   options.threads = 0;
-  options.num_devices = 1;
   EXPECT_GE(be::resolved_threads(options), 1u);
 }
 
@@ -180,25 +177,6 @@ TEST(BatchedExecution, ThreadsMatchSingleThreadBitForBit) {
     EXPECT_EQ(r1.batches[i].realized_probability,
               r8.batches[i].realized_probability);
   }
-}
-
-TEST(BatchedExecution, MultiDeviceMatchesSingleDevice) {
-  const NoisyCircuit noisy = noisy_ghz(3, 0.1);
-  RngStream rng(3);
-  pts::Options opt;
-  opt.nsamples = 100;
-  opt.nshots = 20;
-  const auto specs = pts::sample_probabilistic(noisy, opt, rng);
-  be::Options one, four;
-  one.num_devices = 1;
-  four.num_devices = 4;
-  const auto r1 = be::execute(noisy, specs, one);
-  const auto r4 = be::execute(noisy, specs, four);
-  ASSERT_EQ(r1.batches.size(), r4.batches.size());
-  // Per-trajectory RNG substreams make results identical regardless of
-  // device count and scheduling order.
-  for (std::size_t i = 0; i < r1.batches.size(); ++i)
-    EXPECT_EQ(r1.batches[i].records, r4.batches[i].records);
 }
 
 TEST(BatchedExecution, ProvenanceSurvivesPipeline) {
@@ -272,6 +250,26 @@ TEST(Dataset, ReadRejectsGarbage) {
   const std::string path = "/tmp/ptsbe_test_garbage.bin";
   std::ofstream(path) << "not a dataset";
   EXPECT_THROW((void)dataset::read_binary(path), runtime_failure);
+
+  // Hostile counts must fail with the structured error before anything is
+  // sized from them (sizing first throws length_error or bad_alloc).
+  const auto write_v2 = [&path](std::uint64_t num_batches,
+                                std::vector<std::uint64_t> body) {
+    std::ofstream os(path, std::ios::binary);
+    os.write("PTSB", 4);
+    const std::uint32_t version = dataset::kFormatVersion;
+    os.write(reinterpret_cast<const char*>(&version), sizeof version);
+    os.write(reinterpret_cast<const char*>(&num_batches), sizeof num_batches);
+    os.write(reinterpret_cast<const char*>(body.data()),
+             static_cast<std::streamsize>(body.size() * sizeof(std::uint64_t)));
+  };
+  // Fixed fields: spec_index, nominal, realized, shots, num_branches.
+  write_v2(1, {0, 0, 0, 4, ~std::uint64_t{0}});
+  EXPECT_THROW((void)dataset::read_binary(path), invariant_error);
+  write_v2(1, {0, 0, 0, 4, 0, std::uint64_t{1} << 36});  // num_records
+  EXPECT_THROW((void)dataset::read_binary(path), invariant_error);
+  write_v2(std::uint64_t{1} << 40, {});  // batch count over an empty body
+  EXPECT_THROW((void)dataset::read_binary(path), invariant_error);
   std::remove(path.c_str());
   EXPECT_THROW((void)dataset::read_binary("/nonexistent/nope.bin"),
                runtime_failure);

@@ -1,19 +1,16 @@
-// Unit tests for ptsbe/common: Philox RNG, RngStream, bit utilities,
-// thread pool, device pool.
+// Unit tests for ptsbe/common: Philox RNG, RngStream, bit utilities.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "ptsbe/common/bits.hpp"
-#include "ptsbe/common/device_pool.hpp"
 #include "ptsbe/common/philox.hpp"
 #include "ptsbe/common/rng.hpp"
-#include "ptsbe/common/thread_pool.hpp"
 #include "ptsbe/common/version.hpp"
 
 namespace ptsbe {
@@ -157,35 +154,6 @@ TEST(Bits, Parity) {
   EXPECT_EQ(parity64(0b111), 1u);
   EXPECT_EQ(parity64(0b1111), 0u);
   EXPECT_EQ(popcount64(0xFFULL), 8u);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(&pool, 0, 1000, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SerialFallbackWithNullPool) {
-  int sum = 0;
-  parallel_for(nullptr, 5, 10, [&](std::size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum, 5 + 6 + 7 + 8 + 9);
-}
-
-TEST(DevicePool, RunsEveryJobOnce) {
-  DevicePool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.run_batch(100, [&](std::size_t, std::size_t j) { ++hits[j]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(DevicePool, PropagatesJobExceptions) {
-  DevicePool pool(2);
-  EXPECT_THROW(pool.run_batch(10,
-                              [&](std::size_t, std::size_t j) {
-                                if (j == 5) throw std::runtime_error("boom");
-                              }),
-               std::runtime_error);
 }
 
 TEST(Version, NonEmpty) { EXPECT_STRNE(version(), ""); }

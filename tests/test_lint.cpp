@@ -140,13 +140,16 @@ TEST(LintUnordered, OrderedIterationInSerializationLayerQuiet) {
 
 TEST(LintUnordered, DefaultConfigCoversTheStatsModule) {
   // The analytics layer's byte-stable ShotTable serialisation makes every
-  // src/stats TU part of the determinism contract: the default config must
-  // fire on unordered iteration anywhere under src/stats/.
-  const std::vector<Finding> findings = ptsbe::lint::lint_source(
-      "src/stats/shot_table.cpp", read_fixture("unordered_sink.cpp"),
-      LintConfig{});
-  EXPECT_EQ(count_check(findings, "unordered-iteration"), 2u)
-      << describe(findings);
+  // src/stats TU part of the determinism contract, and so is the dataset
+  // reader that moved from src/stats into core: the default config must
+  // fire on unordered iteration in both.
+  for (const char* path :
+       {"src/stats/shot_table.cpp", "src/core/dataset_reader.cpp"}) {
+    const std::vector<Finding> findings = ptsbe::lint::lint_source(
+        path, read_fixture("unordered_sink.cpp"), LintConfig{});
+    EXPECT_EQ(count_check(findings, "unordered-iteration"), 2u)
+        << path << '\n' << describe(findings);
+  }
 }
 
 // ---------------------------------------------------------------------------

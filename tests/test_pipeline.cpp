@@ -145,8 +145,8 @@ TEST(Pipeline, DeviceCountDoesNotChangeRecords) {
   config.nshots = 64;
   Pipeline pipeline(ghz_circuit(), ghz_noise());
   pipeline.strategy("probabilistic", config).seed(kSeed);
-  const RunResult serial = pipeline.devices(1).run();
-  const RunResult parallel = pipeline.devices(4).run();
+  const RunResult serial = pipeline.threads(1).run();
+  const RunResult parallel = pipeline.threads(4).run();
   ASSERT_EQ(serial.result.batches.size(), parallel.result.batches.size());
   for (std::size_t i = 0; i < serial.result.batches.size(); ++i)
     EXPECT_EQ(serial.result.batches[i].records,
@@ -159,7 +159,7 @@ TEST(Pipeline, RunStreamingMatchesRun) {
   config.nsamples = 200;
   config.nshots = 32;
   Pipeline pipeline(ghz_circuit(), ghz_noise());
-  pipeline.strategy("probabilistic", config).seed(kSeed).devices(3);
+  pipeline.strategy("probabilistic", config).seed(kSeed).threads(3);
   const RunResult materialised = pipeline.run();
   std::vector<be::TrajectoryBatch> streamed(materialised.result.batches.size());
   const be::StreamSummary summary =

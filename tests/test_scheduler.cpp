@@ -1,7 +1,7 @@
 // The shared-prefix trajectory scheduler's reproducibility contract:
 // records, realised probabilities and dataset bytes must be **bit-for-bit
 // identical** to the independent schedule — across every registered PTS
-// strategy, across the forkable backends, under multi-device scheduling,
+// strategy, across the forkable backends, under multi-threaded scheduling,
 // with gate fusion on, and through unrealizable-branch specs. This is the
 // acceptance gate that makes the scheduler a pure optimisation.
 
@@ -58,11 +58,11 @@ void expect_results_identical(const be::Result& a, const be::Result& b) {
 be::Result run_schedule(const NoisyCircuit& noisy,
                         const std::vector<TrajectorySpec>& specs,
                         be::Schedule schedule, const std::string& backend,
-                        std::size_t devices = 1, bool fuse = false) {
+                        std::size_t threads = 1, bool fuse = false) {
   be::Options options;
   options.backend = backend;
   options.schedule = schedule;
-  options.num_devices = devices;
+  options.threads = threads;
   options.config.fuse_gates = fuse;
   return be::execute(noisy, specs, options);
 }
@@ -211,7 +211,7 @@ TEST(SharedPrefixScheduler, StreamingDeliversEverySpecExactlyOnce) {
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
   be::Options options;
   options.schedule = be::Schedule::kSharedPrefix;
-  options.num_devices = 4;
+  options.threads = 4;
   std::vector<std::size_t> deliveries(specs.size(), 0);
   const be::StreamSummary summary = be::execute_streaming(
       noisy, specs, options, [&](be::TrajectoryBatch&& batch) {

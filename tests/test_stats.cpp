@@ -20,14 +20,15 @@
 
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/core/dataset.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 #include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/net/client.hpp"
+#include "ptsbe/net/protocol.hpp"
 #include "ptsbe/net/server.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/serve/engine.hpp"
 #include "ptsbe/stats/compare.hpp"
-#include "ptsbe/stats/dataset_reader.hpp"
 #include "ptsbe/stats/merge.hpp"
 #include "ptsbe/stats/shot_table.hpp"
 
@@ -195,21 +196,36 @@ TEST(StatsReader, RejectsForeignAndVersionedHeaders) {
 
 TEST(StatsReader, HostileLengthFieldsFailBeforeAllocation) {
   const std::string path = temp_path("hostile");
-  // Header declaring one batch, then a block whose num_branches field
-  // claims more pairs than the file could possibly hold.
-  std::string bytes("PTSB", 4);
-  const std::uint32_t version = dataset::kFormatVersion;
-  const std::uint64_t count = 1;
-  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  const std::uint64_t fixed[5] = {0, 0, 0, 4,
-                                  std::numeric_limits<std::uint64_t>::max()};
-  bytes.append(reinterpret_cast<const char*>(fixed), sizeof(fixed));
-  spit(path, bytes);
-
-  dataset::Reader reader(path);
-  be::TrajectoryBatch batch;
-  EXPECT_THROW(reader.next(batch), invariant_error);
+  const auto v2_file = [](std::uint64_t count,
+                          std::vector<std::uint64_t> body) {
+    std::string bytes("PTSB", 4);
+    const std::uint32_t version = dataset::kFormatVersion;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    bytes.append(reinterpret_cast<const char*>(body.data()),
+                 body.size() * sizeof(std::uint64_t));
+    return bytes;
+  };
+  // Each file's counts claim more than its bytes could hold: num_branches
+  // = 2^64-1, num_records = 2^36, and 2^40 batches over an empty body.
+  // The fixed fields are spec_index, nominal, realized, shots, num_branches.
+  const std::string hostile[] = {
+      v2_file(1, {0, 0, 0, 4, std::numeric_limits<std::uint64_t>::max()}),
+      v2_file(1, {0, 0, 0, 4, 0, std::uint64_t{1} << 36}),
+      v2_file(std::uint64_t{1} << 40, {}),
+  };
+  for (const std::string& bytes : hostile) {
+    spit(path, bytes);
+    for (const dataset::ViewMode mode :
+         {dataset::ViewMode::kMmap, dataset::ViewMode::kStream}) {
+      SCOPED_TRACE(dataset::to_string(mode));
+      dataset::Reader reader(path, mode);
+      be::TrajectoryBatch batch;
+      EXPECT_THROW(reader.next(batch), invariant_error);
+      // The seek index measures blocks with the same guarded length walk.
+      EXPECT_THROW(reader.seek_batch(1), invariant_error);
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -248,6 +264,34 @@ TEST(StatsStreamWriter, AccessorsTrackAppends) {
     // After close the byte count is exactly the file size.
     EXPECT_EQ(writer.bytes_written(), slurp(path).size());
   }
+  std::remove(path.c_str());
+}
+
+TEST(StatsStreamWriter, NetBatchPayloadIsTheAppendedBlock) {
+  // The wire and the disk share one block layout: a BATCH payload is
+  // exactly the bytes StreamWriter appends for the same batch.
+  const std::string path = temp_path("wire_block");
+  std::vector<be::TrajectoryBatch> batches = make_result().batches;
+  // An unrealizable batch: no records, zero probabilities.
+  batches.push_back(make_batch(4, {{3, 2}}, {}, 0.0));
+
+  std::vector<std::uint64_t> ends;
+  {
+    dataset::StreamWriter writer(path);
+    for (const be::TrajectoryBatch& batch : batches) {
+      writer.append(batch);
+      ends.push_back(writer.bytes_written());
+    }
+  }
+  const std::string file = slurp(path);
+  std::uint64_t begin = dataset::kHeaderBytes;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(net::encode_batch(batches[i]),
+              file.substr(begin, ends[i] - begin));
+    begin = ends[i];
+  }
+  EXPECT_EQ(begin, file.size());
   std::remove(path.c_str());
 }
 

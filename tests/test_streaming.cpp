@@ -1,7 +1,7 @@
 // The streaming Batched-Execution path and the incremental dataset writer:
 // `execute_streaming` must deliver every batch exactly once with the same
 // records and weights the materialising `execute` produces — under
-// multi-device scheduling — and `dataset::StreamWriter` must emit files
+// multi-threaded scheduling — and `dataset::StreamWriter` must emit files
 // byte-identical to the bulk `write_binary`, including zero-probability
 // unrealizable batches.
 
@@ -66,7 +66,7 @@ TEST(ExecuteStreaming, DeliversEveryBatchExactlyOnceUnderMultiDevice) {
   ASSERT_GT(specs.size(), 4u);
 
   be::Options options;
-  options.num_devices = 4;
+  options.threads = 4;
   const be::Result reference = be::execute(noisy, specs, options);
 
   std::vector<std::size_t> deliveries(specs.size(), 0);
@@ -241,7 +241,7 @@ TEST(StreamWriter, MultiDeviceStreamedExportRoundTripsCompletely) {
   const auto specs = sample_specs(noisy);
 
   be::Options options;
-  options.num_devices = 4;
+  options.threads = 4;
   const be::Result reference = be::execute(noisy, specs, options);
 
   const std::string path = "/tmp/ptsbe_test_stream_multidev.bin";

@@ -16,8 +16,8 @@
 ///     sampling layer.
 ///  2. **Determinism of serialization** (`unordered-iteration`): iteration
 ///     order of unordered containers is implementation-defined, so any
-///     loop over one inside a serialization TU (dataset writer, `.ptq`
-///     writer, wire codec, stats JSON) could silently reorder bytes
+///     loop over one inside a serialization TU (dataset writer and reader,
+///     `.ptq` writer, wire codec, stats JSON) could silently reorder bytes
 ///     between runs or standard-library versions. Lookup tables are fine;
 ///     iteration is not.
 ///  3. **Kernel bit-identity** (`fma-in-kernel-tu`, `kernel-cmake-flags`):
@@ -67,8 +67,13 @@ struct LintConfig {
   };
   /// TUs whose output bytes are part of the determinism contract.
   std::vector<std::string> serialization_tus = {
-      "src/io/",          "src/core/dataset.cpp", "src/net/protocol.cpp",
-      "src/serve/engine.cpp", "src/qec/metrics.cpp", "src/stats/",
+      "src/io/",
+      "src/core/dataset.cpp",
+      "src/core/dataset_reader.cpp",
+      "src/net/protocol.cpp",
+      "src/serve/engine.cpp",
+      "src/qec/metrics.cpp",
+      "src/stats/",
   };
   /// The bit-identity kernel layer.
   std::vector<std::string> kernel_tus = {"src/kernels/"};
