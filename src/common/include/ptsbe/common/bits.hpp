@@ -8,7 +8,9 @@
 /// significant bit throughout PTSBE.
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace ptsbe {
 
@@ -50,6 +52,16 @@ constexpr unsigned popcount64(std::uint64_t v) noexcept {
 /// Parity (popcount mod 2) of v.
 constexpr unsigned parity64(std::uint64_t v) noexcept {
   return popcount64(v) & 1u;
+}
+
+/// Pack the bits of `index` selected by `qubits` (qubits[0] → output bit 0)
+/// — a basis-state index reduced to its measurement record.
+constexpr std::uint64_t extract_bits(
+    std::uint64_t index, std::span<const unsigned> qubits) noexcept {
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < qubits.size(); ++i)
+    out |= ((index >> qubits[i]) & 1ULL) << i;
+  return out;
 }
 
 }  // namespace ptsbe

@@ -23,7 +23,8 @@ namespace ptsbe {
 ///
 /// Satisfies the `UniformRandomBitGenerator` interface (result_type, min, max,
 /// operator()) so it can be plugged into `std::` distributions, and exposes
-/// counter manipulation (`set_counter`, `discard`) for stream splitting.
+/// counter manipulation (`set_counter`, `discard`, `discard_blocks`) for
+/// stream splitting and positional draws.
 class Philox4x32 {
  public:
   using result_type = std::uint32_t;
@@ -80,13 +81,30 @@ class Philox4x32 {
     }
   }
 
-  /// Jump the low counter words forward by `n` 128-bit blocks (4 draws each);
-  /// also drops any buffered outputs.
+  /// Skip the next `n` 32-bit outputs in O(1): the generator then continues
+  /// exactly as if `n` calls to operator() had been made. The skip is
+  /// relative to the current position, buffered outputs included, and the
+  /// counter carries exactly as sequential drawing does.
+  void discard(std::uint64_t n) noexcept {
+    const auto buffered = static_cast<std::uint64_t>(4 - buf_pos_);
+    if (n < buffered) {
+      buf_pos_ += static_cast<int>(n);
+      return;
+    }
+    n -= buffered;  // now at the first output of block ctr_
+    add_to_counter(n / 4);
+    buf_pos_ = 4;
+    if (n % 4 != 0) {
+      buf_ = bijection(ctr_, key_);
+      advance_counter();
+      buf_pos_ = static_cast<int>(n % 4);
+    }
+  }
+
+  /// Jump the counter forward by `n` 128-bit blocks (4 draws each); also
+  /// drops any buffered outputs.
   void discard_blocks(std::uint64_t n) noexcept {
-    std::uint64_t lo = (static_cast<std::uint64_t>(ctr_[1]) << 32) | ctr_[0];
-    lo += n;
-    ctr_[0] = static_cast<std::uint32_t>(lo);
-    ctr_[1] = static_cast<std::uint32_t>(lo >> 32);
+    add_to_counter(n);
     buf_pos_ = 4;
   }
 
@@ -131,6 +149,17 @@ class Philox4x32 {
     if (++ctr_[0] == 0)
       if (++ctr_[1] == 0)
         if (++ctr_[2] == 0) ++ctr_[3];
+  }
+
+  /// `n` applications of advance_counter() at once.
+  void add_to_counter(std::uint64_t n) noexcept {
+    const std::uint64_t low =
+        (static_cast<std::uint64_t>(ctr_[1]) << 32) | ctr_[0];
+    const std::uint64_t sum = low + n;
+    ctr_[0] = static_cast<std::uint32_t>(sum);
+    ctr_[1] = static_cast<std::uint32_t>(sum >> 32);
+    if (sum < low)
+      if (++ctr_[2] == 0) ++ctr_[3];
   }
 
   std::array<std::uint32_t, 2> key_{};

@@ -58,6 +58,13 @@ class RngStream {
   /// Raw 64 random bits.
   std::uint64_t bits64() noexcept { return gen_.next_u64(); }
 
+  /// Positional seek: skip the next `count` double draws (`uniform()`,
+  /// `exponential()`; 64 bits each) in O(1). The stream then yields exactly
+  /// what it would after `count` sequential draws from its current
+  /// position, so several workers can each regenerate their own slice of
+  /// one stream's draws. Precondition: count < 2^63.
+  void skip_doubles(std::uint64_t count) noexcept { gen_.discard(2 * count); }
+
   /// Sample an index from an (unnormalised) non-negative weight table by
   /// inverse CDF. Returns weights.size()-1 if rounding pushes the draw past
   /// the last cumulative bin. Empty tables are a precondition violation.
@@ -75,9 +82,11 @@ class RngStream {
     return weights.size() - 1;
   }
 
-  /// `count` sorted uniform draws in [0,1) — the input to the bulk
-  /// inverse-CDF shot sampler. Uses the exponential-spacings method so the
-  /// output is produced already sorted in O(count) time.
+  /// `count` sorted uniform draws in [0,1) by the exponential-spacings
+  /// method, produced already sorted in O(count) time. This is the
+  /// sequential reference for the bulk inverse-CDF shot sampler
+  /// (ptsbe/common/inverse_cdf.hpp), which computes the same values in
+  /// place and in parallel pieces.
   [[nodiscard]] std::vector<double> sorted_uniforms(std::size_t count) {
     std::vector<double> out(count);
     // Spacings method: E_i ~ Exp(1); prefix sums normalised by the total of

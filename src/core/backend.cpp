@@ -96,15 +96,33 @@ class SimStateAdapter final : public SimState {
     return state_.sample_shots(count, rng);
   }
 
+  [[nodiscard]] bool samples_in_place() const override {
+    return requires(const State& s, std::span<std::uint64_t> w,
+                    std::span<const unsigned> m) {
+      s.records_from_exponentials(w, 0.0, m);
+    };
+  }
+
+  void records_from_exponentials(
+      std::span<std::uint64_t> words, double last,
+      std::span<const unsigned> measured) const override {
+    if constexpr (requires {
+                    state_.records_from_exponentials(words, last, measured);
+                  })
+      state_.records_from_exponentials(words, last, measured);
+    else
+      SimState::records_from_exponentials(words, last, measured);
+  }
+
  private:
   State state_;
 };
 
 /// Shared skeleton for the three amplitude-style backends: walk the
 /// (optionally fused) execution plan once with the spec's assignment, then
-/// bulk-sample and reduce to records. The shared-prefix scheduler drives
-/// the same plan through the same SimState surface, which is what makes
-/// the two schedules bit-for-bit identical.
+/// bulk-sample records. Batched Execution drives the same plan walk and
+/// the same sampler through `make_state`, which is what makes `run` and
+/// both schedules bit-for-bit identical.
 class AmplitudeBackend : public Backend {
  public:
   explicit AmplitudeBackend(bool fuse_gates) : fuse_gates_(fuse_gates) {}
@@ -115,53 +133,22 @@ class AmplitudeBackend : public Backend {
 
   [[nodiscard]] bool can_fork_states() const noexcept override { return true; }
 
-  /// One-off entry point: builds the plan itself. Executors iterating many
-  /// specs should build it once and call run_with_plan.
   [[nodiscard]] ShotResult run(const NoisyCircuit& noisy,
                                const TrajectorySpec& spec,
                                std::uint64_t shots,
                                RngStream& rng) const override {
-    return run_with_plan(noisy, make_plan(noisy), spec, shots, rng);
-  }
-
-  [[nodiscard]] ShotResult run_with_plan(const NoisyCircuit& noisy,
-                                         const ExecPlan& plan,
-                                         const TrajectorySpec& spec,
-                                         std::uint64_t shots,
-                                         RngStream& rng) const override {
     ShotResult out;
+    const ExecPlan plan = make_plan(noisy);
     const std::vector<std::size_t> assignment = full_assignment(noisy, spec);
     WallTimer timer;
     const SimStatePtr state = make_state(noisy.num_qubits());
-    const bool batched = state->supports_prepared_runs();
-    bool realizable = true;
-    std::size_t s = 0;
-    while (s < plan.steps.size()) {
-      const PlanStep& step = plan.steps[s];
-      if (step.is_gate) {
-        const std::size_t run =
-            batched ? plan.run_starting_at(s) : ExecPlan::npos;
-        if (run != ExecPlan::npos) {
-          state->apply_prepared_run(plan.prepared_runs[run].gates);
-          s += plan.prepared_runs[run].gates.size();
-        } else {
-          state->apply_gate(step.matrix, step.qubits);
-          ++s;
-        }
-        continue;
-      }
-      if (!apply_branch(*state, noisy.sites()[step.site],
-                        assignment[step.site], out.realized_probability)) {
-        realizable = false;
-        break;
-      }
-      ++s;
-    }
+    const bool realizable = prepare_trajectory(*state, noisy, plan, assignment,
+                                               out.realized_probability);
     out.prepare_seconds = timer.seconds();
     timer.reset();
     if (realizable)
-      out.records = reduce_to_records(state->sample_shots(shots, rng),
-                                      noisy.circuit().measured_qubits());
+      out.records = sample_records(*state, shots, rng,
+                                   noisy.circuit().measured_qubits());
     out.sample_seconds = timer.seconds();
     return out;
   }

@@ -3,8 +3,9 @@
 #include <utility>
 
 #include "ptsbe/circuit/fusion.hpp"
+#include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
-#include "ptsbe/statevector/statevector.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 
 namespace ptsbe {
 
@@ -119,11 +120,47 @@ bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
   return true;
 }
 
-std::vector<std::uint64_t> reduce_to_records(
-    std::vector<std::uint64_t> shots, const std::vector<unsigned>& measured) {
-  if (!measured.empty())
-    for (std::uint64_t& s : shots) s = extract_bits(s, measured);
-  return shots;
+bool prepare_trajectory(SimState& state, const NoisyCircuit& noisy,
+                        const ExecPlan& plan,
+                        std::span<const std::size_t> assignment,
+                        double& realized) {
+  const bool batched = state.supports_prepared_runs();
+  std::size_t s = 0;
+  while (s < plan.steps.size()) {
+    const PlanStep& step = plan.steps[s];
+    if (!step.is_gate) {
+      if (!apply_branch(state, noisy.sites()[step.site],
+                        assignment[step.site], realized))
+        return false;
+      ++s;
+      continue;
+    }
+    const std::size_t run = batched ? plan.run_starting_at(s) : ExecPlan::npos;
+    if (run != ExecPlan::npos) {
+      state.apply_prepared_run(plan.prepared_runs[run].gates);
+      s += plan.prepared_runs[run].gates.size();
+    } else {
+      state.apply_gate(step.matrix, step.qubits);
+      ++s;
+    }
+  }
+  return true;
+}
+
+std::vector<std::uint64_t> sample_records(SimState& state, std::uint64_t count,
+                                          RngStream& rng,
+                                          std::span<const unsigned> measured) {
+  if (!state.samples_in_place()) {
+    std::vector<std::uint64_t> records = state.sample_shots(count, rng);
+    if (!measured.empty())
+      for (std::uint64_t& r : records) r = extract_bits(r, measured);
+    return records;
+  }
+  std::vector<std::uint64_t> records(count);
+  if (count == 0) return records;
+  draw_exponentials(rng, records);
+  state.records_from_exponentials(records, rng.exponential(), measured);
+  return records;
 }
 
 }  // namespace ptsbe

@@ -81,26 +81,15 @@ class Backend {
   /// Prepare the trajectory selected by `spec` exactly once (sites not
   /// listed take their channel's default branch) and draw `shots`
   /// measurement records in bulk from the prepared state, consuming
-  /// randomness only from `rng`. `shots` is deliberately separate from
-  /// `spec.shots`: callers normally pass `spec.shots`, but a sharded
-  /// executor may split one spec's budget across several run() calls.
+  /// randomness only from `rng`. Batched Execution passes `spec.shots`.
+  /// Splitting one spec's budget across several run() calls would change
+  /// its records (each call draws its own sorted sample); the split that
+  /// keeps every bit lives inside sampling instead
+  /// (ptsbe/core/leaf_sampler.hpp).
   [[nodiscard]] virtual ShotResult run(const NoisyCircuit& noisy,
                                        const TrajectorySpec& spec,
                                        std::uint64_t shots,
                                        RngStream& rng) const = 0;
-
-  /// `run` with a pre-built execution plan, for executors that amortise
-  /// `make_plan` across a whole spec batch. `plan` must come from this
-  /// backend's `make_plan(noisy)`. The default ignores the plan and calls
-  /// `run` (correct for backends that do not prepare through plans).
-  [[nodiscard]] virtual ShotResult run_with_plan(const NoisyCircuit& noisy,
-                                                 const ExecPlan& plan,
-                                                 const TrajectorySpec& spec,
-                                                 std::uint64_t shots,
-                                                 RngStream& rng) const {
-    (void)plan;
-    return run(noisy, spec, shots, rng);
-  }
 
   /// True when `make_state` returns forkable states — the O(1) capability
   /// probe prefix-sharing schedulers gate on (constructing a throwaway
@@ -110,9 +99,10 @@ class Backend {
     return false;
   }
 
-  /// Fresh forkable |0…0⟩ state for prefix-sharing schedulers, or nullptr
-  /// when this backend's state cannot be snapshotted (stabilizer). A
-  /// non-null state, driven through `make_plan`'s steps, must reproduce
+  /// Fresh forkable |0…0⟩ state for Batched Execution's plan walks (both
+  /// schedules), or nullptr when this backend's state cannot be
+  /// snapshotted (stabilizer), which then runs every spec through `run`.
+  /// A non-null state, driven through `make_plan`'s steps, must reproduce
   /// `run`'s preparation and sampling bit-for-bit.
   [[nodiscard]] virtual SimStatePtr make_state(unsigned num_qubits) const {
     (void)num_qubits;

@@ -12,6 +12,8 @@
 /// multi-GPU inter-trajectory parallelism; `Options::threads` sizes the
 /// pool), each with a reproducible Philox substream keyed by its batch
 /// index — which is why records are bit-identical at every thread count.
+/// A spec holding more than one chunk of shots also splits its bulk draw
+/// across idle workers, without changing a bit (ptsbe/core/leaf_sampler.hpp).
 /// Error provenance — the spec's branch list — rides along as metadata on
 /// every batch (the paper's third bullet).
 
@@ -147,11 +149,12 @@ struct StreamSummary {
 /// Execute `specs` against `noisy` with batched sampling.
 ///
 /// The backend named by `options.backend` is resolved once through the
-/// BackendRegistry and shared across all simulated devices; each spec is
-/// one `Backend::run` call (prepare the trajectory once, bulk-draw its shot
-/// budget — unitary-mixture branches apply U_k directly, general branches
-/// apply K_k/√p with the realised p accumulated into the batch's importance
-/// weight).
+/// BackendRegistry and shared across all simulated devices. Each spec's
+/// trajectory is prepared once — unitary-mixture branches apply U_k
+/// directly, general branches apply K_k/√p with the realised p accumulated
+/// into the batch's importance weight — and its shot budget drawn in bulk
+/// by the leaf sampler. Backends that cannot fork states (stabilizer) run
+/// each spec through `Backend::run` instead.
 ///
 /// \throws precondition_error for unknown backend names or programs the
 ///         chosen backend does not support.

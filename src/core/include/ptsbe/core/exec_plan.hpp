@@ -12,7 +12,7 @@
 /// observes the state.
 ///
 /// Both execution schedules consume the same plan: the independent path
-/// (`Backend::run`) walks it once per trajectory; the shared-prefix
+/// walks it once per trajectory (`prepare_trajectory`); the shared-prefix
 /// scheduler walks each common prefix once and forks at deviating site
 /// steps. Because the two paths apply the *identical* matrix sequence per
 /// trajectory — fused or not — their prepared states, realised
@@ -20,8 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "ptsbe/common/rng.hpp"
 #include "ptsbe/core/sim_state.hpp"
 #include "ptsbe/core/trajectory_spec.hpp"
 #include "ptsbe/noise/noise_model.hpp"
@@ -90,10 +92,23 @@ struct ExecPlan {
 bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
                   double& realized);
 
-/// Reduce full basis-state indices to measured-bit records (`measured`
-/// empty = records stay full n-bit indices). Shared by both schedules so
-/// the record layout cannot diverge between them.
-[[nodiscard]] std::vector<std::uint64_t> reduce_to_records(
-    std::vector<std::uint64_t> shots, const std::vector<unsigned>& measured);
+/// The linear plan walk: prepare one trajectory on `state` (fresh |0…0⟩)
+/// by sweeping every step of `plan`, whole prepared runs through the
+/// batched kernel path, with site steps taking their branch from the dense
+/// `assignment` (`full_assignment`). Same return contract as
+/// `apply_branch`; the walk stops at the first unrealizable branch.
+bool prepare_trajectory(SimState& state, const NoisyCircuit& noisy,
+                        const ExecPlan& plan,
+                        std::span<const std::size_t> assignment,
+                        double& realized);
+
+/// Draw `count` records of the `measured` qubits (`measured` empty = full
+/// n-bit indices) from a prepared `state` on the calling thread — the leaf
+/// sampler's inline path. Dense states sample in place and consume
+/// `count + 1` doubles of `rng` (none when `count` is 0); the others
+/// sample through `sample_shots`.
+[[nodiscard]] std::vector<std::uint64_t> sample_records(
+    SimState& state, std::uint64_t count, RngStream& rng,
+    std::span<const unsigned> measured);
 
 }  // namespace ptsbe

@@ -17,18 +17,21 @@
 /// into k branch runs, the walking worker snapshots the pre-branch state
 /// k−1 times, spawns one task per earlier run, and continues the last run
 /// in place. Each task exclusively owns its `SimState` (per-thread state
-/// ownership — states are never shared across tasks), so disjoint trie
-/// subtrees execute concurrently with no synchronisation beyond the spawn.
+/// ownership — states are never shared across tasks while they change; a
+/// finished leaf's state is only read, by its sampling chunks), so disjoint
+/// trie subtrees execute concurrently with no synchronisation beyond the
+/// spawn.
 /// An idle worker steals the *oldest* pending task — the shallowest, and
 /// therefore largest, subtree.
 ///
 /// Reproducibility contract: preparation consumes no randomness, and each
-/// leaf draws its spec's shots from the same per-trajectory Philox
-/// substream the independent schedule uses — so records, realised
-/// probabilities and therefore every downstream estimate and dataset byte
-/// are **bit-for-bit identical** between the two schedules *and across
-/// every thread count* (see tests/test_scheduler.cpp). Only completion
-/// order depends on scheduling.
+/// leaf hands its state to the leaf sampler the independent schedule uses
+/// (ptsbe/core/leaf_sampler.hpp), which draws from the same per-trajectory
+/// Philox substream — so records, realised probabilities and therefore
+/// every downstream estimate and dataset byte are **bit-for-bit
+/// identical** between the two schedules *and across every thread count*
+/// (see tests/test_scheduler.cpp). Only completion order depends on
+/// scheduling.
 ///
 /// Memory: pending subtree tasks each hold one state snapshot. LIFO
 /// self-scheduling keeps a worker on its current root-to-leaf path, so the
@@ -36,48 +39,33 @@
 /// frontier.
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "ptsbe/common/rng.hpp"
 #include "ptsbe/core/backend.hpp"
+#include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/trajectory_executor.hpp"
 
 namespace ptsbe::be {
 
-/// Delivery callback, invoked from worker threads: `worker` is the
-/// executing worker's id, `spec_index` the index into the original spec
-/// vector; the ShotResult carries records, realised probability and the
-/// sampling wall-clock. Implementations must be thread-safe (the BE engine
-/// wraps the executor's lock-free `emit`).
-using SpecResultFn = std::function<void(std::size_t worker,
-                                        std::size_t spec_index,
-                                        ShotResult&& result)>;
-
 /// Seed the shared-prefix walk over the trajectories selected by `order`
-/// (indices into `specs`, sorted lexicographically by their dense
+/// (indices into the spec set, sorted lexicographically by their dense
 /// site→branch `assignments`) onto `executor` as one root task; forks spawn
 /// further tasks. Call `executor.drain(...)` afterwards to run the walk.
-/// One result is emitted per spec; `master.substream(t)` seeds spec t's
-/// sampling, matching the independent path bit for bit.
-///
-/// `worker_prepare_seconds` must have one slot per executor worker; each
-/// task adds its preparation wall-clock (gate sweeps, branch applications,
-/// forks — sampling excluded) to its worker's slot. Slots are single-writer
-/// per worker; read them after `drain` returns (the join publishes them).
+/// Every leaf hands its prepared state to `leaves`, the same leaf sampler
+/// the independent schedule uses, so spec t samples from
+/// `master.substream(t)` and one batch is emitted per spec. Each task adds
+/// its preparation wall-clock (gate sweeps, branch applications, forks —
+/// sampling excluded) to its worker's `leaves.accum(worker)` slot.
 ///
 /// Every argument must outlive the drain. Preconditions: the backend can
 /// fork states, and `order` is sorted so specs agreeing on every site up to
 /// any depth are contiguous.
 void spawn_shared_prefix(TrajectoryExecutor& executor, const Backend& backend,
                          const NoisyCircuit& noisy, const ExecPlan& plan,
-                         const std::vector<TrajectorySpec>& specs,
                          const std::vector<std::vector<std::size_t>>& assignments,
                          std::span<const std::size_t> order,
-                         const RngStream& master, const SpecResultFn& emit,
-                         std::span<double> worker_prepare_seconds);
+                         LeafSampler& leaves);
 
 /// Comparator-friendly helper: dense assignments for every spec, indexed
 /// like `specs`.

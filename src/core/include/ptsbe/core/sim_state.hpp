@@ -80,6 +80,24 @@ class SimState {
   /// Bulk-draw `count` computational-basis shots (full n-bit indices).
   [[nodiscard]] virtual std::vector<std::uint64_t> sample_shots(
       std::size_t count, RngStream& rng) = 0;
+
+  /// True when this state samples through the splittable in-place sampler
+  /// (`records_from_exponentials`) — the dense representations. Others
+  /// sample through `sample_shots` only.
+  [[nodiscard]] virtual bool samples_in_place() const { return false; }
+
+  /// Turn `words` — the exponentials E_0 … E_{m-1} of m draws, bit-cast —
+  /// and E_m (`last`) into m records of the `measured` qubits, in place
+  /// (`exponentials_to_records`, ptsbe/common/inverse_cdf.hpp). The records
+  /// equal `sample_shots` over the same draws, reduced to `measured`. Only
+  /// valid when `samples_in_place()`; read-only on the state, so several
+  /// leaves may call it on one state concurrently.
+  virtual void records_from_exponentials(
+      std::span<std::uint64_t> /*words*/, double /*last*/,
+      std::span<const unsigned> /*measured*/) const {
+    throw precondition_error(
+        "records_from_exponentials on a state without in-place sampling");
+  }
 };
 
 using SimStatePtr = std::unique_ptr<SimState>;

@@ -4,19 +4,24 @@
 /// \brief Work-stealing multi-threaded trajectory executor.
 ///
 /// Batched Execution's unit of work is one trajectory preparation (or, under
-/// the shared-prefix schedule, one trie subtree). This executor runs those
-/// units across `be::Options::threads` worker threads with classic
+/// the shared-prefix schedule, one trie subtree), plus the chunks a large
+/// leaf splits its bulk draw into. This executor runs those units across
+/// `be::Options::threads` worker threads with classic
 /// work-stealing scheduling: every worker owns a deque, pops its own newest
 /// task (LIFO — keeps a DFS worker on its current subtree and bounds the
 /// number of live state snapshots), and steals the *oldest* task of a victim
 /// when it runs dry (the shallowest, therefore largest, pending subtree).
 ///
-/// Determinism contract: the executor adds no randomness and never splits a
-/// spec, so any task placement yields bit-identical records — each spec
-/// samples from its own Philox substream and preparation consumes no
-/// randomness at all. Only completion *order* (and the diagnostic
-/// `TrajectoryBatch::device_id`, the id of the worker that prepared the
-/// batch) depends on scheduling.
+/// Determinism contract: the executor adds no randomness, so any task
+/// placement yields bit-identical records — preparation consumes no
+/// randomness at all and each spec samples from its own Philox substream.
+/// A spec's preparation is never split. Its bulk draw may be: each sampling
+/// chunk regenerates a fixed, position-addressed slice of the spec's
+/// substream, and the order-dependent work (prefix sum, division, bin
+/// walk) runs once, sequentially, in whichever chunk finishes last
+/// (ptsbe/core/leaf_sampler.hpp). Only completion *order* (and the
+/// diagnostic `TrajectoryBatch::device_id`, the id of the worker that
+/// prepared the batch) depends on scheduling.
 ///
 /// Thread model:
 ///  - `spawn` seeds work before `drain` (caller thread) or adds work from

@@ -12,63 +12,16 @@ namespace {
 
 /// Context shared by every task of one scheduled walk, jointly owned by the
 /// task closures (tasks outlive the spawning call). Immutable during the
-/// walk except `prepare_seconds`, whose slots are single-writer (one per
-/// executor worker).
+/// walk; the leaf sampler's accounting slots are single-writer per worker.
 struct Walk {
   TrajectoryExecutor& executor;
   const ExecPlan& plan;
   const NoisyCircuit& noisy;
-  const std::vector<TrajectorySpec>& specs;
   const std::vector<std::vector<std::size_t>>& assignments;
-  const RngStream& master;
-  const SpecResultFn& emit;
-  const std::vector<unsigned> measured;
-  const std::span<double> prepare_seconds;
+  LeafSampler& leaves;
 };
 
 using WalkPtr = std::shared_ptr<const Walk>;
-
-/// Report every spec of `group` as unrealizable (the shared prefix hit a
-/// zero-probability Kraus branch — exactly what the independent path
-/// reports for each of them).
-void emit_unrealizable(const Walk& walk, std::size_t worker,
-                       std::span<const std::size_t> group) {
-  for (std::size_t t : group) {
-    ShotResult result;
-    result.realized_probability = 0.0;
-    walk.emit(worker, t, std::move(result));
-  }
-}
-
-/// All specs in `group` share one fully prepared state: sample each spec's
-/// budget from its own substream. Duplicate assignments are legal input, so
-/// every spec but the last samples from a fresh clone — sampling may touch
-/// the representation (MPS canonicalisation), and each spec must see the
-/// state exactly as its independent preparation left it. Returns the
-/// sampling wall-clock (excluded from preparation time).
-double emit_leaves(const Walk& walk, std::size_t worker, SimStatePtr state,
-                   double realized, std::span<const std::size_t> group) {
-  double sample_seconds = 0.0;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const std::size_t t = group[i];
-    SimStatePtr fork;
-    SimState* sampler = state.get();
-    if (i + 1 < group.size()) {
-      fork = state->clone();
-      sampler = fork.get();
-    }
-    ShotResult result;
-    result.realized_probability = realized;
-    RngStream rng = walk.master.substream(t);
-    WallTimer timer;
-    result.records = reduce_to_records(
-        sampler->sample_shots(walk.specs[t].shots, rng), walk.measured);
-    result.sample_seconds = timer.seconds();
-    sample_seconds += result.sample_seconds;
-    walk.emit(worker, t, std::move(result));
-  }
-  return sample_seconds;
-}
 
 void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
                    double realized, std::size_t step,
@@ -103,7 +56,7 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
       continue;
     }
     if (walk->executor.cancelled()) {
-      walk->prepare_seconds[worker] += timer.seconds();
+      walk->leaves.accum(worker).prepare_seconds += timer.seconds();
       return;
     }
     // Partition the (sorted) group into runs of equal branch choice.
@@ -135,15 +88,18 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
     }
     if (!apply_branch(*state, walk->noisy.sites()[site_id],
                       walk->assignments[group.front()][site_id], realized)) {
-      walk->prepare_seconds[worker] += timer.seconds();
-      emit_unrealizable(*walk, worker, group);
+      // The shared prefix hit a zero-probability Kraus branch — exactly
+      // what the independent path reports for each spec of the group.
+      walk->leaves.accum(worker).prepare_seconds += timer.seconds();
+      walk->leaves.emit_unrealizable(worker, group);
       return;
     }
     ++s;
   }
   const double sample_seconds =
-      emit_leaves(*walk, worker, std::move(state), realized, group);
-  walk->prepare_seconds[worker] += timer.seconds() - sample_seconds;
+      walk->leaves.sample(worker, std::move(state), realized, group);
+  walk->leaves.accum(worker).prepare_seconds +=
+      timer.seconds() - sample_seconds;
 }
 
 void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
@@ -160,22 +116,16 @@ void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
 
 void spawn_shared_prefix(TrajectoryExecutor& executor, const Backend& backend,
                          const NoisyCircuit& noisy, const ExecPlan& plan,
-                         const std::vector<TrajectorySpec>& specs,
                          const std::vector<std::vector<std::size_t>>& assignments,
                          std::span<const std::size_t> order,
-                         const RngStream& master, const SpecResultFn& emit,
-                         std::span<double> worker_prepare_seconds) {
+                         LeafSampler& leaves) {
   if (order.empty()) return;
-  PTSBE_REQUIRE(worker_prepare_seconds.size() == executor.num_workers(),
-                "spawn_shared_prefix needs one prepare-seconds slot per "
-                "executor worker");
   SimStatePtr root = backend.make_state(noisy.num_qubits());
   PTSBE_REQUIRE(root != nullptr,
                 "backend '" + backend.name() +
                     "' cannot fork states; use the independent schedule");
   const WalkPtr walk = std::make_shared<const Walk>(
-      Walk{executor, plan, noisy, specs, assignments, master, emit,
-           noisy.circuit().measured_qubits(), worker_prepare_seconds});
+      Walk{executor, plan, noisy, assignments, leaves});
   executor.spawn([walk, root = std::move(root), order](std::size_t self) mutable {
     run_subtree(walk, self, std::move(root), 1.0, 0, order);
   });

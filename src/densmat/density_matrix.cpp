@@ -6,6 +6,7 @@
 
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 
 namespace ptsbe {
 
@@ -277,15 +278,22 @@ std::vector<std::uint64_t> DensityMatrix::sample_shots(std::size_t count,
                                                        RngStream& rng) const {
   std::vector<std::uint64_t> shots(count);
   if (count == 0) return shots;
-  const std::vector<double> u = rng.sorted_uniforms(count);
-  std::size_t ptr = 0;
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < dim_ && ptr < count; ++i) {
-    acc += std::max(0.0, rho_[i * dim_ + i].real());
-    while (ptr < count && u[ptr] < acc) shots[ptr++] = i;
-  }
-  for (; ptr < count; ++ptr) shots[ptr] = dim_ - 1;
+  draw_exponentials(rng, shots);
+  records_from_exponentials(shots, rng.exponential(), {});
   return shots;
+}
+
+void DensityMatrix::records_from_exponentials(
+    std::span<std::uint64_t> words, double last,
+    std::span<const unsigned> measured) const {
+  const cplx* const rho = rho_.data();
+  const std::uint64_t dim = dim_;
+  exponentials_to_records(
+      words, last, dim,
+      [rho, dim](std::uint64_t i) {
+        return std::max(0.0, rho[i * dim + i].real());
+      },
+      measured);
 }
 
 }  // namespace ptsbe

@@ -96,8 +96,16 @@ class DensityMatrix {
                                          std::span<const unsigned> qubits) const;
 
   /// Bulk computational-basis shots from the diagonal (sorted-uniform pass).
+  /// Consumes `count + 1` doubles of `rng` (none when `count` is 0).
   [[nodiscard]] std::vector<std::uint64_t> sample_shots(std::size_t count,
                                                         RngStream& rng) const;
+
+  /// The in-place half of `sample_shots` over pre-drawn exponentials:
+  /// `exponentials_to_records` (ptsbe/common/inverse_cdf.hpp) with
+  /// max(0, Re ρ_ii) as the bin mass. Read-only on the state, so concurrent
+  /// calls are safe.
+  void records_from_exponentials(std::span<std::uint64_t> words, double last,
+                                 std::span<const unsigned> measured) const;
 
  private:
   // Left-multiply rows by M on `qubits` (ρ ← M ρ), then the adjoint pass

@@ -11,9 +11,9 @@
 ///
 /// The backend exposes the two cost regimes PTSBE exploits:
 ///  - `apply_gate` / `apply_kraus_branch`: O(2^n) state preparation work;
-///  - `sample_shots`: O(2^n + m log m)-ish *bulk* measurement sampling —
-///    polynomial in the shot count m and a single pass over the state, which
-///    is why batching m shots per prepared trajectory is the paper's win.
+///  - `sample_shots`: O(2^n + m) *bulk* measurement sampling — linear in
+///    the shot count m and a single pass over the state, which is why
+///    batching m shots per prepared trajectory is the paper's win.
 
 #include <cstddef>
 #include <cstdint>
@@ -105,9 +105,17 @@ class StateVector {
   /// Bulk sampler: draw `count` shots in a *single pass* over the state
   /// using pre-sorted uniforms — the Batched Execution primitive. Cost
   /// O(2^n + count), versus O(count · 2^n) for repeated `sample_one`-style
-  /// re-preparation in conventional trajectory pipelines.
+  /// re-preparation in conventional trajectory pipelines. Consumes
+  /// `count + 1` doubles of `rng` (none when `count` is 0).
   [[nodiscard]] std::vector<std::uint64_t> sample_shots(std::size_t count,
                                                         RngStream& rng) const;
+
+  /// The in-place half of `sample_shots` over pre-drawn exponentials:
+  /// `exponentials_to_records` (ptsbe/common/inverse_cdf.hpp) with
+  /// |amplitude|² as the bin mass. Read-only on the state, so concurrent
+  /// calls are safe.
+  void records_from_exponentials(std::span<std::uint64_t> words, double last,
+                                 std::span<const unsigned> measured) const;
 
  private:
   void apply_matrix_k(const Matrix& m, std::span<const unsigned> qubits);
@@ -119,9 +127,5 @@ class StateVector {
   std::vector<cplx> scratch_in_, scratch_out_;
   std::vector<std::uint64_t> scratch_idx_;
 };
-
-/// Pack the bits of `index` selected by `qubits` (qubits[0] → output bit 0).
-[[nodiscard]] std::uint64_t extract_bits(std::uint64_t index,
-                                         std::span<const unsigned> qubits);
 
 }  // namespace ptsbe

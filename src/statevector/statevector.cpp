@@ -7,6 +7,7 @@
 
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 
 namespace ptsbe {
 
@@ -226,29 +227,23 @@ std::uint64_t StateVector::sample_one(RngStream& rng) const {
 
 std::vector<std::uint64_t> StateVector::sample_shots(std::size_t count,
                                                      RngStream& rng) const {
+  // Shots come out sorted by basis index, which downstream dataset code is
+  // free to shuffle; sortedness does not bias the marginal distribution
+  // because the draws are exchangeable.
   std::vector<std::uint64_t> shots(count);
   if (count == 0) return shots;
-  // Sorted uniforms + one cumulative pass over the probability mass. Shots
-  // come out sorted by basis index, which downstream dataset code is free to
-  // shuffle; sortedness does not bias the marginal distribution because the
-  // draws are exchangeable.
-  const std::vector<double> u = rng.sorted_uniforms(count);
-  std::size_t ptr = 0;
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size() && ptr < count; ++i) {
-    acc += std::norm(amp_[i]);
-    while (ptr < count && u[ptr] < acc) shots[ptr++] = i;
-  }
-  // Numerical tail: any remaining draws land on the last nonzero bin.
-  for (; ptr < count; ++ptr) shots[ptr] = amp_.size() - 1;
+  draw_exponentials(rng, shots);
+  records_from_exponentials(shots, rng.exponential(), {});
   return shots;
 }
 
-std::uint64_t extract_bits(std::uint64_t index, std::span<const unsigned> qubits) {
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < qubits.size(); ++i)
-    out |= static_cast<std::uint64_t>((index >> qubits[i]) & 1ULL) << i;
-  return out;
+void StateVector::records_from_exponentials(
+    std::span<std::uint64_t> words, double last,
+    std::span<const unsigned> measured) const {
+  const cplx* const a = amp_.data();
+  exponentials_to_records(
+      words, last, amp_.size(),
+      [a](std::uint64_t i) { return std::norm(a[i]); }, measured);
 }
 
 }  // namespace ptsbe

@@ -1,5 +1,6 @@
 #include "ptsbe/trajectory/trajectory.hpp"
 
+#include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
 
 namespace ptsbe::traj {

@@ -1,14 +1,19 @@
-// Unit tests for ptsbe/common: Philox RNG, RngStream, bit utilities.
+// Unit tests for ptsbe/common: Philox RNG, RngStream, the bulk inverse-CDF
+// sampler, bit utilities.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "ptsbe/common/bits.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/common/philox.hpp"
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/common/version.hpp"
@@ -53,6 +58,37 @@ TEST(Philox, DiscardBlocksMatchesManualDraws) {
   for (int i = 0; i < 8; ++i) (void)a();  // 2 blocks
   b.discard_blocks(2);
   EXPECT_EQ(a(), b());
+}
+
+TEST(Philox, DiscardMatchesSequentialOutputs) {
+  // Every (position within a block, skip length) pair, including skips
+  // that stay inside the buffered block and ones that end mid-block.
+  for (std::uint64_t start = 0; start < 6; ++start) {
+    for (std::uint64_t n = 0; n < 14; ++n) {
+      Philox4x32 sequential(321, 9), seeked(321, 9);
+      for (std::uint64_t i = 0; i < start; ++i) {
+        (void)sequential();
+        (void)seeked();
+      }
+      for (std::uint64_t i = 0; i < n; ++i) (void)sequential();
+      seeked.discard(n);
+      for (int i = 0; i < 9; ++i)
+        ASSERT_EQ(seeked(), sequential()) << "start " << start << " n " << n;
+    }
+  }
+}
+
+TEST(Philox, DiscardCarriesIntoTheSubsequenceWords) {
+  // Three blocks past the last low-counter value: sequential drawing
+  // carries into the high words, and so must the seek.
+  Philox4x32 sequential(5), seeked(5);
+  sequential.set_counter(~std::uint64_t{0} - 1, 7);
+  seeked.set_counter(~std::uint64_t{0} - 1, 7);
+  (void)sequential();
+  (void)seeked();
+  for (int i = 0; i < 13; ++i) (void)sequential();
+  seeked.discard(13);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(seeked(), sequential());
 }
 
 TEST(Philox, NextBelowIsUnbiasedEnough) {
@@ -125,6 +161,64 @@ TEST(RngStream, SortedUniformsEmptyAndSingle) {
   ASSERT_EQ(one.size(), 1u);
   EXPECT_GE(one[0], 0.0);
   EXPECT_LT(one[0], 1.0);
+}
+
+TEST(RngStream, SkipDoublesMatchesSequentialDraws) {
+  // A stream positioned d doubles ahead yields exactly what d sequential
+  // draws leave behind: d even and odd, from a fresh substream and from one
+  // that has already drawn an odd number of doubles (a half-used block).
+  const RngStream master(77);
+  for (const std::uint64_t drawn : {0u, 3u}) {
+    for (const std::uint64_t d : {0u, 1u, 2u, 7u, 10u, 1001u}) {
+      RngStream sequential = master.substream(4);
+      for (std::uint64_t i = 0; i < drawn; ++i) (void)sequential.uniform();
+      RngStream seeked = sequential;
+      for (std::uint64_t i = 0; i < d; ++i) (void)sequential.exponential();
+      seeked.skip_doubles(d);
+      for (int i = 0; i < 9; ++i)
+        ASSERT_EQ(seeked.exponential(), sequential.exponential())
+            << "drawn " << drawn << " d " << d;
+    }
+  }
+}
+
+TEST(InverseCdf, ChunkedDrawsMatchSortedUniformsReference) {
+  // Exponentials drawn in seeked chunks (out of order), then the in-place
+  // scan + division + bin walk, must reproduce the sequential reference:
+  // sorted_uniforms, one cumulative pass, per-shot extract_bits. The masses
+  // sum to just under 1, so the numeric tail lands on the last bin.
+  const std::array<double, 8> mass{0.25, 0.0, 0.125, 0.3, 0.0, 0.2, 0.1, 0.0};
+  const std::array<unsigned, 2> measured = {2, 0};
+  const RngStream master(2024);
+  for (const std::size_t count : {0u, 1u, 5u, 1001u}) {
+    RngStream ref_rng = master.substream(1);
+    const std::vector<double> u = ref_rng.sorted_uniforms(count);
+    std::vector<std::uint64_t> expected(count);
+    std::size_t ptr = 0;
+    double acc = 0.0;
+    for (std::uint64_t i = 0; i < mass.size() && ptr < count; ++i) {
+      acc += mass[i];
+      while (ptr < count && u[ptr] < acc) expected[ptr++] = i;
+    }
+    for (; ptr < count; ++ptr) expected[ptr] = mass.size() - 1;
+    for (std::uint64_t& e : expected) e = extract_bits(e, measured);
+
+    std::vector<std::uint64_t> words(count);
+    constexpr std::size_t kChunk = 100;
+    for (std::size_t first = (count / kChunk) * kChunk;; first -= kChunk) {
+      RngStream rng = master.substream(1);
+      rng.skip_doubles(first);
+      const std::size_t n = std::min(kChunk, count - first);
+      draw_exponentials(rng, std::span(words).subspan(first, n));
+      if (first == 0) break;
+    }
+    RngStream tail = master.substream(1);
+    tail.skip_doubles(count);
+    exponentials_to_records(
+        words, tail.exponential(), mass.size(),
+        [&](std::uint64_t i) { return mass[i]; }, measured);
+    EXPECT_EQ(words, expected) << "count " << count;
+  }
 }
 
 TEST(Bits, InsertZeroBit) {

@@ -8,16 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ptsbe/common/bits.hpp"
 #include "ptsbe/core/dataset.hpp"
+#include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/core/prefix_scheduler.hpp"
+#include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "ptsbe/statevector/statevector.hpp"
 
 namespace ptsbe {
 namespace {
@@ -424,6 +430,145 @@ TEST(DeterminismMatrix, StreamingThreadsMatchMaterialisedReference) {
     SCOPED_TRACE("schedule=" + to_string(schedule));
     EXPECT_EQ(summary.num_batches, specs.size());
     expect_results_identical(reference, streamed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Split leaf sampling: a spec whose budget exceeds one chunk is drawn by
+// several executor tasks. Its records must equal the sequential sampler —
+// sorted_uniforms, one cumulative pass over the basis masses, then
+// per-shot extract_bits — at every thread count, under both schedules and
+// on both dense backends, and its spec-ordered dataset bytes must not
+// depend on the thread count.
+// ---------------------------------------------------------------------------
+
+/// Four qubits measured in the order 2, 0, 3 (qubit 1 unmeasured), so a
+/// record is a permuted, partial extract of the basis index.
+NoisyCircuit split_program() {
+  Circuit c(4);
+  c.h(0).ry(1, 0.7).cx(0, 2).h(3).ry(2, 0.4);
+  c.measure(2).measure(0).measure(3);
+  NoiseModel noise;
+  noise.add_all_gate_noise(channels::bit_flip(0.05));
+  return noise.apply(c);
+}
+
+/// Basis masses of the trajectory `assignment` selects, prepared gate by
+/// gate and branch by branch on the concrete dense state — the masses the
+/// sequential sampler walks (|a_i|², max(0, Re ρ_ii)).
+std::vector<double> reference_masses(const NoisyCircuit& noisy,
+                                     const std::vector<std::size_t>& assignment,
+                                     const std::string& backend) {
+  const auto drive = [&](auto& state) {
+    const auto apply_sites = [&](const std::vector<std::size_t>& ids) {
+      for (std::size_t id : ids) {
+        const NoiseSite& site = noisy.sites()[id];
+        state.apply_gate(site.channel->unitary(assignment[id]), site.qubits);
+      }
+    };
+    apply_sites(noisy.sites_after(NoiseSite::kBeforeCircuit));
+    const auto& ops = noisy.circuit().ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind == OpKind::kGate)
+        state.apply_gate(ops[i].matrix, ops[i].qubits);
+      apply_sites(noisy.sites_after(i));
+    }
+  };
+  std::vector<double> mass;
+  if (backend == "densmat") {
+    DensityMatrix dm(noisy.num_qubits());
+    drive(dm);
+    for (std::uint64_t i = 0; i < dm.dim(); ++i)
+      mass.push_back(std::max(0.0, dm.element(i, i).real()));
+  } else {
+    StateVector sv(noisy.num_qubits());
+    drive(sv);
+    for (const cplx& a : sv.amplitudes()) mass.push_back(std::norm(a));
+  }
+  return mass;
+}
+
+/// The sequential sampler, written out: sorted uniforms, one cumulative
+/// pass (the numeric tail lands on the last bin), then extract_bits on
+/// every shot.
+std::vector<std::uint64_t> reference_records(
+    const std::vector<double>& mass, std::uint64_t count, RngStream rng,
+    const std::vector<unsigned>& measured) {
+  std::vector<std::uint64_t> shots(count);
+  if (count == 0) return shots;
+  const std::vector<double> u = rng.sorted_uniforms(count);
+  std::size_t ptr = 0;
+  double acc = 0.0;
+  for (std::uint64_t i = 0; i < mass.size() && ptr < count; ++i) {
+    acc += mass[i];
+    while (ptr < count && u[ptr] < acc) shots[ptr++] = i;
+  }
+  for (; ptr < count; ++ptr) shots[ptr] = mass.size() - 1;
+  for (std::uint64_t& shot : shots) shot = extract_bits(shot, measured);
+  return shots;
+}
+
+TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
+  const NoisyCircuit noisy = split_program();
+  ASSERT_GE(noisy.num_sites(), 2u);
+  const std::vector<unsigned> measured = noisy.circuit().measured_qubits();
+  ASSERT_EQ(measured, (std::vector<unsigned>{2, 0, 3}));
+  const std::uint64_t chunk = be::kSampleChunk;
+  // A flip on site 1; the error-free assignment appears three times, so
+  // one trie leaf samples inline and split budgets from a shared state.
+  const std::size_t flip =
+      noisy.sites()[1].channel->default_branch() == 0 ? 1 : 0;
+  const auto spec = [&](std::uint64_t shots, bool flipped) {
+    TrajectorySpec s;
+    if (flipped) s.branches = {{1, flip}};
+    s.shots = shots;
+    return s;
+  };
+  std::vector<TrajectorySpec> specs = {
+      spec(0, false),
+      spec(1, true),
+      spec(chunk, false),
+      spec(chunk + 1, true),
+      spec(3 * chunk + 7, false),
+  };
+  refresh_probabilities(noisy, specs);
+
+  std::vector<std::size_t> thread_counts = {1, 2};
+  const std::size_t hw = std::max(std::thread::hardware_concurrency(), 1u);
+  if (hw > 2) thread_counts.push_back(hw);
+  const std::string ref_path = "/tmp/ptsbe_test_split_ref.bin";
+  const std::string got_path = "/tmp/ptsbe_test_split_got.bin";
+  for (const char* backend_name : {"statevector", "densmat"}) {
+    const std::string backend(backend_name);
+    be::Options options;
+    options.backend = backend;
+    const RngStream master(options.seed);
+    std::vector<std::vector<std::uint64_t>> expected;
+    for (std::size_t t = 0; t < specs.size(); ++t)
+      expected.push_back(reference_records(
+          reference_masses(noisy, full_assignment(noisy, specs[t]), backend),
+          specs[t].shots, master.substream(t), measured));
+    for (const be::Schedule schedule :
+         {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
+      options.schedule = schedule;
+      std::string first_bytes;
+      for (const std::size_t threads : thread_counts) {
+        SCOPED_TRACE("backend=" + backend + " schedule=" + to_string(schedule) +
+                     " threads=" + std::to_string(threads));
+        options.threads = threads;
+        const be::Result result = be::execute(noisy, specs, options);
+        ASSERT_EQ(result.batches.size(), specs.size());
+        for (std::size_t t = 0; t < specs.size(); ++t) {
+          EXPECT_EQ(result.batches[t].records, expected[t]) << "spec " << t;
+          EXPECT_GT(result.batches[t].realized_probability, 0.0);
+        }
+        dataset::write_binary(threads == 1 ? ref_path : got_path, result);
+        if (threads == 1)
+          first_bytes = slurp(ref_path);
+        else
+          EXPECT_EQ(slurp(got_path), first_bytes);
+      }
+    }
   }
 }
 

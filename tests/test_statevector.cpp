@@ -8,6 +8,7 @@
 #include <map>
 
 #include "ptsbe/circuit/circuit.hpp"
+#include "ptsbe/common/bits.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 
 namespace ptsbe {

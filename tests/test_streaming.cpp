@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ptsbe/core/dataset.hpp"
+#include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/pts.hpp"
 #include "ptsbe/noise/channels.hpp"
 
@@ -41,6 +42,14 @@ std::vector<TrajectorySpec> sample_specs(const NoisyCircuit& noisy,
   options.nshots = nshots;
   options.merge_duplicates = true;
   return pts::sample_probabilistic(noisy, options, rng);
+}
+
+/// `specs` with every budget raised to 2–4 leaf-sampling chunks plus an odd
+/// remainder, so every leaf splits its draw across executor tasks.
+std::vector<TrajectorySpec> multi_chunk(std::vector<TrajectorySpec> specs) {
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    specs[i].shots = (1 + i % 3) * be::kSampleChunk + 2 * i + 1;
+  return specs;
 }
 
 std::string slurp(const std::string& path) {
@@ -93,13 +102,17 @@ TEST(ExecuteStreaming, DeliversEveryBatchExactlyOnceUnderMultiDevice) {
 TEST(ExecuteStreaming, SingleDeviceDeliversInSpecOrder) {
   const NoisyCircuit noisy = ghz_program();
   const auto specs = sample_specs(noisy, 100, 16);
-  std::vector<std::size_t> order;
-  (void)be::execute_streaming(noisy, specs, {},
-                              [&](be::TrajectoryBatch&& batch) {
-                                order.push_back(batch.spec_index);
-                              });
-  ASSERT_EQ(order.size(), specs.size());
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  // Split leaves push their chunks onto the worker's own deque, where they
+  // run before the next spec, so the multi-chunk input keeps the order too.
+  for (const std::vector<TrajectorySpec>& input : {specs, multi_chunk(specs)}) {
+    std::vector<std::size_t> order;
+    (void)be::execute_streaming(noisy, input, {},
+                                [&](be::TrajectoryBatch&& batch) {
+                                  order.push_back(batch.spec_index);
+                                });
+    ASSERT_EQ(order.size(), input.size());
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  }
 }
 
 TEST(ExecuteStreaming, SinkRunsOnlyOnTheCallingThread) {
@@ -173,17 +186,21 @@ TEST(ExecuteStreaming, SinkExceptionPropagatesUnderThreads) {
   ASSERT_GT(specs.size(), 6u);
   be::Options options;
   options.threads = 4;
-  std::size_t delivered = 0;
-  EXPECT_THROW(
-      (void)be::execute_streaming(noisy, specs, options,
-                                  [&](be::TrajectoryBatch&&) {
-                                    if (++delivered == 3)
-                                      throw runtime_failure("sink full");
-                                  }),
-      runtime_failure);
-  // The failing call is the last: the sink is never invoked again after it
-  // throws (remaining batches are dropped, pending specs are skipped).
-  EXPECT_EQ(delivered, 3u);
+  // With the multi-chunk input the throw lands while split leaves have
+  // chunk tasks in flight.
+  for (const std::vector<TrajectorySpec>& input : {specs, multi_chunk(specs)}) {
+    std::size_t delivered = 0;
+    EXPECT_THROW(
+        (void)be::execute_streaming(noisy, input, options,
+                                    [&](be::TrajectoryBatch&&) {
+                                      if (++delivered == 3)
+                                        throw runtime_failure("sink full");
+                                    }),
+        runtime_failure);
+    // The failing call is the last: the sink is never invoked again after
+    // it throws (remaining batches are dropped, pending specs are skipped).
+    EXPECT_EQ(delivered, 3u);
+  }
 }
 
 TEST(ExecuteStreaming, SinkExceptionPropagatesAndStopsDelivery) {
