@@ -51,13 +51,6 @@ double Result::unique_shot_fraction() const {
   return static_cast<double>(distinct.size()) / static_cast<double>(total);
 }
 
-double unique_fraction(const std::vector<std::uint64_t>& records) {
-  if (records.empty()) return 0.0;
-  std::unordered_set<std::uint64_t> distinct(records.begin(), records.end());
-  return static_cast<double>(distinct.size()) /
-         static_cast<double>(records.size());
-}
-
 StreamSummary execute_streaming(const NoisyCircuit& noisy,
                                 const std::vector<TrajectorySpec>& specs,
                                 const Options& options, const BatchSink& sink) {

@@ -70,9 +70,12 @@ struct Options {
   /// `TrajectoryExecutor`): 0 = hardware concurrency, 1 (default) = serial
   /// execution on one worker. Records are bit-identical at every thread
   /// count; only batch *completion order* (and the diagnostic per-batch
-  /// `device_id`) depends on scheduling. Inner backend kernels may also be
-  /// OpenMP-parallel — cap them (OMP_NUM_THREADS=1) when oversubscription
-  /// matters.
+  /// `device_id`) depends on scheduling. Inside one trajectory, OpenMP
+  /// parallelises sweeps and reductions once a state has 2^14 amplitudes,
+  /// and never changes a bit. It pays off when fewer specs than cores run
+  /// (4-core VM, threads = 1, one amplitude-damped spec: 22 qubits 2.0 s vs
+  /// 6.0-6.4 s at OMP_NUM_THREADS=1, 24 qubits 9.3-9.7 s vs 25-27 s); with
+  /// a spec per core its effect on wall time is within run-to-run noise.
   std::size_t threads = 1;
   /// Master seed; trajectory t uses substream (t+1) so results are
   /// reproducible regardless of device scheduling.
@@ -179,8 +182,5 @@ struct StreamSummary {
 StreamSummary execute_streaming(const NoisyCircuit& noisy,
                                 const std::vector<TrajectorySpec>& specs,
                                 const Options& options, const BatchSink& sink);
-
-/// Unique fraction over an arbitrary record set (helper for benches).
-[[nodiscard]] double unique_fraction(const std::vector<std::uint64_t>& records);
 
 }  // namespace ptsbe::be

@@ -5,9 +5,10 @@
 ///
 /// CPU stand-in for the paper's CUDA-Q `nvidia` (cuStateVec) backend. The
 /// state is a 2^n complex-double array; gate kernels stride over amplitude
-/// groups exactly like the GPU implementation slices them, and are
-/// OpenMP-parallel for large states (the analogue of intra-trajectory
-/// multi-GPU distribution).
+/// groups exactly like the GPU implementation slices them. Once a state has
+/// 2^14 amplitudes, OpenMP parallelises the sweeps and the reductions (the
+/// analogue of intra-trajectory multi-GPU distribution); reductions add
+/// fixed 2^14-item blocks in block order, so no bit depends on the team.
 ///
 /// The backend exposes the two cost regimes PTSBE exploits:
 ///  - `apply_gate` / `apply_kraus_branch`: O(2^n) state preparation work;
@@ -54,9 +55,6 @@ class StateVector {
   /// Read-only view of all amplitudes.
   [[nodiscard]] std::span<const cplx> amplitudes() const noexcept { return amp_; }
 
-  /// Overwrite the state with the given amplitude vector (size must be 2^n).
-  void set_amplitudes(std::vector<cplx> amplitudes);
-
   /// Apply a unitary `matrix` on `qubits` (first listed = LSB of the matrix).
   /// 1-/2-qubit gates go through the active SIMD kernel set
   /// (`ptsbe::kernels::active()`); wider gates take the general k-qubit path.
@@ -87,9 +85,6 @@ class StateVector {
 
   /// Rescale to unit norm.
   void normalize();
-
-  /// Probability that qubit `q` measures 1.
-  [[nodiscard]] double probability_one(unsigned q) const;
 
   /// Expectation ⟨ψ|P|ψ⟩ of a Pauli string; `pauli[i]` in {I,X,Y,Z} acts on
   /// `qubits[i]`. Returns the real part (P Hermitian).

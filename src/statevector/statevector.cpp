@@ -14,6 +14,33 @@ namespace ptsbe {
 namespace {
 // Below this state size the OpenMP fork/join overhead dominates.
 constexpr std::uint64_t kParallelThreshold = 1ULL << 14;
+
+// Sum of `block_sum(begin, end)` over fixed blocks of kParallelThreshold
+// items: each block is summed in index order, blocks run in parallel, and
+// the block sums are added serially in block order. The bits depend on
+// `items` only, never on the OpenMP team; a single block is the plain
+// serial sum. Rounds of kRound blocks keep the sums on the stack, so the
+// noexcept callers never allocate.
+template <typename BlockSum>
+double fixed_block_sum(std::uint64_t items,
+                       const BlockSum& block_sum) noexcept {
+  constexpr std::int64_t kRound = 256;
+  const auto blocks = static_cast<std::int64_t>(
+      (items + kParallelThreshold - 1) / kParallelThreshold);
+  double total = 0.0;
+  for (std::int64_t first = 0; first < blocks; first += kRound) {
+    const std::int64_t count = std::min(kRound, blocks - first);
+    std::array<double, kRound> sums;
+#pragma omp parallel for schedule(static) if (count > 1)
+    for (std::int64_t b = 0; b < count; ++b) {
+      const std::uint64_t begin =
+          static_cast<std::uint64_t>(first + b) * kParallelThreshold;
+      sums[b] = block_sum(begin, std::min(items, begin + kParallelThreshold));
+    }
+    for (std::int64_t b = 0; b < count; ++b) total += sums[b];
+  }
+  return total;
+}
 }  // namespace
 
 StateVector::StateVector(unsigned num_qubits) : n_(num_qubits) {
@@ -26,14 +53,6 @@ StateVector::StateVector(unsigned num_qubits) : n_(num_qubits) {
 void StateVector::reset() {
   std::fill(amp_.begin(), amp_.end(), cplx{0.0, 0.0});
   amp_[0] = cplx{1.0, 0.0};
-}
-
-void StateVector::set_amplitudes(std::vector<cplx> amplitudes) {
-  PTSBE_REQUIRE(amplitudes.size() == amp_.size(),
-                "amplitude vector size must be 2^n");
-  // Copy (not move): amp_ lives in 64-byte-aligned storage for the SIMD
-  // kernels, which an ordinary std::vector buffer cannot guarantee.
-  amp_.assign(amplitudes.begin(), amplitudes.end());
 }
 
 void StateVector::apply_gate(const Matrix& matrix,
@@ -123,28 +142,29 @@ double StateVector::branch_probability(const Matrix& k,
                 "Kraus matrix dimension mismatch");
   std::vector<unsigned> sorted(qubits.begin(), qubits.end());
   std::sort(sorted.begin(), sorted.end());
-  const std::int64_t groups = static_cast<std::int64_t>(amp_.size() >> arity);
   const cplx* const a = amp_.data();
-  double total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total) \
-    if (amp_.size() >= kParallelThreshold)
-  for (std::int64_t g = 0; g < groups; ++g) {
-    std::uint64_t base = static_cast<std::uint64_t>(g);
-    for (unsigned b = 0; b < arity; ++b) base = insert_zero_bit(base, sorted[b]);
-    cplx in[4];  // arity <= 2 for channels in this library
-    for (std::size_t local = 0; local < dim; ++local) {
-      std::uint64_t full = base;
+  return fixed_block_sum(amp_.size() >> arity, [&](std::uint64_t first,
+                                                   std::uint64_t last) {
+    double total = 0.0;
+    for (std::uint64_t g = first; g < last; ++g) {
+      std::uint64_t base = g;
       for (unsigned b = 0; b < arity; ++b)
-        if ((local >> b) & 1u) full |= 1ULL << qubits[b];
-      in[local] = a[full];
+        base = insert_zero_bit(base, sorted[b]);
+      cplx in[4];  // arity <= 2 for channels in this library
+      for (std::size_t local = 0; local < dim; ++local) {
+        std::uint64_t full = base;
+        for (unsigned b = 0; b < arity; ++b)
+          if ((local >> b) & 1u) full |= 1ULL << qubits[b];
+        in[local] = a[full];
+      }
+      for (std::size_t r = 0; r < dim; ++r) {
+        cplx acc{0.0, 0.0};
+        for (std::size_t c = 0; c < dim; ++c) acc += k(r, c) * in[c];
+        total += std::norm(acc);
+      }
     }
-    for (std::size_t r = 0; r < dim; ++r) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t c = 0; c < dim; ++c) acc += k(r, c) * in[c];
-      total += std::norm(acc);
-    }
-  }
-  return total;
+    return total;
+  });
 }
 
 double StateVector::apply_kraus_branch(const Matrix& k,
@@ -158,13 +178,13 @@ double StateVector::apply_kraus_branch(const Matrix& k,
 }
 
 double StateVector::norm2() const noexcept {
-  double s = 0.0;
-  const std::int64_t n = static_cast<std::int64_t>(amp_.size());
   const cplx* const a = amp_.data();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (amp_.size() >= kParallelThreshold)
-  for (std::int64_t i = 0; i < n; ++i) s += std::norm(a[i]);
-  return s;
+  return fixed_block_sum(amp_.size(), [a](std::uint64_t first,
+                                          std::uint64_t last) noexcept {
+    double s = 0.0;
+    for (std::uint64_t i = first; i < last; ++i) s += std::norm(a[i]);
+    return s;
+  });
 }
 
 void StateVector::normalize() {
@@ -172,18 +192,6 @@ void StateVector::normalize() {
   PTSBE_REQUIRE(s > 1e-300, "cannot normalise a zero state");
   const double inv = 1.0 / std::sqrt(s);
   for (cplx& v : amp_) v *= inv;
-}
-
-double StateVector::probability_one(unsigned q) const {
-  PTSBE_REQUIRE(q < n_, "qubit out of range");
-  double s = 0.0;
-  const std::int64_t n = static_cast<std::int64_t>(amp_.size());
-  const cplx* const a = amp_.data();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (amp_.size() >= kParallelThreshold)
-  for (std::int64_t i = 0; i < n; ++i)
-    if ((static_cast<std::uint64_t>(i) >> q) & 1ULL) s += std::norm(a[i]);
-  return s;
 }
 
 double StateVector::expectation_pauli(const std::string& pauli,

@@ -334,7 +334,6 @@ TEST(UniqueShotFraction, EmptyResultsReturnZeroNotNaN) {
   dud.realized_probability = 0.0;
   unrealizable_only.batches = {dud, dud};
   EXPECT_DOUBLE_EQ(unrealizable_only.unique_shot_fraction(), 0.0);
-  EXPECT_DOUBLE_EQ(be::unique_fraction({}), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +429,48 @@ TEST(DeterminismMatrix, StreamingThreadsMatchMaterialisedReference) {
     SCOPED_TRACE("schedule=" + to_string(schedule));
     EXPECT_EQ(summary.num_batches, specs.size());
     expect_results_identical(reference, streamed);
+  }
+}
+
+// Above 2^14 amplitudes every worker's general-Kraus sites run the
+// statevector reductions (branch_probability, norm2) on a full OpenMP team.
+// Their bits, and so every realized_probability and dataset byte, must
+// still not depend on the worker count or on which team ran them.
+TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
+  Circuit c(15);
+  for (unsigned layer = 0; layer < 2; ++layer) {
+    for (unsigned q = 0; q < 15; ++q) c.rx(q, 0.3 + 0.1 * ((q + layer) % 7));
+    for (unsigned q = layer % 2; q + 1 < 15; q += 2) c.cx(q, q + 1);
+  }
+  c.measure_all();
+  NoiseModel noise;
+  noise.add_all_gate_noise(channels::amplitude_damping(0.05));
+  const NoisyCircuit noisy = noise.apply(c);
+  ASSERT_FALSE(noisy.all_unitary_mixture());
+  RngStream rng(61);
+  pts::Options opt;
+  opt.nsamples = 12;
+  opt.nshots = 64;
+  const auto specs = pts::sample_probabilistic(noisy, opt, rng);
+  const std::string ref_path = "/tmp/ptsbe_test_omp_ref.bin";
+  const std::string got_path = "/tmp/ptsbe_test_omp_got.bin";
+  for (const be::Schedule schedule :
+       {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
+    const be::Result reference =
+        run_schedule(noisy, specs, schedule, "statevector", 1);
+    dataset::write_binary(ref_path, reference);
+    const std::string ref_bytes = slurp(ref_path);
+    std::vector<std::size_t> thread_counts = matrix_thread_counts();
+    thread_counts.insert(thread_counts.begin(), 1);
+    for (const std::size_t threads : thread_counts) {
+      SCOPED_TRACE("schedule=" + to_string(schedule) +
+                   " threads=" + std::to_string(threads));
+      const be::Result result =
+          run_schedule(noisy, specs, schedule, "statevector", threads);
+      expect_results_identical(reference, result);
+      dataset::write_binary(got_path, result);
+      EXPECT_EQ(ref_bytes, slurp(got_path));
+    }
   }
 }
 

@@ -123,21 +123,10 @@ TEST(ServeEngine, InvalidRequestsFailWithStatusNotThrow) {
   EXPECT_EQ(stats.served, 0u);
 }
 
-TEST(ServeEngine, ShutdownRejectsWithStatus) {
-  serve::Engine engine({.workers = 1, .queue_capacity = 4});
-  serve::JobHandle before = engine.submit(ghz_request());
-  engine.shutdown();  // drains: the admitted job finishes
-  EXPECT_EQ(before.status(), serve::JobStatus::kDone);
-  serve::JobHandle after = engine.submit(ghz_request());
-  EXPECT_EQ(after.status(), serve::JobStatus::kRejected);
-  EXPECT_NE(after.error().find("shutting down"), std::string::npos);
-  EXPECT_EQ(engine.stats().rejected, 1u);
-}
-
 // ---------------------------------------------------------------------------
-// Admission control: bounded queue, reject-with-status, cancellation.
-// A deliberately heavy job (bulk-sampling millions of shots) pins the single
-// worker while the queue fills.
+// Admission control: bounded queue, reject-with-status, cancellation,
+// shutdown. A deliberately heavy job (bulk-sampling millions of shots) pins
+// the single worker while the queue fills.
 // ---------------------------------------------------------------------------
 
 serve::JobRequest heavy_request() {
@@ -150,6 +139,26 @@ serve::JobRequest heavy_request() {
   req.strategy_config.nshots = 4'000'000;
   req.seed = 3;
   return req;
+}
+
+TEST(ServeEngine, ShutdownRejectsWithStatus) {
+  serve::Engine engine({.workers = 1, .queue_capacity = 3});
+  std::vector<serve::JobHandle> admitted = {engine.submit(heavy_request())};
+  while (admitted[0].status() == serve::JobStatus::kQueued)
+    std::this_thread::yield();
+  admitted.push_back(engine.submit(ghz_request()));
+  admitted.push_back(engine.submit(ghz_request()));
+  EXPECT_EQ(engine.stats().queue_depth, 2u);
+  // Drains: the running job and both queued behind it finish.
+  engine.shutdown();
+  for (const serve::JobHandle& job : admitted)
+    EXPECT_EQ(job.status(), serve::JobStatus::kDone);
+  EXPECT_EQ(engine.stats().served, admitted.size());
+  serve::JobHandle after = engine.submit(ghz_request());
+  EXPECT_EQ(after.status(), serve::JobStatus::kRejected);
+  EXPECT_EQ(after.reject_reason(), serve::RejectReason::kShutdown);
+  EXPECT_NE(after.error().find("shutting down"), std::string::npos);
+  EXPECT_EQ(engine.stats().rejected, 1u);
 }
 
 TEST(ServeEngine, QueueFullRejectsWithStatus) {

@@ -6,6 +6,11 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "ptsbe/circuit/circuit.hpp"
 #include "ptsbe/common/bits.hpp"
@@ -147,11 +152,53 @@ TEST(StateVector, ZeroProbabilityBranchThrows) {
                precondition_error);
 }
 
+TEST(StateVector, ReductionBitsIgnoreOpenMPTeamSize) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // 2^16 amplitudes: several 2^14-item blocks for norm2, and for
+  // branch_probability's 1-qubit groups. Random rotations and a CX
+  // brickwork give every amplitude a different magnitude.
+  StateVector sv(16);
+  RngStream rng(2024);
+  for (unsigned layer = 0; layer < 3; ++layer) {
+    for (unsigned q = 0; q < sv.num_qubits(); ++q) {
+      sv.apply_gate(gates::RY(6.0 * rng.uniform()), std::array{q});
+      sv.apply_gate(gates::RZ(6.0 * rng.uniform()), std::array{q});
+    }
+    for (unsigned q = layer % 2; q + 1 < sv.num_qubits(); q += 2)
+      sv.apply_gate(gates::CX(), std::array{q, q + 1});
+  }
+  const Matrix decay(2, 2, {0.0, std::sqrt(0.3), 0.0, 0.0});
+  const Matrix pair = kron(decay, gates::RY(0.9));
+  const auto reductions = [&] {
+    std::vector<double> out = {sv.norm2()};
+    for (unsigned q = 0; q < sv.num_qubits(); ++q)
+      out.push_back(sv.branch_probability(decay, std::array{q}));
+    for (unsigned q = 0; q + 1 < sv.num_qubits(); ++q)
+      out.push_back(sv.branch_probability(pair, std::array{q, q + 1}));
+    return out;
+  };
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const std::vector<double> serial = reductions();
+  omp_set_num_threads(4);
+  const std::vector<double> team = reductions();
+  omp_set_num_threads(saved);
+  EXPECT_NEAR(serial[0], 1.0, 1e-12);
+  // Exact equality: the same bits, not merely close values.
+  EXPECT_EQ(serial, team);
+#endif
+}
+
 TEST(StateVector, ProbabilityOne) {
   StateVector sv(2);
   sv.apply_gate(gates::RY(2 * std::acos(std::sqrt(0.3))), std::array{1u});
-  EXPECT_NEAR(sv.probability_one(1), 0.7, 1e-12);
-  EXPECT_NEAR(sv.probability_one(0), 0.0, 1e-12);
+  // P(q1 = 1) = |a_2|^2 + |a_3|^2; qubit 0 stays in |0>.
+  EXPECT_NEAR(std::norm(sv.amplitude(2)) + std::norm(sv.amplitude(3)), 0.7,
+              1e-12);
+  EXPECT_NEAR(std::norm(sv.amplitude(1)) + std::norm(sv.amplitude(3)), 0.0,
+              1e-12);
 }
 
 TEST(StateVector, ExpectationPauli) {
