@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/record_runs.hpp"
 #include "ptsbe/common/timer.hpp"
 #include "ptsbe/core/exec_plan.hpp"
 #include "ptsbe/core/leaf_sampler.hpp"
@@ -45,9 +46,9 @@ double Result::unique_shot_fraction() const {
   // with 32 distinct records makes about 32 inserts, not 32M.
   std::unordered_set<std::uint64_t> distinct;
   for (const TrajectoryBatch& b : batches)
-    for (std::size_t i = 0; i < b.records.size(); ++i)
-      if (i == 0 || b.records[i] != b.records[i - 1])
-        distinct.insert(b.records[i]);
+    for_each_run(b.records, [&distinct](std::uint64_t record, std::uint64_t) {
+      distinct.insert(record);
+    });
   return static_cast<double>(distinct.size()) / static_cast<double>(total);
 }
 

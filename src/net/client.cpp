@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -72,13 +71,6 @@ int connect_with_timeout(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-void set_recv_timeout(int fd, int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-}
-
 }  // namespace
 
 Client::Client(ClientConfig config) : config_(std::move(config)) {}
@@ -92,9 +84,9 @@ void Client::ensure_connected() {
   if (stream_) return;
   const int fd = connect_with_timeout(config_.host, config_.port,
                                       config_.connect_timeout_ms);
-  set_recv_timeout(fd, config_.io_timeout_ms);
   stream_ = std::make_unique<FdStream>(fd, config_.max_payload,
-                                       config_.frame_timeout_ms);
+                                       config_.frame_timeout_ms,
+                                       config_.io_timeout_ms);
 }
 
 FdStream::ReadStatus Client::next_frame(Frame& out, const char* waiting_for) {

@@ -97,17 +97,29 @@ class ProtocolError : public runtime_failure {
 };
 
 /// Buffered frame reader/writer over one connected socket. Owns the fd
-/// (closed on destruction). Reads honour the fd's SO_RCVTIMEO: a timeout
-/// *between* frames surfaces as kIdle (so a server can poll its drain
-/// flag); a timeout *inside* a frame keeps waiting until
-/// `frame_timeout_ms`, then throws — a stalled half-frame can never pin a
-/// connection thread forever. Not thread-safe for concurrent reads or
-/// concurrent writes; one reader plus one writer thread is fine (sockets
-/// are full-duplex), which is exactly the server's streaming split.
+/// (closed on destruction) and does its socket setup, so the server and
+/// the client configure their ends identically:
+///
+///  - `TCP_NODELAY` is always set. `write_frame` hands each frame to one
+///    `send` and the peer waits for whole frames, so Nagle's algorithm
+///    can only add latency: it holds a small frame until the previous one
+///    is ACKed, and the peer's delayed ACK stretches that to tens of
+///    milliseconds per served job. (The option is ignored on non-TCP
+///    sockets.)
+///  - A positive `recv_timeout_ms` becomes the fd's SO_RCVTIMEO; 0 keeps
+///    the socket's own.
+///
+/// Reads honour SO_RCVTIMEO: a timeout *between* frames surfaces as kIdle
+/// (so a server can poll its drain flag); a timeout *inside* a frame keeps
+/// waiting until `frame_timeout_ms`, then throws — a stalled half-frame
+/// can never pin a connection thread forever. Not thread-safe for
+/// concurrent reads or concurrent writes; one reader plus one writer
+/// thread is fine (sockets are full-duplex), which is exactly the server's
+/// streaming split.
 class FdStream {
  public:
   explicit FdStream(int fd, std::size_t max_payload = kDefaultMaxPayload,
-                    int frame_timeout_ms = 30000);
+                    int frame_timeout_ms = 30000, int recv_timeout_ms = 0);
   ~FdStream();
   FdStream(const FdStream&) = delete;
   FdStream& operator=(const FdStream&) = delete;

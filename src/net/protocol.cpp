@@ -1,6 +1,9 @@
 #include "ptsbe/net/protocol.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -95,9 +98,18 @@ std::size_t for_each_line(std::string_view text, Fn&& fn) {
 // ---------------------------------------------------------------------------
 // FdStream
 
-FdStream::FdStream(int fd, std::size_t max_payload, int frame_timeout_ms)
+FdStream::FdStream(int fd, std::size_t max_payload, int frame_timeout_ms,
+                   int recv_timeout_ms)
     : fd_(fd), max_payload_(max_payload), frame_timeout_ms_(frame_timeout_ms) {
   PTSBE_REQUIRE(fd >= 0, "FdStream needs a connected socket");
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  if (recv_timeout_ms > 0) {
+    timeval tv{};
+    tv.tv_sec = recv_timeout_ms / 1000;
+    tv.tv_usec = (recv_timeout_ms % 1000) * 1000;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
   buf_.reserve(4096);
 }
 

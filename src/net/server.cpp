@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,13 +18,6 @@ namespace {
 
 [[noreturn]] void throw_errno(const char* what) {
   throw runtime_failure(std::string(what) + ": " + std::strerror(errno));
-}
-
-void set_recv_timeout(int fd, int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
 /// Wire error code for an engine-side admission refusal.
@@ -159,8 +151,8 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(int fd) {
-  set_recv_timeout(fd, config_.idle_poll_ms);
-  FdStream stream(fd, config_.max_payload, config_.frame_timeout_ms);
+  FdStream stream(fd, config_.max_payload, config_.frame_timeout_ms,
+                  config_.idle_poll_ms);
 
   try {
     Frame frame;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/record_runs.hpp"
 #include "ptsbe/io/ptq.hpp"
 
 namespace ptsbe::serve {
@@ -37,18 +38,30 @@ struct Counters {
   }
 };
 
-/// Fold one batch's records into a tenant's running ShotTable, spilling
-/// new records into shot_overflow once the distinct-record bound is
-/// reached (existing records always keep accumulating, so the tabulated
-/// subset stays exact). Caller holds tenants_mutex.
-void tabulate_records(TenantStats& t,
-                      const std::vector<std::uint64_t>& records,
-                      std::size_t capacity) {
-  for (const std::uint64_t record : records) {
+/// Records in delivery order as (record, count) runs of equal adjacent
+/// records. Built outside tenants_mutex, so the lock is held for one table
+/// update per run rather than per record.
+using RecordRuns = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+void append_runs(RecordRuns& runs, const std::vector<std::uint64_t>& records) {
+  for_each_run(records, [&runs](std::uint64_t record, std::uint64_t count) {
+    runs.emplace_back(record, count);
+  });
+}
+
+/// Fold runs into a tenant's running ShotTable, spilling new records into
+/// shot_overflow once the distinct-record bound is reached (existing
+/// records always keep accumulating, so the tabulated subset stays exact).
+/// A run takes the branch its first record would, and so would the rest,
+/// so this equals applying the rule record by record; integer weights
+/// below 2^53 add exactly. Caller holds tenants_mutex.
+void tabulate_runs(TenantStats& t, const RecordRuns& runs,
+                   std::size_t capacity) {
+  for (const auto& [record, count] : runs) {
     if (t.shots.contains(record) || t.shots.distinct() < capacity)
-      t.shots.add(record);
+      t.shots.add(record, static_cast<double>(count));
     else
-      ++t.shot_overflow;
+      t.shot_overflow += count;
   }
 }
 
@@ -463,10 +476,12 @@ void Engine::execute(const std::shared_ptr<detail::JobState>& job) {
       if (table_cap > 0) {
         sink = [this, &tenant, table_cap,
                 inner = req.stream_sink](be::TrajectoryBatch&& batch) {
+          detail::RecordRuns runs;
+          detail::append_runs(runs, batch.records);
           {
             MutexLock tenants(counters_->tenants_mutex);
-            detail::tabulate_records(counters_->tenant_locked(tenant), batch.records,
-                             table_cap);
+            detail::tabulate_runs(counters_->tenant_locked(tenant), runs,
+                                  table_cap);
           }
           inner(std::move(batch));
         };
@@ -484,10 +499,12 @@ void Engine::execute(const std::shared_ptr<detail::JobState>& job) {
     } else {
       run = pipeline.run();
       if (table_cap > 0) {
-        MutexLock tenants(counters_->tenants_mutex);
-        TenantStats& t = counters_->tenant_locked(tenant);
+        detail::RecordRuns runs;
         for (const be::TrajectoryBatch& batch : run.result.batches)
-          detail::tabulate_records(t, batch.records, table_cap);
+          detail::append_runs(runs, batch.records);
+        MutexLock tenants(counters_->tenants_mutex);
+        detail::tabulate_runs(counters_->tenant_locked(tenant), runs,
+                              table_cap);
       }
     }
     // Count before notifying: a waiter reading stats() right after wait()

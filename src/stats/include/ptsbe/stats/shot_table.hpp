@@ -37,6 +37,9 @@ class ShotTable {
   }
 
   /// Add every measurement record of one trajectory batch (weight 1 each).
+  /// A run of n equal adjacent records adds n in one step, which on a
+  /// count table (integer weights below 2^53) is bit-identical to n
+  /// separate `add(record)` calls.
   void add_batch(const be::TrajectoryBatch& batch);
 
   /// Pointwise `*this += other` (BranchTab_plusEquals). Returns *this.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/record_runs.hpp"
 
 namespace ptsbe::stats {
 
@@ -39,7 +40,9 @@ T get(const std::string& bytes, std::size_t& at) {
 }  // namespace
 
 void ShotTable::add_batch(const be::TrajectoryBatch& batch) {
-  for (std::uint64_t record : batch.records) weights_[record] += 1.0;
+  for_each_run(batch.records, [this](std::uint64_t record, std::uint64_t n) {
+    weights_[record] += static_cast<double>(n);
+  });
 }
 
 ShotTable& ShotTable::merge(const ShotTable& other) {

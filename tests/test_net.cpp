@@ -10,7 +10,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -22,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/core/dataset.hpp"
@@ -243,6 +246,60 @@ TEST(NetProtocol, ResultMetaAndErrorPayloadsRoundTrip) {
       net::decode_error(net::encode_error({"line one\nline two", 0, 0}));
   EXPECT_EQ(multi.message, "line one\nline two");
   EXPECT_EQ(multi.line, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Socket setup: the server's accepted fd and the client's connected fd are
+// both wrapped in an FdStream, which sends every frame at once
+// (TCP_NODELAY) and sets the owner's receive tick.
+// ---------------------------------------------------------------------------
+
+/// The fd's (TCP_NODELAY, SO_RCVTIMEO in ms) as the kernel reports them.
+std::pair<int, long> socket_setup(int fd) {
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  timeval tv{};
+  len = sizeof tv;
+  EXPECT_EQ(::getsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, &len), 0);
+  return {nodelay, tv.tv_sec * 1000L + tv.tv_usec / 1000L};
+}
+
+TEST(NetSocket, FdStreamSetsNoDelayAndReceiveTimeoutOnBothEnds) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  sockaddr* const any_addr = reinterpret_cast<sockaddr*>(&addr);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::bind(listener, any_addr, addr_len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, any_addr, &addr_len), 0);
+  const int client_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(client_fd, any_addr, addr_len), 0);
+  const int server_fd = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  ASSERT_GE(server_fd, 0);
+
+  // Whole seconds read back exactly at any kernel tick rate.
+  net::FdStream client(client_fd, net::kDefaultMaxPayload, 30000, 1000);
+  net::FdStream server(server_fd, net::kDefaultMaxPayload, 30000, 3000);
+  EXPECT_EQ(socket_setup(client.fd()), std::make_pair(1, 1000L));
+  EXPECT_EQ(socket_setup(server.fd()), std::make_pair(1, 3000L));
+
+  client.write_frame(net::Frame{"PING", {}, ""});
+  net::Frame frame;
+  ASSERT_EQ(server.read_frame(frame), net::FdStream::ReadStatus::kFrame);
+  EXPECT_EQ(frame.type, "PING");
+
+  // Without a timeout argument the socket keeps its own receive timeout.
+  const int own_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const timeval two_s{2, 0};
+  ASSERT_EQ(::setsockopt(own_fd, SOL_SOCKET, SO_RCVTIMEO, &two_s, sizeof two_s),
+            0);
+  const net::FdStream own(own_fd);
+  EXPECT_EQ(socket_setup(own.fd()), std::make_pair(1, 2000L));
 }
 
 // ---------------------------------------------------------------------------

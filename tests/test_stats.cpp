@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -399,6 +400,18 @@ TEST(StatsShotTable, SerialisationIsByteStableAcrossInsertionOrder) {
       stats::ShotTable::deserialize(forward.serialize());
   EXPECT_EQ(back, forward);
   EXPECT_EQ(back.serialize(), forward.serialize());
+
+  // add_batch adds each run of equal records in one step: the same bytes
+  // as one add per record, for sorted and unsorted runs alike.
+  const be::TrajectoryBatch repeats =
+      make_batch(0, {}, {5, 5, 5, 2, 9, 9, 2, 2, 2, 2, 5, 0});
+  stats::ShotTable by_batch;
+  stats::ShotTable by_record;
+  for (int pass = 0; pass < 2; ++pass) {
+    by_batch.add_batch(repeats);
+    for (const std::uint64_t r : repeats.records) by_record.add(r);
+  }
+  EXPECT_EQ(by_batch.serialize(), by_record.serialize());
 }
 
 TEST(StatsShotTable, DeserializeRejectsCorruptBytes) {
@@ -637,6 +650,55 @@ TEST(StatsServe, CapacityBoundSpillsNewRecordsToOverflow) {
   // Tabulated + spilled covers every record exactly once.
   EXPECT_EQ(t.shots.total() + static_cast<double>(t.shot_overflow),
             full.total());
+
+  // The engine applies the bound once per run of equal records. Replaying
+  // the per-record rule over the streamed batches, in delivery order, must
+  // give the same table bytes and overflow at every capacity: sorted
+  // records (statevector) and unsorted ones (stabilizer), and capacities
+  // that fill in the middle of a batch.
+  for (const std::string backend : {"statevector", "stabilizer"}) {
+    bool saw_unsorted = false;
+    bool filled_mid_batch = false;
+    for (const std::size_t capacity : {1, 2, 3, 5, 8}) {
+      std::vector<std::vector<std::uint64_t>> delivered;
+      serve::EngineConfig bounded = config;
+      bounded.tenant_shot_table_capacity = capacity;
+      serve::Engine streaming_engine(bounded);
+      serve::JobRequest streaming = req;
+      streaming.backend = backend;
+      streaming.threads = 1;
+      streaming.stream_sink = [&](be::TrajectoryBatch&& batch) {
+        delivered.push_back(batch.records);
+      };
+      streaming_engine.submit(streaming).wait();
+
+      stats::ShotTable replay;
+      std::uint64_t overflow = 0;
+      for (const std::vector<std::uint64_t>& records : delivered) {
+        saw_unsorted |= !std::is_sorted(records.begin(), records.end());
+        bool filled_in_batch = false;
+        for (const std::uint64_t r : records) {
+          const std::size_t before = replay.distinct();
+          if (replay.contains(r) || before < capacity) {
+            replay.add(r);
+            filled_in_batch |=
+                before < capacity && replay.distinct() == capacity;
+          } else {
+            ++overflow;
+            filled_mid_batch |= filled_in_batch;
+          }
+        }
+      }
+      const serve::EngineStats streamed_stats = streaming_engine.stats();
+      const serve::TenantStats& streamed = streamed_stats.tenants.at("bounded");
+      EXPECT_EQ(streamed.shots.serialize(), replay.serialize())
+          << backend << " capacity " << capacity;
+      EXPECT_EQ(streamed.shot_overflow, overflow)
+          << backend << " capacity " << capacity;
+    }
+    EXPECT_TRUE(filled_mid_batch) << backend;
+    EXPECT_EQ(saw_unsorted, backend == "stabilizer");
+  }
 }
 
 TEST(StatsServe, ZeroCapacityDisablesAggregation) {
