@@ -45,8 +45,12 @@ Matrix P(double theta) { return Matrix(2, 2, {1, 0, 0, std::polar(1.0, theta)});
 
 Matrix U3(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix(2, 2, {cplx{c, 0.0}, -std::polar(s, lambda),
-                       std::polar(s, phi), std::polar(c, phi + lambda)});
+  // std::polar requires a non-negative magnitude, and c or s is negative
+  // for some angles, so scale the unit phase instead. The product has the
+  // bits of (ρ·cos θ, ρ·sin θ): double * complex scales each part.
+  return Matrix(2, 2,
+                {cplx{c, 0.0}, -s * std::polar(1.0, lambda),
+                 s * std::polar(1.0, phi), c * std::polar(1.0, phi + lambda)});
 }
 
 // Basis ordering: index = q1_bit * 2 + q0_bit, with q0 = first listed qubit.

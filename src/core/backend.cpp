@@ -118,11 +118,8 @@ class SimStateAdapter final : public SimState {
   State state_;
 };
 
-/// Shared skeleton for the three amplitude-style backends: walk the
-/// (optionally fused) execution plan once with the spec's assignment, then
-/// bulk-sample records. Batched Execution drives the same plan walk and
-/// the same sampler through `make_state`, which is what makes `run` and
-/// both schedules bit-for-bit identical.
+/// Shared base for the three amplitude-style backends: forkable states and
+/// the (optionally fused) execution plan Batched Execution walks on them.
 class AmplitudeBackend : public Backend {
  public:
   explicit AmplitudeBackend(bool fuse_gates) : fuse_gates_(fuse_gates) {}
@@ -132,26 +129,6 @@ class AmplitudeBackend : public Backend {
   }
 
   [[nodiscard]] bool can_fork_states() const noexcept override { return true; }
-
-  [[nodiscard]] ShotResult run(const NoisyCircuit& noisy,
-                               const TrajectorySpec& spec,
-                               std::uint64_t shots,
-                               RngStream& rng) const override {
-    ShotResult out;
-    const ExecPlan plan = make_plan(noisy);
-    const std::vector<std::size_t> assignment = full_assignment(noisy, spec);
-    WallTimer timer;
-    const SimStatePtr state = make_state(noisy.num_qubits());
-    const bool realizable = prepare_trajectory(*state, noisy, plan, assignment,
-                                               out.realized_probability);
-    out.prepare_seconds = timer.seconds();
-    timer.reset();
-    if (realizable)
-      out.records = sample_records(*state, shots, rng,
-                                   noisy.circuit().measured_qubits());
-    out.sample_seconds = timer.seconds();
-    return out;
-  }
 
  private:
   bool fuse_gates_;
@@ -303,6 +280,14 @@ class StabilizerBackend final : public Backend {
 };
 
 }  // namespace
+
+ShotResult Backend::run(const NoisyCircuit& /*noisy*/,
+                        const TrajectorySpec& /*spec*/, std::uint64_t /*shots*/,
+                        RngStream& /*rng*/) const {
+  throw precondition_error("backend '" + name() +
+                           "' prepares through make_state and make_plan; "
+                           "run it with be::execute");
+}
 
 // ---------------------------------------------------------------------------
 // Registry

@@ -1,14 +1,10 @@
 #include "ptsbe/core/batched_execution.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <unordered_set>
 #include <utility>
 
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/common/record_runs.hpp"
-#include "ptsbe/common/timer.hpp"
-#include "ptsbe/core/exec_plan.hpp"
 #include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/prefix_scheduler.hpp"
 #include "ptsbe/core/trajectory_executor.hpp"
@@ -56,8 +52,8 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
                                 const std::vector<TrajectorySpec>& specs,
                                 const Options& options, const BatchSink& sink) {
   PTSBE_REQUIRE(static_cast<bool>(sink), "streaming execution needs a sink");
-  // Resolve the backend by name once; the instance is immutable and its
-  // run() is re-entrant, so every worker shares it.
+  // Resolve the backend by name once; the instance is immutable and
+  // re-entrant, so every worker shares it.
   const BackendPtr backend = make_backend(options.backend, options.config);
   PTSBE_REQUIRE(backend->supports(noisy),
                 "backend '" + options.backend +
@@ -79,8 +75,8 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
   // plans either: they run the independent schedule through Backend::run
   // (their records are identical under either schedule by contract; the
   // fallback is surfaced via StreamSummary::schedule). Every other backend
-  // prepares a SimState per spec or per trie leaf and hands it to the one
-  // leaf sampler.
+  // prepares through the one plan walk, which hands each prepared state to
+  // the leaf sampler.
   const bool forkable = backend->can_fork_states();
   const Schedule executed = options.schedule == Schedule::kSharedPrefix &&
                                     forkable
@@ -96,26 +92,8 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
   const RngStream master(options.seed);
   TrajectoryExecutor executor(resolved_threads(options));
   LeafSampler leaves(executor, noisy, specs, master);
-
-  // The shared-prefix walk's inputs; they must outlive the drain.
-  std::vector<std::vector<std::size_t>> assignments;
-  std::vector<std::size_t> order;
-  if (executed == Schedule::kSharedPrefix) {
-    // Sort specs lexicographically by their dense branch assignment so
-    // overlapping trajectories are contiguous, then walk the whole trie as
-    // one work-stealing DFS — fork points spawn subtree tasks, so
-    // parallelism appears exactly where trajectories deviate and the shared
-    // work is still done once.
-    assignments = all_assignments(noisy, specs);
-    order.resize(specs.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (assignments[a] != assignments[b])
-        return assignments[a] < assignments[b];
-      return a < b;  // keep duplicate assignments in spec order
-    });
-    spawn_shared_prefix(executor, *backend, noisy, plan, assignments, order,
-                        leaves);
+  if (forkable) {
+    spawn_plan_walks(executor, *backend, noisy, plan, specs, executed, leaves);
   } else {
     // One task per spec, seeded in reverse: a worker pops its own deque
     // newest-first, so with a single worker execution (and therefore
@@ -125,30 +103,13 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
         // Cancelled runs (sink or task failure) skip pending trajectories
         // *before* their expensive preparation.
         if (executor.cancelled()) return;
-        if (!forkable) {
-          RngStream rng = master.substream(t);
-          ShotResult shot =
-              backend->run(noisy, specs[t], specs[t].shots, rng);
-          WorkerAccum& accum = leaves.accum(worker);
-          accum.prepare_seconds += shot.prepare_seconds;
-          accum.sample_seconds += shot.sample_seconds;
-          leaves.emit(worker, t, std::move(shot.records),
-                      shot.realized_probability, worker);
-          return;
-        }
-        const std::vector<std::size_t> assignment =
-            full_assignment(noisy, specs[t]);
-        WallTimer timer;
-        SimStatePtr state = backend->make_state(noisy.num_qubits());
-        double realized = 1.0;
-        const bool realizable =
-            prepare_trajectory(*state, noisy, plan, assignment, realized);
-        leaves.accum(worker).prepare_seconds += timer.seconds();
-        const std::size_t group[] = {t};
-        if (realizable)
-          (void)leaves.sample(worker, std::move(state), realized, group);
-        else
-          leaves.emit_unrealizable(worker, group);
+        RngStream rng = master.substream(t);
+        ShotResult shot = backend->run(noisy, specs[t], specs[t].shots, rng);
+        WorkerAccum& accum = leaves.accum(worker);
+        accum.prepare_seconds += shot.prepare_seconds;
+        accum.sample_seconds += shot.sample_seconds;
+        leaves.emit(worker, t, std::move(shot.records),
+                    shot.realized_probability, worker);
       });
     }
   }

@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "ptsbe/circuit/fusion.hpp"
-#include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
-#include "ptsbe/common/inverse_cdf.hpp"
 
 namespace ptsbe {
 
@@ -101,66 +99,6 @@ std::vector<std::size_t> full_assignment(const NoisyCircuit& noisy,
     assignment[bc.site] = bc.branch;
   }
   return assignment;
-}
-
-bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
-                  double& realized) {
-  const KrausChannel& ch = *site.channel;
-  if (ch.is_unitary_mixture()) {
-    state.apply_gate(ch.unitary(branch), site.qubits);
-    realized *= ch.nominal_probabilities()[branch];
-    return true;
-  }
-  const double p = state.branch_probability(ch.kraus(branch), site.qubits);
-  if (p < 1e-14) {
-    realized = 0.0;
-    return false;
-  }
-  realized *= state.apply_kraus_branch(ch.kraus(branch), site.qubits);
-  return true;
-}
-
-bool prepare_trajectory(SimState& state, const NoisyCircuit& noisy,
-                        const ExecPlan& plan,
-                        std::span<const std::size_t> assignment,
-                        double& realized) {
-  const bool batched = state.supports_prepared_runs();
-  std::size_t s = 0;
-  while (s < plan.steps.size()) {
-    const PlanStep& step = plan.steps[s];
-    if (!step.is_gate) {
-      if (!apply_branch(state, noisy.sites()[step.site],
-                        assignment[step.site], realized))
-        return false;
-      ++s;
-      continue;
-    }
-    const std::size_t run = batched ? plan.run_starting_at(s) : ExecPlan::npos;
-    if (run != ExecPlan::npos) {
-      state.apply_prepared_run(plan.prepared_runs[run].gates);
-      s += plan.prepared_runs[run].gates.size();
-    } else {
-      state.apply_gate(step.matrix, step.qubits);
-      ++s;
-    }
-  }
-  return true;
-}
-
-std::vector<std::uint64_t> sample_records(SimState& state, std::uint64_t count,
-                                          RngStream& rng,
-                                          std::span<const unsigned> measured) {
-  if (!state.samples_in_place()) {
-    std::vector<std::uint64_t> records = state.sample_shots(count, rng);
-    if (!measured.empty())
-      for (std::uint64_t& r : records) r = extract_bits(r, measured);
-    return records;
-  }
-  std::vector<std::uint64_t> records(count);
-  if (count == 0) return records;
-  draw_exponentials(rng, records);
-  state.records_from_exponentials(records, rng.exponential(), measured);
-  return records;
 }
 
 }  // namespace ptsbe

@@ -4,11 +4,19 @@
 /// \brief Unified simulator-backend interface and string-keyed registry.
 ///
 /// Batched Execution used to hard-code the statevector and MPS simulators.
-/// This header is the seam that removes that coupling: a `Backend` prepares
-/// one pre-sampled trajectory of a noisy program and bulk-draws its shot
-/// budget, and a `BackendRegistry` maps stable string names to backend
-/// factories so execution options, CLIs, config files — and future sharded /
-/// asynchronous / GPU backends — select simulators by name.
+/// This header is the seam that removes that coupling: a `Backend` tells
+/// Batched Execution how to prepare and bulk-sample the pre-sampled
+/// trajectories of a noisy program, and a `BackendRegistry` maps stable
+/// string names to backend factories so execution options, CLIs, config
+/// files — and future sharded / asynchronous / GPU backends — select
+/// simulators by name.
+///
+/// A backend implements one of two halves of the seam:
+///   - `make_state` + `make_plan` (forkable states): Batched Execution walks
+///     the plan on the state under either schedule and samples the leaves
+///     itself (ptsbe/core/prefix_scheduler.hpp);
+///   - `run` (states that cannot fork): Batched Execution calls it once per
+///     spec.
 ///
 /// Built-in backends (registered at startup):
 ///   - "statevector"  dense 2^n amplitudes (CUDA-Q `nvidia` analogue)
@@ -17,9 +25,9 @@
 ///   - "mps"          matrix-product-state / TEBD (CUDA-Q `tensornet`
 ///                    analogue); "tensornet" is accepted as an alias
 ///
-/// A backend's `run` takes the *noisy program* (`NoisyCircuit`, which owns
-/// the coherent `Circuit`) plus one `TrajectorySpec`, because a spec's
-/// branch indices are only meaningful against the program's noise sites.
+/// Both halves take the *noisy program* (`NoisyCircuit`, which owns the
+/// coherent `Circuit`), because a spec's branch indices are only meaningful
+/// against the program's noise sites.
 
 #include <cstdint>
 #include <functional>
@@ -64,8 +72,8 @@ struct ShotResult {
 };
 
 /// One simulator backend. Implementations are immutable after construction
-/// and `run` is const and re-entrant: Batched Execution shares a single
-/// instance across all TrajectoryExecutor workers.
+/// and their const methods are re-entrant: Batched Execution shares a
+/// single instance across all TrajectoryExecutor workers.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -74,44 +82,41 @@ class Backend {
   [[nodiscard]] virtual const std::string& name() const noexcept = 0;
 
   /// True when this backend can execute `noisy` (gate set, channel class
-  /// and qubit-count restrictions). `run` throws precondition_error on
-  /// unsupported programs; call this first to route instead of failing.
+  /// and qubit-count restrictions). Batched Execution throws
+  /// precondition_error on unsupported programs; call this first to route
+  /// instead of failing.
   [[nodiscard]] virtual bool supports(const NoisyCircuit& noisy) const = 0;
 
-  /// Prepare the trajectory selected by `spec` exactly once (sites not
-  /// listed take their channel's default branch) and draw `shots`
-  /// measurement records in bulk from the prepared state, consuming
-  /// randomness only from `rng`. Batched Execution passes `spec.shots`.
-  /// Splitting one spec's budget across several run() calls would change
-  /// its records (each call draws its own sorted sample); the split that
-  /// keeps every bit lives inside sampling instead
-  /// (ptsbe/core/leaf_sampler.hpp).
+  /// Run-only backends (states that cannot fork): prepare the trajectory
+  /// selected by `spec` exactly once (sites not listed take their channel's
+  /// default branch) and draw `shots` measurement records in bulk from the
+  /// prepared state, consuming randomness only from `rng`. Batched
+  /// Execution passes `spec.shots`. Splitting one spec's budget across
+  /// several run() calls would change its records (each call draws its own
+  /// sorted sample). The default throws precondition_error: a backend with
+  /// forkable states runs through `be::execute`, which walks its plan.
   [[nodiscard]] virtual ShotResult run(const NoisyCircuit& noisy,
                                        const TrajectorySpec& spec,
                                        std::uint64_t shots,
-                                       RngStream& rng) const = 0;
+                                       RngStream& rng) const;
 
   /// True when `make_state` returns forkable states — the O(1) capability
-  /// probe prefix-sharing schedulers gate on (constructing a throwaway
-  /// state just to test for nullptr could transiently allocate 2^n
-  /// amplitudes).
+  /// probe Batched Execution routes on (constructing a throwaway state just
+  /// to test for nullptr could transiently allocate 2^n amplitudes).
   [[nodiscard]] virtual bool can_fork_states() const noexcept {
     return false;
   }
 
-  /// Fresh forkable |0…0⟩ state for Batched Execution's plan walks (both
+  /// Fresh forkable |0…0⟩ state for Batched Execution's plan walk (both
   /// schedules), or nullptr when this backend's state cannot be
   /// snapshotted (stabilizer), which then runs every spec through `run`.
-  /// A non-null state, driven through `make_plan`'s steps, must reproduce
-  /// `run`'s preparation and sampling bit-for-bit.
   [[nodiscard]] virtual SimStatePtr make_state(unsigned num_qubits) const {
     (void)num_qubits;
     return nullptr;
   }
 
-  /// The execution plan `run` prepares trajectories with (this backend's
-  /// gate-fusion setting applied). Schedulers reuse it so scheduled and
-  /// independent preparations sweep identical matrices.
+  /// The execution plan Batched Execution walks on `make_state`'s states
+  /// (this backend's gate-fusion setting applied).
   [[nodiscard]] virtual ExecPlan make_plan(const NoisyCircuit& noisy) const {
     return build_exec_plan(noisy, false);
   }

@@ -7,11 +7,13 @@
 /// state exactly once (the O(2^n)/tensor-contraction cost) and then draws the
 /// spec's full shot budget in bulk (polynomial cost), eliminating the
 /// redundant state re-preparation of conventional trajectory simulation.
-/// Specs are embarrassingly parallel: they are sharded over the
-/// work-stealing `TrajectoryExecutor` (the CPU stand-in for the paper's
-/// multi-GPU inter-trajectory parallelism; `Options::threads` sizes the
-/// pool), each with a reproducible Philox substream keyed by its batch
-/// index — which is why records are bit-identical at every thread count.
+/// Both schedules prepare through one plan walk
+/// (ptsbe/core/prefix_scheduler.hpp). Specs are embarrassingly parallel:
+/// they are sharded over the work-stealing `TrajectoryExecutor` (the CPU
+/// stand-in for the paper's multi-GPU inter-trajectory parallelism;
+/// `Options::threads` sizes the pool), each with a reproducible Philox
+/// substream keyed by its batch index — which is why records are
+/// bit-identical at every thread count.
 /// A spec holding more than one chunk of shots also splits its bulk draw
 /// across idle workers, without changing a bit (ptsbe/core/leaf_sampler.hpp).
 /// Error provenance — the spec's branch list — rides along as metadata on
@@ -32,8 +34,9 @@ namespace ptsbe::be {
 
 /// How trajectory preparations are scheduled across the spec set.
 enum class Schedule : std::uint8_t {
-  /// Every spec is prepared from |0…0⟩ independently (embarrassingly
-  /// parallel; works with every backend).
+  /// Every spec is prepared from |0…0⟩ independently, as a one-spec plan
+  /// walk or one `Backend::run` call (embarrassingly parallel; works with
+  /// every backend).
   kIndependent,
   /// Specs are organised into a trie over their per-site branch decisions;
   /// each shared prefix is simulated once and the state is forked at the
@@ -153,11 +156,11 @@ struct StreamSummary {
 ///
 /// The backend named by `options.backend` is resolved once through the
 /// BackendRegistry and shared across all simulated devices. Each spec's
-/// trajectory is prepared once — unitary-mixture branches apply U_k
-/// directly, general branches apply K_k/√p with the realised p accumulated
-/// into the batch's importance weight — and its shot budget drawn in bulk
-/// by the leaf sampler. Backends that cannot fork states (stabilizer) run
-/// each spec through `Backend::run` instead.
+/// trajectory is prepared once by the plan walk — unitary-mixture branches
+/// apply U_k directly, general branches apply K_k/√p with the realised p
+/// accumulated into the batch's importance weight — and its shot budget
+/// drawn in bulk by the leaf sampler. Backends that cannot fork states
+/// (stabilizer) run each spec through `Backend::run` instead.
 ///
 /// \throws precondition_error for unknown backend names or programs the
 ///         chosen backend does not support.

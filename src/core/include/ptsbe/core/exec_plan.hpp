@@ -11,21 +11,20 @@
 /// fusion barriers: fusing across one would change where the channel
 /// observes the state.
 ///
-/// Both execution schedules consume the same plan: the independent path
-/// walks it once per trajectory (`prepare_trajectory`); the shared-prefix
-/// scheduler walks each common prefix once and forks at deviating site
-/// steps. Because the two paths apply the *identical* matrix sequence per
-/// trajectory — fused or not — their prepared states, realised
-/// probabilities and sampled records are bit-for-bit identical.
+/// Batched Execution prepares every trajectory through one walk of the plan
+/// (`spawn_plan_walks`, ptsbe/core/prefix_scheduler.hpp). The shared-prefix
+/// schedule walks each common prefix once and forks at deviating site
+/// steps; the independent schedule walks one spec at a time and never
+/// forks. Both apply the *identical* matrix sequence per trajectory — fused
+/// or not — so their prepared states, realised probabilities and sampled
+/// records are bit-for-bit identical.
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
 #include <vector>
 
-#include "ptsbe/common/rng.hpp"
-#include "ptsbe/core/sim_state.hpp"
 #include "ptsbe/core/trajectory_spec.hpp"
+#include "ptsbe/kernels/kernel_set.hpp"
+#include "ptsbe/linalg/matrix.hpp"
 #include "ptsbe/noise/noise_model.hpp"
 
 namespace ptsbe {
@@ -84,31 +83,5 @@ struct ExecPlan {
 /// \throws precondition_error when a spec entry is out of range for `noisy`.
 [[nodiscard]] std::vector<std::size_t> full_assignment(
     const NoisyCircuit& noisy, const TrajectorySpec& spec);
-
-/// Apply branch `branch` of `site` to `state`, accumulating the realised
-/// probability into `realized`. Returns false when the branch is
-/// unrealizable at this state (general-Kraus branch with ~zero realised
-/// probability); `realized` is then 0 and the state is unspecified.
-bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
-                  double& realized);
-
-/// The linear plan walk: prepare one trajectory on `state` (fresh |0…0⟩)
-/// by sweeping every step of `plan`, whole prepared runs through the
-/// batched kernel path, with site steps taking their branch from the dense
-/// `assignment` (`full_assignment`). Same return contract as
-/// `apply_branch`; the walk stops at the first unrealizable branch.
-bool prepare_trajectory(SimState& state, const NoisyCircuit& noisy,
-                        const ExecPlan& plan,
-                        std::span<const std::size_t> assignment,
-                        double& realized);
-
-/// Draw `count` records of the `measured` qubits (`measured` empty = full
-/// n-bit indices) from a prepared `state` on the calling thread — the leaf
-/// sampler's inline path. Dense states sample in place and consume
-/// `count + 1` doubles of `rng` (none when `count` is 0); the others
-/// sample through `sample_shots`.
-[[nodiscard]] std::vector<std::uint64_t> sample_records(
-    SimState& state, std::uint64_t count, RngStream& rng,
-    std::span<const unsigned> measured);
 
 }  // namespace ptsbe

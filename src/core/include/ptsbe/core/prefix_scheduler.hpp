@@ -1,19 +1,21 @@
 #pragma once
 
 /// \file prefix_scheduler.hpp
-/// \brief Shared-prefix trajectory scheduler (work-stealing parallel DFS).
+/// \brief Batched Execution's one plan walk (a work-stealing parallel DFS)
+/// and the two ways to seed it.
 ///
 /// Pre-sampled trajectories of one noisy program are *almost identical*:
 /// they share the coherent circuit and differ only in a handful of sampled
-/// noise branches. The independent schedule ignores that structure and
-/// re-prepares every trajectory from |0…0⟩. This scheduler instead views
-/// the spec set as a trie over the per-site branch decisions interleaved
-/// with the circuit's gate steps (the ExecPlan): every shared prefix is
-/// simulated exactly once, and the state is forked (`SimState::clone`) only
-/// where two trajectories first deviate.
+/// noise branches. The walk views a range of specs as a trie over the
+/// per-site branch decisions interleaved with the circuit's gate steps (the
+/// ExecPlan): every shared prefix is simulated exactly once, and the state
+/// is forked (`SimState::clone`) only where two trajectories first deviate.
+/// The shared-prefix schedule walks every spec in one trie. The independent
+/// schedule walks each spec on its own from |0…0⟩; a one-spec range is
+/// always unanimous, so that walk never forks.
 ///
-/// Parallelism: fork points are task-spawn points. The walk starts as one
-/// root task on the `TrajectoryExecutor`; where the sorted group splits
+/// Parallelism: fork points are task-spawn points. A walk starts as one
+/// root task on the `TrajectoryExecutor`; where the sorted range splits
 /// into k branch runs, the walking worker snapshots the pre-branch state
 /// k−1 times, spawns one task per earlier run, and continues the last run
 /// in place. Each task exclusively owns its `SimState` (per-thread state
@@ -24,22 +26,21 @@
 /// An idle worker steals the *oldest* pending task — the shallowest, and
 /// therefore largest, subtree.
 ///
-/// Reproducibility contract: preparation consumes no randomness, and each
-/// leaf hands its state to the leaf sampler the independent schedule uses
-/// (ptsbe/core/leaf_sampler.hpp), which draws from the same per-trajectory
-/// Philox substream — so records, realised probabilities and therefore
-/// every downstream estimate and dataset byte are **bit-for-bit
-/// identical** between the two schedules *and across every thread count*
-/// (see tests/test_scheduler.cpp). Only completion order depends on
-/// scheduling.
+/// Reproducibility contract: preparation consumes no randomness, a trie
+/// path applies the same matrix sequence as a one-spec walk of any of its
+/// specs, and every leaf hands its state to the one leaf sampler
+/// (ptsbe/core/leaf_sampler.hpp), which draws from the spec's Philox
+/// substream — so records, realised probabilities and therefore every
+/// downstream estimate and dataset byte are **bit-for-bit identical**
+/// between the two schedules *and across every thread count* (see
+/// tests/test_scheduler.cpp). Only completion order depends on scheduling.
 ///
 /// Memory: pending subtree tasks each hold one state snapshot. LIFO
 /// self-scheduling keeps a worker on its current root-to-leaf path, so the
 /// live-snapshot count tracks (fork depth + stolen subtrees), not the whole
-/// frontier.
+/// frontier. The shared-prefix walk holds every spec's dense assignment;
+/// an independent walk builds its one spec's assignment inside its task.
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 #include "ptsbe/core/backend.hpp"
@@ -48,28 +49,23 @@
 
 namespace ptsbe::be {
 
-/// Seed the shared-prefix walk over the trajectories selected by `order`
-/// (indices into the spec set, sorted lexicographically by their dense
-/// site→branch `assignments`) onto `executor` as one root task; forks spawn
-/// further tasks. Call `executor.drain(...)` afterwards to run the walk.
-/// Every leaf hands its prepared state to `leaves`, the same leaf sampler
-/// the independent schedule uses, so spec t samples from
+/// Seed the plan walks of `specs` onto `executor`; call
+/// `executor.drain(...)` afterwards to run them. kSharedPrefix seeds one
+/// root task over every spec, sorted lexicographically by dense
+/// site→branch assignment so specs agreeing on every site up to any depth
+/// are contiguous. kIndependent seeds one one-spec walk per spec, in
+/// reverse, so a single worker prepares and delivers in spec order. Every
+/// leaf hands its prepared state to `leaves`, so spec t samples from
 /// `master.substream(t)` and one batch is emitted per spec. Each task adds
-/// its preparation wall-clock (gate sweeps, branch applications, forks —
-/// sampling excluded) to its worker's `leaves.accum(worker)` slot.
+/// its preparation wall-clock (state allocation, gate sweeps, branch
+/// applications, forks — sampling excluded) to its worker's
+/// `leaves.accum(worker)` slot.
 ///
-/// Every argument must outlive the drain. Preconditions: the backend can
-/// fork states, and `order` is sorted so specs agreeing on every site up to
-/// any depth are contiguous.
-void spawn_shared_prefix(TrajectoryExecutor& executor, const Backend& backend,
-                         const NoisyCircuit& noisy, const ExecPlan& plan,
-                         const std::vector<std::vector<std::size_t>>& assignments,
-                         std::span<const std::size_t> order,
-                         LeafSampler& leaves);
-
-/// Comparator-friendly helper: dense assignments for every spec, indexed
-/// like `specs`.
-[[nodiscard]] std::vector<std::vector<std::size_t>> all_assignments(
-    const NoisyCircuit& noisy, const std::vector<TrajectorySpec>& specs);
+/// Every argument must outlive the drain. Precondition: the backend can
+/// fork states.
+void spawn_plan_walks(TrajectoryExecutor& executor, const Backend& backend,
+                      const NoisyCircuit& noisy, const ExecPlan& plan,
+                      const std::vector<TrajectorySpec>& specs,
+                      Schedule schedule, LeafSampler& leaves);
 
 }  // namespace ptsbe::be

@@ -3,21 +3,22 @@
 /// \file sim_state.hpp
 /// \brief Type-erased, forkable simulator state.
 ///
-/// The shared-prefix trajectory scheduler (ptsbe/core/prefix_scheduler.hpp)
-/// walks a trie of trajectory specifications and must snapshot the simulator
-/// state at every fork point. `SimState` is the minimal contract that makes
-/// that possible without the scheduler knowing which representation
-/// (statevector, density matrix, MPS) it is driving: the four preparation /
-/// sampling operations `Backend::run` already performs, plus `clone()`.
+/// Batched Execution's plan walk (ptsbe/core/prefix_scheduler.hpp) prepares
+/// every trajectory on a `SimState` and, under the shared-prefix schedule,
+/// snapshots it at every fork point of the spec trie. `SimState` is the
+/// minimal contract that makes that possible without the walk knowing which
+/// representation (statevector, density matrix, MPS) it is driving: the
+/// preparation and sampling operations of one trajectory, plus `clone()`.
 ///
 /// Snapshots are plain deep copies — O(2^n) for the dense representations
 /// and O(n·χ²) for MPS — i.e. the cost of roughly *one* gate sweep, which is
 /// exactly what forking saves many of. Backends whose state cannot be
 /// snapshotted (the stabilizer frame sampler folds preparation and sampling
-/// together) simply do not offer one; see `Backend::make_state`.
+/// together) simply do not offer one and implement `Backend::run` instead;
+/// see `Backend::make_state`.
 ///
 /// Threading: a `SimState` instance is **not** thread-safe and is never
-/// shared. The multi-threaded scheduler gives every executor task exclusive
+/// shared. The multi-threaded walk gives every executor task exclusive
 /// ownership of its state (the `SimStatePtr` moves into the task closure);
 /// `clone()` at a fork point is the only cross-task data flow, and it
 /// happens entirely on the spawning worker before the child task is
@@ -39,8 +40,8 @@
 namespace ptsbe {
 
 /// One forkable simulation state, positioned at |0…0⟩ on construction.
-/// Methods mirror the state-backend concept the unified backends prepare
-/// trajectories through; `branch_probability` is non-const because the MPS
+/// Methods mirror the state-backend concept of the concrete
+/// representations; `branch_probability` is non-const because the MPS
 /// implementation moves its orthogonality center (the quantum state is
 /// unchanged).
 class SimState {
@@ -55,7 +56,7 @@ class SimState {
                           std::span<const unsigned> qubits) = 0;
 
   /// True when this state consumes classified `kernels::PreparedGate` runs
-  /// directly (the amplitude representations). Plan walkers use this to
+  /// directly (the amplitude representations). The plan walk uses this to
   /// swap per-step `apply_gate` calls for one `apply_prepared_run` per
   /// barrier-free gate stretch.
   [[nodiscard]] virtual bool supports_prepared_runs() const { return false; }
@@ -63,7 +64,7 @@ class SimState {
   /// Apply a contiguous prepared-gate run in one batched pass. Only valid
   /// when `supports_prepared_runs()` is true; the sequence of per-gate
   /// applies is identical to calling `apply_gate` step by step, so records
-  /// cannot depend on which walker path ran.
+  /// cannot depend on which path the walk took.
   virtual void apply_prepared_run(std::span<const kernels::PreparedGate>) {
     throw precondition_error(
         "apply_prepared_run on a state without prepared-run support");

@@ -3,10 +3,11 @@
 /// \file trajectory_executor.hpp
 /// \brief Work-stealing multi-threaded trajectory executor.
 ///
-/// Batched Execution's unit of work is one trajectory preparation (or, under
-/// the shared-prefix schedule, one trie subtree), plus the chunks a large
-/// leaf splits its bulk draw into. This executor runs those units across
-/// `be::Options::threads` worker threads with classic
+/// Batched Execution's unit of work is one task: one spec's preparation
+/// under the independent schedule, one trie subtree under the shared-prefix
+/// schedule, one `Backend::run` call on a backend that cannot fork, or one
+/// of the chunks a large leaf splits its bulk draw into. This executor runs
+/// those units across `be::Options::threads` worker threads with classic
 /// work-stealing scheduling: every worker owns a deque, pops its own newest
 /// task (LIFO — keeps a DFS worker on its current subtree and bounds the
 /// number of live state snapshots), and steals the *oldest* task of a victim

@@ -1,6 +1,8 @@
 #include "ptsbe/core/prefix_scheduler.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "ptsbe/common/error.hpp"
@@ -10,30 +12,57 @@ namespace ptsbe::be {
 
 namespace {
 
-/// Context shared by every task of one scheduled walk, jointly owned by the
-/// task closures (tasks outlive the spawning call). Immutable during the
-/// walk; the leaf sampler's accounting slots are single-writer per worker.
+/// Context shared by every task of one plan walk, jointly owned by the task
+/// closures (tasks outlive the spawning call). The walk owns its inputs:
+/// `order` lists its specs, sorted so specs agreeing on every site up to
+/// any depth are contiguous, and `rows[i]` is the dense assignment of spec
+/// `order[i]`. Immutable during the walk; the leaf sampler's accounting
+/// slots are single-writer per worker.
 struct Walk {
   TrajectoryExecutor& executor;
+  const Backend& backend;
   const ExecPlan& plan;
   const NoisyCircuit& noisy;
-  const std::vector<std::vector<std::size_t>>& assignments;
   LeafSampler& leaves;
+  std::vector<std::size_t> order;
+  std::vector<std::vector<std::size_t>> rows;
 };
 
 using WalkPtr = std::shared_ptr<const Walk>;
 
-void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
-                   double realized, std::size_t step,
-                   std::span<const std::size_t> group);
+/// Apply branch `branch` of `site` to `state`, accumulating the realised
+/// probability into `realized`. Returns false when the branch is
+/// unrealizable at this state (general-Kraus branch with ~zero realised
+/// probability); `realized` is then 0 and the state is unspecified.
+bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
+                  double& realized) {
+  const KrausChannel& ch = *site.channel;
+  if (ch.is_unitary_mixture()) {
+    state.apply_gate(ch.unitary(branch), site.qubits);
+    realized *= ch.nominal_probabilities()[branch];
+    return true;
+  }
+  const double p = state.branch_probability(ch.kraus(branch), site.qubits);
+  if (p < 1e-14) {
+    realized = 0.0;
+    return false;
+  }
+  realized *= state.apply_kraus_branch(ch.kraus(branch), site.qubits);
+  return true;
+}
 
-/// Simulate from plan step `step` for the contiguous `group`, whose members
-/// agree on every site step before `step`. Exclusively owns `state` — the
-/// per-thread ownership that makes subtrees synchronisation-free. Runs
-/// iteratively; forks spawn sibling tasks rather than recursing.
+void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
+                   double realized, std::size_t step, std::size_t first,
+                   std::size_t last);
+
+/// Simulate from plan step `step` for the specs at positions [first, last)
+/// of the walk, which agree on every site step before `step`. Exclusively
+/// owns `state` — the per-thread ownership that makes subtrees
+/// synchronisation-free. Runs iteratively; forks spawn sibling tasks rather
+/// than recursing.
 void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
-                 double realized, std::size_t step,
-                 std::span<const std::size_t> group) {
+                 double realized, std::size_t step, std::size_t first,
+                 std::size_t last) {
   if (walk->executor.cancelled()) return;
   WallTimer timer;
   const bool batched = state->supports_prepared_runs();
@@ -59,85 +88,98 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
       walk->leaves.accum(worker).prepare_seconds += timer.seconds();
       return;
     }
-    // Partition the (sorted) group into runs of equal branch choice.
+    // Scan the (sorted) range for runs of equal branch choice. A unanimous
+    // range — every one-spec range — is one scan and no fork. Otherwise the
+    // fork point is a task-spawn point: snapshot the pre-branch state once
+    // per earlier run and hand each subtree to the executor (it re-enters
+    // at this step, where its narrowed range is unanimous); this task
+    // continues the last run in place, with no snapshot.
     const std::size_t site_id = plan_step.site;
-    std::size_t first = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
-    while (first < group.size()) {
-      const std::size_t branch = walk->assignments[group[first]][site_id];
-      std::size_t last = first + 1;
-      while (last < group.size() &&
-             walk->assignments[group[last]][site_id] == branch)
-        ++last;
-      runs.emplace_back(first, last);
-      first = last;
-    }
-    if (runs.size() > 1) {
-      // Fork point = task-spawn point: snapshot the pre-branch state once
-      // per earlier run and hand each subtree to the executor; this task
-      // continues the last run in place (no snapshot). A spawned task
-      // re-enters at this same step, where its narrowed group is unanimous.
-      for (std::size_t r = 0; r + 1 < runs.size(); ++r) {
-        const auto [begin, end] = runs[r];
-        spawn_subtree(walk, worker, state->clone(), realized, s,
-                      group.subspan(begin, end - begin));
-      }
-      const auto [begin, end] = runs.back();
-      group = group.subspan(begin, end - begin);
-      continue;  // same step, now unanimous
+    for (std::size_t end = first + 1; end < last; ++end) {
+      if (walk->rows[end][site_id] == walk->rows[first][site_id]) continue;
+      spawn_subtree(walk, worker, state->clone(), realized, s, first, end);
+      first = end;
     }
     if (!apply_branch(*state, walk->noisy.sites()[site_id],
-                      walk->assignments[group.front()][site_id], realized)) {
-      // The shared prefix hit a zero-probability Kraus branch — exactly
-      // what the independent path reports for each spec of the group.
+                      walk->rows[first][site_id], realized)) {
+      // A zero-probability Kraus branch: every spec of the range is
+      // unrealizable.
       walk->leaves.accum(worker).prepare_seconds += timer.seconds();
-      walk->leaves.emit_unrealizable(worker, group);
+      walk->leaves.emit_unrealizable(
+          worker, std::span(walk->order).subspan(first, last - first));
       return;
     }
     ++s;
   }
-  const double sample_seconds =
-      walk->leaves.sample(worker, std::move(state), realized, group);
+  const double sample_seconds = walk->leaves.sample(
+      worker, std::move(state), realized,
+      std::span(walk->order).subspan(first, last - first));
   walk->leaves.accum(worker).prepare_seconds +=
       timer.seconds() - sample_seconds;
 }
 
 void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
-                   double realized, std::size_t step,
-                   std::span<const std::size_t> group) {
+                   double realized, std::size_t step, std::size_t first,
+                   std::size_t last) {
   walk->executor.spawn_from(
-      worker, [walk, state = std::move(state), realized, step,
-               group](std::size_t self) mutable {
-        run_subtree(walk, self, std::move(state), realized, step, group);
+      worker, [walk, state = std::move(state), realized, step, first,
+               last](std::size_t self) mutable {
+        run_subtree(walk, self, std::move(state), realized, step, first,
+                    last);
       });
+}
+
+/// A walk's root task: every spec of the walk from |0…0⟩ at plan step 0.
+void run_root(const WalkPtr& walk, std::size_t worker) {
+  if (walk->executor.cancelled()) return;
+  WallTimer timer;
+  SimStatePtr state = walk->backend.make_state(walk->noisy.num_qubits());
+  walk->leaves.accum(worker).prepare_seconds += timer.seconds();
+  run_subtree(walk, worker, std::move(state), 1.0, 0, 0, walk->order.size());
 }
 
 }  // namespace
 
-void spawn_shared_prefix(TrajectoryExecutor& executor, const Backend& backend,
-                         const NoisyCircuit& noisy, const ExecPlan& plan,
-                         const std::vector<std::vector<std::size_t>>& assignments,
-                         std::span<const std::size_t> order,
-                         LeafSampler& leaves) {
-  if (order.empty()) return;
-  SimStatePtr root = backend.make_state(noisy.num_qubits());
-  PTSBE_REQUIRE(root != nullptr,
+void spawn_plan_walks(TrajectoryExecutor& executor, const Backend& backend,
+                      const NoisyCircuit& noisy, const ExecPlan& plan,
+                      const std::vector<TrajectorySpec>& specs,
+                      Schedule schedule, LeafSampler& leaves) {
+  PTSBE_REQUIRE(backend.can_fork_states(),
                 "backend '" + backend.name() +
-                    "' cannot fork states; use the independent schedule");
-  const WalkPtr walk = std::make_shared<const Walk>(
-      Walk{executor, plan, noisy, assignments, leaves});
-  executor.spawn([walk, root = std::move(root), order](std::size_t self) mutable {
-    run_subtree(walk, self, std::move(root), 1.0, 0, order);
-  });
-}
-
-std::vector<std::vector<std::size_t>> all_assignments(
-    const NoisyCircuit& noisy, const std::vector<TrajectorySpec>& specs) {
-  std::vector<std::vector<std::size_t>> out;
-  out.reserve(specs.size());
-  for (const TrajectorySpec& spec : specs)
-    out.push_back(full_assignment(noisy, spec));
-  return out;
+                    "' cannot fork states; BE runs it through Backend::run");
+  if (schedule == Schedule::kIndependent) {
+    for (std::size_t t = specs.size(); t-- > 0;)
+      executor.spawn([&, t](std::size_t worker) {
+        std::vector<std::vector<std::size_t>> rows;
+        rows.push_back(full_assignment(noisy, specs[t]));
+        run_root(std::make_shared<const Walk>(Walk{executor, backend, plan,
+                                                   noisy, leaves, {t},
+                                                   std::move(rows)}),
+                 worker);
+      });
+    return;
+  }
+  if (specs.empty()) return;
+  // Lexicographic by assignment, then by spec index, so duplicate
+  // assignments keep spec order.
+  std::vector<std::pair<std::vector<std::size_t>, std::size_t>> keyed;
+  keyed.reserve(specs.size());
+  for (std::size_t t = 0; t < specs.size(); ++t)
+    keyed.emplace_back(full_assignment(noisy, specs[t]), t);
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::size_t> order;
+  std::vector<std::vector<std::size_t>> rows;
+  order.reserve(keyed.size());
+  rows.reserve(keyed.size());
+  for (auto& [row, t] : keyed) {
+    rows.push_back(std::move(row));
+    order.push_back(t);
+  }
+  const WalkPtr walk = std::make_shared<const Walk>(Walk{executor, backend,
+                                                        plan, noisy, leaves,
+                                                        std::move(order),
+                                                        std::move(rows)});
+  executor.spawn([walk](std::size_t self) { run_root(walk, self); });
 }
 
 }  // namespace ptsbe::be

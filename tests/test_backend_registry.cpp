@@ -1,5 +1,5 @@
 // Smoke tests for the unified Backend registry: every registered backend
-// runs the same noiseless 2-qubit Bell circuit through the common interface
+// runs the same noiseless 2-qubit Bell circuit through Batched Execution
 // and must agree on the outcome distribution (00 and 11 at probability 1/2,
 // no odd-parity records). This is the contract later multi-backend /
 // sharding PRs build on.
@@ -46,10 +46,13 @@ TEST(BackendRegistry, EveryBackendAgreesOnBellProbabilities) {
   spec.nominal_probability = 1.0;
 
   for (const std::string& name : BackendRegistry::instance().names()) {
-    const BackendPtr backend = make_backend(name);
-    ASSERT_TRUE(backend->supports(noisy)) << name;
-    RngStream rng(0xB311C0DEULL);
-    const ShotResult result = backend->run(noisy, spec, spec.shots, rng);
+    ASSERT_TRUE(make_backend(name)->supports(noisy)) << name;
+    be::Options opt;
+    opt.backend = name;
+    opt.seed = 0xB311C0DEULL;
+    const be::Result run = be::execute(noisy, {spec}, opt);
+    ASSERT_EQ(run.batches.size(), 1u) << name;
+    const be::TrajectoryBatch& result = run.batches[0];
     EXPECT_DOUBLE_EQ(result.realized_probability, 1.0) << name;
     ASSERT_EQ(result.records.size(), spec.shots) << name;
 
@@ -98,15 +101,21 @@ TEST(BackendRegistry, ExecuteDispatchesByName) {
   be::Options bad;
   bad.backend = "no-such-backend";
   EXPECT_THROW((void)be::execute(noisy, {spec}, bad), precondition_error);
+  // Forkable backends prepare through be::execute only.
+  RngStream rng(1);
+  EXPECT_THROW((void)make_backend("statevector")->run(noisy, spec, 8, rng),
+               precondition_error);
 }
 
 TEST(BackendRegistry, PluginRegistrationRoundTrips) {
   auto& registry = BackendRegistry::instance();
   const std::string name = "test-plugin-backend";
   if (!registry.contains(name)) {
-    // The plugin delegates to the statevector backend so that the
-    // every-registered-backend Bell test stays valid regardless of the
-    // order gtest runs this suite in (registrations are process-global).
+    // A run-only plugin: it delegates to the stabilizer backend, whose
+    // states cannot fork, so Batched Execution calls its run() per spec.
+    // Delegating keeps the every-registered-backend Bell test valid
+    // regardless of the order gtest runs this suite in (registrations are
+    // process-global).
     registry.register_backend(name, [](const BackendConfig&) -> BackendPtr {
       struct Plugin final : Backend {
         [[nodiscard]] const std::string& name() const noexcept override {
@@ -114,22 +123,26 @@ TEST(BackendRegistry, PluginRegistrationRoundTrips) {
           return kName;
         }
         [[nodiscard]] bool supports(const NoisyCircuit& noisy) const override {
-          return make_backend("statevector")->supports(noisy);
+          return make_backend("stabilizer")->supports(noisy);
         }
         [[nodiscard]] ShotResult run(const NoisyCircuit& noisy,
                                      const TrajectorySpec& spec,
                                      std::uint64_t shots,
                                      RngStream& rng) const override {
-          return make_backend("statevector")->run(noisy, spec, shots, rng);
+          return make_backend("stabilizer")->run(noisy, spec, shots, rng);
         }
       };
       return std::make_unique<Plugin>();
     });
   }
   EXPECT_TRUE(registry.contains(name));
-  RngStream rng(1);
-  const NoisyCircuit noisy = bell_program();
-  EXPECT_EQ(make_backend(name)->run(noisy, {}, 7, rng).records.size(), 7u);
+  be::Options opt;
+  opt.backend = name;
+  TrajectorySpec spec;
+  spec.shots = 7;
+  const be::Result run = be::execute(bell_program(), {spec}, opt);
+  ASSERT_EQ(run.batches.size(), 1u);
+  EXPECT_EQ(run.batches[0].records.size(), 7u);
   // Duplicate registration is rejected.
   EXPECT_THROW(
       registry.register_backend(name, [](const BackendConfig&) -> BackendPtr {

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/common/bits.hpp"
@@ -480,7 +481,10 @@ TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
 // sorted_uniforms, one cumulative pass over the basis masses, then
 // per-shot extract_bits — at every thread count, under both schedules and
 // on both dense backends, and its spec-ordered dataset bytes must not
-// depend on the thread count.
+// depend on the thread count. The reference prepares each spec op by op on
+// the concrete state, so it also checks the plan walk's preparation and
+// realised probabilities (unitary mixtures and general Kraus) independently
+// of both schedules.
 // ---------------------------------------------------------------------------
 
 /// Four qubits measured in the order 2, 0, 3 (qubit 1 unmeasured), so a
@@ -494,17 +498,49 @@ NoisyCircuit split_program() {
   return noise.apply(c);
 }
 
-/// Basis masses of the trajectory `assignment` selects, prepared gate by
-/// gate and branch by branch on the concrete dense state — the masses the
-/// sequential sampler walks (|a_i|², max(0, Re ρ_ii)).
-std::vector<double> reference_masses(const NoisyCircuit& noisy,
-                                     const std::vector<std::size_t>& assignment,
-                                     const std::string& backend) {
+/// Amplitude damping after every gate, measured in the order 2, 0, 1: the
+/// general-Kraus input, whose realised probabilities depend on the state.
+/// Sites 2 and 4 both act on qubit 1 (after the two cx gates).
+NoisyCircuit damped_program() {
+  Circuit c(3);
+  c.h(0).cx(0, 1).rx(2, 0.9).cx(1, 2);
+  c.measure(2).measure(0).measure(1);
+  NoiseModel noise;
+  noise.add_all_gate_noise(channels::amplitude_damping(0.3));
+  return noise.apply(c);
+}
+
+/// The trajectory `assignment` selects, prepared gate by gate and branch by
+/// branch on the concrete dense state: its basis masses — the masses the
+/// sequential sampler walks (|a_i|², max(0, Re ρ_ii)) — and its realised
+/// probability, multiplied in program order. A general-Kraus branch under
+/// the 1e-14 cut makes the trajectory unrealizable (probability 0).
+struct ReferenceLeaf {
+  std::vector<double> mass;
+  double realized = 1.0;
+};
+
+ReferenceLeaf reference_leaf(const NoisyCircuit& noisy,
+                             const std::vector<std::size_t>& assignment,
+                             const std::string& backend) {
+  ReferenceLeaf leaf;
   const auto drive = [&](auto& state) {
     const auto apply_sites = [&](const std::vector<std::size_t>& ids) {
       for (std::size_t id : ids) {
+        if (leaf.realized == 0.0) return;
         const NoiseSite& site = noisy.sites()[id];
-        state.apply_gate(site.channel->unitary(assignment[id]), site.qubits);
+        const KrausChannel& ch = *site.channel;
+        const std::size_t branch = assignment[id];
+        if (ch.is_unitary_mixture()) {
+          state.apply_gate(ch.unitary(branch), site.qubits);
+          leaf.realized *= ch.nominal_probabilities()[branch];
+        } else if (state.branch_probability(ch.kraus(branch), site.qubits) <
+                   1e-14) {
+          leaf.realized = 0.0;
+        } else {
+          leaf.realized *=
+              state.apply_kraus_branch(ch.kraus(branch), site.qubits);
+        }
       }
     };
     apply_sites(noisy.sites_after(NoiseSite::kBeforeCircuit));
@@ -515,18 +551,17 @@ std::vector<double> reference_masses(const NoisyCircuit& noisy,
       apply_sites(noisy.sites_after(i));
     }
   };
-  std::vector<double> mass;
   if (backend == "densmat") {
     DensityMatrix dm(noisy.num_qubits());
     drive(dm);
     for (std::uint64_t i = 0; i < dm.dim(); ++i)
-      mass.push_back(std::max(0.0, dm.element(i, i).real()));
+      leaf.mass.push_back(std::max(0.0, dm.element(i, i).real()));
   } else {
     StateVector sv(noisy.num_qubits());
     drive(sv);
-    for (const cplx& a : sv.amplitudes()) mass.push_back(std::norm(a));
+    for (const cplx& a : sv.amplitudes()) leaf.mass.push_back(std::norm(a));
   }
-  return mass;
+  return leaf;
 }
 
 /// The sequential sampler, written out: sorted uniforms, one cumulative
@@ -549,31 +584,16 @@ std::vector<std::uint64_t> reference_records(
   return shots;
 }
 
-TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
-  const NoisyCircuit noisy = split_program();
-  ASSERT_GE(noisy.num_sites(), 2u);
-  const std::vector<unsigned> measured = noisy.circuit().measured_qubits();
-  ASSERT_EQ(measured, (std::vector<unsigned>{2, 0, 3}));
-  const std::uint64_t chunk = be::kSampleChunk;
-  // A flip on site 1; the error-free assignment appears three times, so
-  // one trie leaf samples inline and split budgets from a shared state.
-  const std::size_t flip =
-      noisy.sites()[1].channel->default_branch() == 0 ? 1 : 0;
-  const auto spec = [&](std::uint64_t shots, bool flipped) {
-    TrajectorySpec s;
-    if (flipped) s.branches = {{1, flip}};
-    s.shots = shots;
-    return s;
-  };
-  std::vector<TrajectorySpec> specs = {
-      spec(0, false),
-      spec(1, true),
-      spec(chunk, false),
-      spec(chunk + 1, true),
-      spec(3 * chunk + 7, false),
-  };
+/// `specs` on `noisy` against the reference: records and realised
+/// probabilities at every thread count, under both schedules and on both
+/// dense backends, and spec-ordered dataset bytes that do not depend on the
+/// thread count. The last `unrealizable` specs must be unrealizable and the
+/// others realizable, so the input exercises what it claims to.
+void expect_matches_reference(const NoisyCircuit& noisy,
+                              std::vector<TrajectorySpec> specs,
+                              std::size_t unrealizable) {
   refresh_probabilities(noisy, specs);
-
+  const std::vector<unsigned> measured = noisy.circuit().measured_qubits();
   std::vector<std::size_t> thread_counts = {1, 2};
   const std::size_t hw = std::max(std::thread::hardware_concurrency(), 1u);
   if (hw > 2) thread_counts.push_back(hw);
@@ -584,11 +604,19 @@ TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
     be::Options options;
     options.backend = backend;
     const RngStream master(options.seed);
+    std::vector<ReferenceLeaf> leaves;
     std::vector<std::vector<std::uint64_t>> expected;
-    for (std::size_t t = 0; t < specs.size(); ++t)
-      expected.push_back(reference_records(
-          reference_masses(noisy, full_assignment(noisy, specs[t]), backend),
-          specs[t].shots, master.substream(t), measured));
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      leaves.push_back(
+          reference_leaf(noisy, full_assignment(noisy, specs[t]), backend));
+      EXPECT_EQ(leaves[t].realized > 0.0, t + unrealizable < specs.size())
+          << "spec " << t;
+      expected.push_back(
+          leaves[t].realized == 0.0
+              ? std::vector<std::uint64_t>{}
+              : reference_records(leaves[t].mass, specs[t].shots,
+                                  master.substream(t), measured));
+    }
     for (const be::Schedule schedule :
          {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
       options.schedule = schedule;
@@ -601,7 +629,8 @@ TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
         ASSERT_EQ(result.batches.size(), specs.size());
         for (std::size_t t = 0; t < specs.size(); ++t) {
           EXPECT_EQ(result.batches[t].records, expected[t]) << "spec " << t;
-          EXPECT_GT(result.batches[t].realized_probability, 0.0);
+          EXPECT_EQ(result.batches[t].realized_probability, leaves[t].realized)
+              << "spec " << t;
         }
         dataset::write_binary(threads == 1 ? ref_path : got_path, result);
         if (threads == 1)
@@ -610,6 +639,50 @@ TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
           EXPECT_EQ(slurp(got_path), first_bytes);
       }
     }
+  }
+}
+
+TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
+  const std::uint64_t chunk = be::kSampleChunk;
+  const auto spec = [](std::vector<BranchChoice> branches,
+                       std::uint64_t shots) {
+    TrajectorySpec s;
+    s.branches = std::move(branches);
+    s.shots = shots;
+    return s;
+  };
+  {
+    SCOPED_TRACE("bit flips");
+    const NoisyCircuit noisy = split_program();
+    ASSERT_GE(noisy.num_sites(), 2u);
+    ASSERT_EQ(noisy.circuit().measured_qubits(),
+              (std::vector<unsigned>{2, 0, 3}));
+    // A flip on site 1; the error-free assignment appears three times, so
+    // one trie leaf samples inline and split budgets from a shared state.
+    const std::size_t flip =
+        noisy.sites()[1].channel->default_branch() == 0 ? 1 : 0;
+    expect_matches_reference(
+        noisy,
+        {spec({}, 0), spec({{1, flip}}, 1), spec({}, chunk),
+         spec({{1, flip}}, chunk + 1), spec({}, 3 * chunk + 7)},
+        0);
+  }
+  {
+    SCOPED_TRACE("amplitude damping");
+    const NoisyCircuit noisy = damped_program();
+    ASSERT_EQ(noisy.num_sites(), 6u);
+    ASSERT_EQ(noisy.circuit().measured_qubits(),
+              (std::vector<unsigned>{2, 0, 1}));
+    // One decay at each site, an error-free spec that splits, and a second
+    // decay of qubit 1 (sites 2 and 4), which is unrealizable.
+    const std::size_t decay =
+        noisy.sites()[0].channel->default_branch() == 0 ? 1 : 0;
+    std::vector<TrajectorySpec> specs;
+    for (std::size_t site = 0; site < noisy.num_sites(); ++site)
+      specs.push_back(spec({{site, decay}}, 100 + site));
+    specs.push_back(spec({}, chunk + 3));
+    specs.push_back(spec({{2, decay}, {4, decay}}, 50));
+    expect_matches_reference(noisy, std::move(specs), 1);
   }
 }
 
