@@ -81,11 +81,6 @@ class SimStateAdapter final : public SimState {
       SimState::apply_prepared_run(gates);
   }
 
-  [[nodiscard]] double branch_probability(
-      const Matrix& k, std::span<const unsigned> qubits) override {
-    return state_.branch_probability(k, qubits);
-  }
-
   double apply_kraus_branch(const Matrix& k,
                             std::span<const unsigned> qubits) override {
     return state_.apply_kraus_branch(k, qubits);

@@ -49,6 +49,10 @@
 
 namespace ptsbe::be {
 
+/// A general-Kraus branch whose realised probability ‖Kψ‖² falls below this
+/// cut makes every spec through it unrealizable (realised probability 0).
+inline constexpr double kUnrealizableCut = 1e-14;
+
 /// Seed the plan walks of `specs` onto `executor`; call
 /// `executor.drain(...)` afterwards to run them. kSharedPrefix seeds one
 /// root task over every spec, sorted lexicographically by dense

@@ -41,9 +41,7 @@ namespace ptsbe {
 
 /// One forkable simulation state, positioned at |0…0⟩ on construction.
 /// Methods mirror the state-backend concept of the concrete
-/// representations; `branch_probability` is non-const because the MPS
-/// implementation moves its orthogonality center (the quantum state is
-/// unchanged).
+/// representations.
 class SimState {
  public:
   virtual ~SimState() = default;
@@ -70,11 +68,10 @@ class SimState {
         "apply_prepared_run on a state without prepared-run support");
   }
 
-  /// Realised probability ⟨ψ|K†K|ψ⟩ of Kraus operator `k` at this state.
-  [[nodiscard]] virtual double branch_probability(
-      const Matrix& k, std::span<const unsigned> qubits) = 0;
-
-  /// Apply Kraus operator `k` and renormalise; returns ‖K|ψ⟩‖².
+  /// Apply Kraus operator `k` and return ‖K|ψ⟩‖², the branch's realised
+  /// probability. Renormalises when that exceeds 1e-300; otherwise the
+  /// state is left unnormalised and the caller must discard it.
+  /// \throws precondition_error when the norm is not finite.
   virtual double apply_kraus_branch(const Matrix& k,
                                     std::span<const unsigned> qubits) = 0;
 

@@ -32,8 +32,9 @@ using WalkPtr = std::shared_ptr<const Walk>;
 
 /// Apply branch `branch` of `site` to `state`, accumulating the realised
 /// probability into `realized`. Returns false when the branch is
-/// unrealizable at this state (general-Kraus branch with ~zero realised
-/// probability); `realized` is then 0 and the state is unspecified.
+/// unrealizable at this state (a general-Kraus branch whose norm ‖Kψ‖²
+/// falls under `kUnrealizableCut`); `realized` is then 0 and the state must
+/// be discarded.
 bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
                   double& realized) {
   const KrausChannel& ch = *site.channel;
@@ -42,12 +43,12 @@ bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
     realized *= ch.nominal_probabilities()[branch];
     return true;
   }
-  const double p = state.branch_probability(ch.kraus(branch), site.qubits);
-  if (p < 1e-14) {
+  const double p = state.apply_kraus_branch(ch.kraus(branch), site.qubits);
+  if (p < kUnrealizableCut) {
     realized = 0.0;
     return false;
   }
-  realized *= state.apply_kraus_branch(ch.kraus(branch), site.qubits);
+  realized *= p;
   return true;
 }
 

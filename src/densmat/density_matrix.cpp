@@ -175,9 +175,11 @@ double DensityMatrix::apply_kraus_branch(const Matrix& k,
   apply_op_left(k, qubits);
   apply_op_right_dagger(k, qubits);
   const double p = trace_real();
-  PTSBE_REQUIRE(p > 1e-300, "Kraus branch has zero realised probability");
-  const double inv = 1.0 / p;
-  for (cplx& v : rho_) v *= inv;
+  PTSBE_REQUIRE(std::isfinite(p), "Kraus branch probability is not finite");
+  if (p > 1e-300) {
+    const double inv = 1.0 / p;
+    for (cplx& v : rho_) v *= inv;
+  }
   return p;
 }
 

@@ -46,8 +46,8 @@ class DensityMatrix {
   void apply_unitary(const Matrix& u, std::span<const unsigned> qubits);
 
   /// Alias for apply_unitary matching the state-backend concept
-  /// (apply_gate / branch_probability / apply_kraus_branch) the unified
-  /// Backend adapters prepare trajectories through.
+  /// (apply_gate / apply_kraus_branch) the unified Backend adapters
+  /// prepare trajectories through.
   void apply_gate(const Matrix& u, std::span<const unsigned> qubits) {
     apply_unitary(u, qubits);
   }
@@ -63,8 +63,9 @@ class DensityMatrix {
                                           std::span<const unsigned> qubits) const;
 
   /// Apply one Kraus branch and renormalise: ρ ← K ρ K† / tr(K ρ K†).
-  /// Returns the pre-normalisation trace. A (near-)zero trace is a
-  /// precondition violation (the caller selected an impossible branch).
+  /// Returns the pre-normalisation trace. At or below 1e-300 ρ is left as
+  /// K ρ K†, unnormalised, and the caller must discard it.
+  /// \throws precondition_error when the trace is not finite.
   double apply_kraus_branch(const Matrix& k, std::span<const unsigned> qubits);
 
   /// ρ ← Σ_i K_i ρ K_i† for a Kraus channel on `qubits`.

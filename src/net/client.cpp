@@ -229,6 +229,15 @@ ShardedClient::ShardedClient(const std::vector<std::string>& endpoints,
   }
 }
 
+ShardedClient::ShardedClient(const std::vector<Shard>& shards,
+                             ClientConfig base, std::size_t virtual_nodes)
+    : base_(std::move(base)), router_(virtual_nodes) {
+  PTSBE_REQUIRE(!shards.empty(), "ShardedClient needs >= 1 shard");
+  for (const Shard& shard : shards) {
+    router_.add_endpoint(shard.endpoint, shard.name);
+  }
+}
+
 Client& ShardedClient::shard(const std::string& endpoint) {
   const auto it = clients_.find(endpoint);
   if (it != clients_.end()) return it->second;

@@ -115,10 +115,15 @@ class Client {
 /// cache. Connections are opened lazily per endpoint. Not thread-safe.
 class ShardedClient {
  public:
-  /// \param endpoints `host:port` shard addresses (≥1).
+  /// \param endpoints `host:port` shard addresses (≥1), each shard named
+  ///        by its endpoint.
   /// \param base connection knobs applied to every shard (host/port
   ///        fields are overridden per endpoint).
   explicit ShardedClient(const std::vector<std::string>& endpoints,
+                         ClientConfig base = {},
+                         std::size_t virtual_nodes = 64);
+  /// Named shards (≥1): routes follow the names, not the endpoints.
+  explicit ShardedClient(const std::vector<Shard>& shards,
                          ClientConfig base = {},
                          std::size_t virtual_nodes = 64);
 

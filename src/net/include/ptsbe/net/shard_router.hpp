@@ -13,10 +13,13 @@
 /// whitespace) still land on the same shard, exactly mirroring how
 /// `serve::PlanCache` would coalesce them locally.
 ///
-/// Standard consistent-hash ring with virtual nodes: each endpoint is
+/// Standard consistent-hash ring with virtual nodes: each shard's name is
 /// hashed onto the ring `virtual_nodes` times and a fingerprint routes to
 /// the first node clockwise. Adding or removing one shard remaps only
-/// ~1/N of the keyspace — no full fleet reshuffle on scale-out.
+/// ~1/N of the keyspace — no full fleet reshuffle on scale-out. The name
+/// defaults to the shard's endpoint; a deployment that names its shards
+/// keeps every route (and so plan-cache affinity) when a daemon restarts
+/// on another port.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,23 +31,34 @@
 
 namespace ptsbe::net {
 
-/// Consistent-hash ring over `host:port` endpoint strings. Not
-/// thread-safe for concurrent mutation; build once, route from anywhere.
+/// One daemon of a fleet: the name the ring hashes (empty: the endpoint)
+/// and the `host:port` it listens on.
+struct Shard {
+  std::string name;
+  std::string endpoint;
+};
+
+/// Consistent-hash ring over shard names, routing to `host:port`
+/// endpoints. Not thread-safe for concurrent mutation; build once, route
+/// from anywhere.
 class ShardRouter {
  public:
-  /// \param virtual_nodes ring points per endpoint (more = smoother key
+  /// \param virtual_nodes ring points per shard (more = smoother key
   /// distribution at slightly larger ring; 64 keeps the max/min shard
   /// load ratio under ~1.3 for small fleets).
   explicit ShardRouter(std::size_t virtual_nodes = 64);
 
-  /// Add a shard endpoint (idempotent). \throws precondition_error when
-  /// `endpoint` is empty.
-  void add_endpoint(const std::string& endpoint);
-  /// Remove a shard endpoint (no-op when absent).
-  void remove_endpoint(const std::string& endpoint);
+  /// Add shard `name` at `endpoint`; an empty name is the endpoint
+  /// (idempotent). Re-adding a name moves that shard to `endpoint` without
+  /// changing which shard owns any fingerprint. \throws precondition_error
+  /// when `endpoint` is empty.
+  void add_endpoint(const std::string& endpoint, const std::string& name = {});
+  /// Remove the shard named `name` — an unnamed shard by its endpoint
+  /// (no-op when absent).
+  void remove_endpoint(const std::string& name);
 
-  /// Endpoint owning `fingerprint`. \throws precondition_error when the
-  /// ring is empty.
+  /// Endpoint of the shard owning `fingerprint`. \throws
+  /// precondition_error when the ring is empty.
   [[nodiscard]] const std::string& route(std::uint64_t fingerprint) const;
 
   /// Convenience: route a job directly.
@@ -54,9 +68,8 @@ class ShardRouter {
 
   /// Distinct endpoints currently on the ring (sorted).
   [[nodiscard]] std::vector<std::string> endpoints() const;
-  [[nodiscard]] std::size_t size() const noexcept {
-    return endpoint_count_;
-  }
+  /// Shards on the ring.
+  [[nodiscard]] std::size_t size() const noexcept { return shards_.size(); }
 
   /// Routing fingerprint of a job: 64-bit hash of its plan-cache key
   /// (canonical circuit text + backend + config). \throws io::ParseError
@@ -69,8 +82,8 @@ class ShardRouter {
 
  private:
   std::size_t virtual_nodes_;
-  std::size_t endpoint_count_ = 0;
-  std::map<std::uint64_t, std::string> ring_;
+  std::map<std::uint64_t, std::string> ring_;  // vnode hash → shard name
+  std::map<std::string, std::string> shards_;  // shard name → endpoint
 };
 
 }  // namespace ptsbe::net

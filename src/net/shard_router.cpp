@@ -10,9 +10,9 @@ namespace ptsbe::net {
 
 namespace {
 
-/// Ring position of virtual node `index` of `endpoint`.
-std::uint64_t vnode_hash(const std::string& endpoint, std::size_t index) {
-  return ShardRouter::hash64(endpoint + '#' + std::to_string(index));
+/// Ring position of virtual node `index` of shard `name`.
+std::uint64_t vnode_hash(const std::string& name, std::size_t index) {
+  return ShardRouter::hash64(name + '#' + std::to_string(index));
 }
 
 }  // namespace
@@ -22,46 +22,40 @@ ShardRouter::ShardRouter(std::size_t virtual_nodes)
   PTSBE_REQUIRE(virtual_nodes > 0, "ShardRouter needs at least 1 vnode");
 }
 
-void ShardRouter::add_endpoint(const std::string& endpoint) {
+void ShardRouter::add_endpoint(const std::string& endpoint,
+                               const std::string& name) {
   PTSBE_REQUIRE(!endpoint.empty(), "shard endpoint must be non-empty");
-  bool added = false;
+  const std::string& key = name.empty() ? endpoint : name;
+  // A known name only moves to its new endpoint: its ring points stay.
+  if (!shards_.insert_or_assign(key, endpoint).second) return;
   for (std::size_t i = 0; i < virtual_nodes_; ++i) {
     // On a (astronomically unlikely) vnode hash collision the earlier
-    // endpoint keeps the slot; the ring stays consistent either way.
-    added |= ring_.emplace(vnode_hash(endpoint, i), endpoint).second;
+    // shard keeps the slot; the ring stays consistent either way.
+    ring_.emplace(vnode_hash(key, i), key);
   }
-  if (added) ++endpoint_count_;
 }
 
-void ShardRouter::remove_endpoint(const std::string& endpoint) {
-  bool removed = false;
+void ShardRouter::remove_endpoint(const std::string& name) {
+  if (shards_.erase(name) == 0) return;
   for (std::size_t i = 0; i < virtual_nodes_; ++i) {
-    const auto it = ring_.find(vnode_hash(endpoint, i));
-    if (it != ring_.end() && it->second == endpoint) {
-      ring_.erase(it);
-      removed = true;
-    }
+    const auto it = ring_.find(vnode_hash(name, i));
+    if (it != ring_.end() && it->second == name) ring_.erase(it);
   }
-  if (removed) --endpoint_count_;
 }
 
 const std::string& ShardRouter::route(std::uint64_t fingerprint) const {
   PTSBE_REQUIRE(!ring_.empty(), "ShardRouter has no endpoints");
   auto it = ring_.lower_bound(fingerprint);
   if (it == ring_.end()) it = ring_.begin();  // clockwise wraparound
-  return it->second;
+  return shards_.at(it->second);
 }
 
 std::vector<std::string> ShardRouter::endpoints() const {
   std::vector<std::string> out;
-  out.reserve(endpoint_count_);
-  for (const auto& [hash, endpoint] : ring_) {
-    (void)hash;
-    bool seen = false;
-    for (const std::string& e : out) seen |= (e == endpoint);
-    if (!seen) out.push_back(endpoint);
-  }
+  out.reserve(shards_.size());
+  for (const auto& [name, endpoint] : shards_) out.push_back(endpoint);
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

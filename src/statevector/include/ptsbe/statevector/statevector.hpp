@@ -75,9 +75,9 @@ class StateVector {
                                           std::span<const unsigned> qubits) const;
 
   /// Apply Kraus operator K on `qubits` and renormalise: |ψ⟩ ← K|ψ⟩/‖K|ψ⟩‖.
-  /// Returns the pre-normalisation probability ‖K|ψ⟩‖². A (near-)zero
-  /// probability is a precondition violation (the caller sampled an
-  /// impossible branch).
+  /// Returns the pre-normalisation probability ‖K|ψ⟩‖². At or below 1e-300
+  /// the state is left as K|ψ⟩, unnormalised, and the caller must discard
+  /// it. \throws precondition_error when the norm is not finite.
   double apply_kraus_branch(const Matrix& k, std::span<const unsigned> qubits);
 
   /// Squared norm of the state (should be 1 after normalised operations).

@@ -171,9 +171,11 @@ double StateVector::apply_kraus_branch(const Matrix& k,
                                        std::span<const unsigned> qubits) {
   apply_gate(k, qubits);
   const double p = norm2();
-  PTSBE_REQUIRE(p > 1e-300, "Kraus branch has zero probability at this state");
-  const double inv = 1.0 / std::sqrt(p);
-  for (cplx& v : amp_) v *= inv;
+  PTSBE_REQUIRE(std::isfinite(p), "Kraus branch probability is not finite");
+  if (p > 1e-300) {
+    const double inv = 1.0 / std::sqrt(p);
+    for (cplx& v : amp_) v *= inv;
+  }
   return p;
 }
 

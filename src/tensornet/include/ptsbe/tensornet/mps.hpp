@@ -73,7 +73,10 @@ class MpsState {
   [[nodiscard]] double branch_probability(const Matrix& k,
                                           std::span<const unsigned> qubits);
 
-  /// Apply Kraus operator K and renormalise; returns ‖K|ψ⟩‖².
+  /// Apply Kraus operator K and renormalise; returns ‖K|ψ⟩‖² as the norm
+  /// ratio after/before. At or below 1e-300 the state is left as K|ψ⟩,
+  /// unnormalised, and the caller must discard it. \throws
+  /// precondition_error on a zero-norm input state or a non-finite ratio.
   double apply_kraus_branch(const Matrix& k, std::span<const unsigned> qubits);
 
   /// Squared norm (1 for normalised states; < 1 after truncation loss).

@@ -248,25 +248,16 @@ double MpsState::branch_probability(const Matrix& k,
 
 double MpsState::apply_kraus_branch(const Matrix& k,
                                     std::span<const unsigned> qubits) {
-  double p = 0.0;
-  if (qubits.size() == 1) {
-    const unsigned q = qubits[0];
-    move_center_to(q);
-    const double before = norm2();
-    apply_gate1(k, q);
-    const double after = norm2();
-    PTSBE_REQUIRE(before > 1e-300 && after > 1e-300,
-                  "Kraus branch has zero probability at this state");
-    p = after / before;
-    const double scale = std::sqrt(before / after);
-    for (cplx& v : t_[q].data) v *= scale;
-  } else {
-    const double before = norm2();
-    apply_gate(k, qubits);
-    const double after = norm2();
-    PTSBE_REQUIRE(before > 1e-300 && after > 1e-300,
-                  "Kraus branch has zero probability at this state");
-    p = after / before;
+  // norm2() reads the orthogonality center's tensor, so a one-qubit
+  // operator is applied at the center.
+  if (qubits.size() == 1) move_center_to(qubits[0]);
+  const double before = norm2();
+  PTSBE_REQUIRE(before > 1e-300, "zero-norm state");
+  apply_gate(k, qubits);
+  const double after = norm2();
+  const double p = after / before;
+  PTSBE_REQUIRE(std::isfinite(p), "Kraus branch probability is not finite");
+  if (p > 1e-300) {
     const double scale = std::sqrt(before / after);
     for (cplx& v : t_[center_].data) v *= scale;
   }

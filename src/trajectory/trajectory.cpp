@@ -45,7 +45,10 @@ std::size_t sample_and_apply_site(State& state, const NoiseSite& site,
       break;
     }
   }
-  state.apply_kraus_branch(ch.kraus(k), site.qubits);
+  // When rounding leaves r ≥ Σp, k falls back to the last branch, which can
+  // have zero probability at this state.
+  const double p = state.apply_kraus_branch(ch.kraus(k), site.qubits);
+  PTSBE_REQUIRE(p > 1e-300, "Kraus branch has zero probability at this state");
   ++stats.gate_applications;
   return k;
 }

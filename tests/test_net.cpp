@@ -340,6 +340,40 @@ TEST(NetShardRouter, ConsistentRoutingWithMinimalRemapping) {
   }
 }
 
+TEST(NetShardRouter, NamedShardKeepsItsRoutesAtANewEndpoint) {
+  net::ShardRouter router(64);
+  router.add_endpoint("10.0.0.1:7411", "alpha");
+  router.add_endpoint("10.0.0.2:7411", "beta");
+  std::map<std::uint64_t, std::string> before;
+  for (std::uint64_t key = 0; key < 600; ++key) {
+    const std::uint64_t fp = net::ShardRouter::hash64(std::to_string(key));
+    before[fp] = router.route(fp);
+  }
+
+  // "alpha" restarts on another port: every key it owned follows it, and
+  // no other key moves.
+  router.add_endpoint("10.0.0.1:7522", "alpha");
+  ASSERT_EQ(router.size(), 2u);
+  EXPECT_EQ(router.endpoints(),
+            (std::vector<std::string>{"10.0.0.1:7522", "10.0.0.2:7411"}));
+  int moved = 0;
+  for (const auto& [fp, owner] : before) {
+    if (owner == "10.0.0.1:7411") {
+      EXPECT_EQ(router.route(fp), "10.0.0.1:7522");
+      ++moved;
+    } else {
+      EXPECT_EQ(router.route(fp), owner);
+    }
+  }
+  EXPECT_GT(moved, 600 / 10);
+
+  router.remove_endpoint("alpha");
+  ASSERT_EQ(router.size(), 1u);
+  for (const auto& [fp, owner] : before) {
+    EXPECT_EQ(router.route(fp), "10.0.0.2:7411");
+  }
+}
+
 TEST(NetShardRouter, ShardedClientRejectsBadEndpointPorts) {
   // Non-numeric and out-of-range ports must fail with the project's
   // precondition diagnostic, not a raw std::stoul throw or a silent
@@ -437,10 +471,11 @@ TEST(NetLoopback, DeterminismMatrixAcrossLanesAndShards) {
   server_config.engine.plan_cache_capacity = 8;
   net::Server shard_a(server_config);
   net::Server shard_b(server_config);
-  net::ShardedClient fleet({shard_a.endpoint(), shard_b.endpoint()});
+  net::ShardedClient fleet(
+      {{"alpha", shard_a.endpoint()}, {"beta", shard_b.endpoint()}});
 
   // The matrix only pins multi-process behaviour if both shards actually
-  // serve traffic.
+  // serve traffic. Named shards keep the split off the ephemeral ports.
   std::map<std::string, int> shard_load;
   for (const WireCell& cell : cells) {
     ++shard_load[fleet.route(request_for(cell))];

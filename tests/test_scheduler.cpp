@@ -434,7 +434,7 @@ TEST(DeterminismMatrix, StreamingThreadsMatchMaterialisedReference) {
 }
 
 // Above 2^14 amplitudes every worker's general-Kraus sites run the
-// statevector reductions (branch_probability, norm2) on a full OpenMP team.
+// statevector reduction (apply_kraus_branch's norm2) on a full OpenMP team.
 // Their bits, and so every realized_probability and dataset byte, must
 // still not depend on the worker count or on which team ran them.
 TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
@@ -513,8 +513,10 @@ NoisyCircuit damped_program() {
 /// The trajectory `assignment` selects, prepared gate by gate and branch by
 /// branch on the concrete dense state: its basis masses — the masses the
 /// sequential sampler walks (|a_i|², max(0, Re ρ_ii)) — and its realised
-/// probability, multiplied in program order. A general-Kraus branch under
-/// the 1e-14 cut makes the trajectory unrealizable (probability 0).
+/// probability, multiplied in program order. A general-Kraus branch whose
+/// `branch_probability` falls under `be::kUnrealizableCut` makes the
+/// trajectory unrealizable (probability 0) — decided independently of the
+/// walk, which cuts on `apply_kraus_branch`'s norm.
 struct ReferenceLeaf {
   std::vector<double> mass;
   double realized = 1.0;
@@ -535,7 +537,7 @@ ReferenceLeaf reference_leaf(const NoisyCircuit& noisy,
           state.apply_gate(ch.unitary(branch), site.qubits);
           leaf.realized *= ch.nominal_probabilities()[branch];
         } else if (state.branch_probability(ch.kraus(branch), site.qubits) <
-                   1e-14) {
+                   be::kUnrealizableCut) {
           leaf.realized = 0.0;
         } else {
           leaf.realized *=

@@ -1,10 +1,12 @@
 // Unit + property tests for the statevector backend: gate kernels against
-// dense matrix algebra, Kraus branches, bulk sampling statistics.
+// dense matrix algebra, Kraus branches (and the apply_kraus_branch contract
+// every forkable state shares), bulk sampling statistics.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -14,7 +16,9 @@
 
 #include "ptsbe/circuit/circuit.hpp"
 #include "ptsbe/common/bits.hpp"
+#include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/statevector/statevector.hpp"
+#include "ptsbe/tensornet/mps.hpp"
 
 namespace ptsbe {
 namespace {
@@ -145,11 +149,53 @@ TEST(StateVector, KrausBranchRenormalizes) {
   EXPECT_NEAR(std::abs(sv.amplitude(0)), 1.0, 1e-12);  // decayed to |0>
 }
 
-TEST(StateVector, ZeroProbabilityBranchThrows) {
-  StateVector sv(1);  // |0>
-  const Matrix k(2, 2, {0.0, 1.0, 0.0, 0.0});  // |0><1| annihilates |0>
-  EXPECT_THROW((void)sv.apply_kraus_branch(k, std::array{0u}),
+double norm_of(StateVector& s) { return s.norm2(); }
+double norm_of(DensityMatrix& s) { return s.trace_real(); }
+double norm_of(MpsState& s) { return s.norm2(); }
+
+/// The apply_kraus_branch contract every forkable state shares: the plan
+/// walk decides realizability from the returned norm alone.
+template <typename State>
+void expect_kraus_branch_contract() {
+  const std::array q0{0u};
+  // |0><1| annihilates |0>: exactly zero, returned rather than thrown.
+  const Matrix lower(2, 2, {0.0, 1.0, 0.0, 0.0});
+  State zero(1);
+  double p = -1.0;
+  EXPECT_NO_THROW(p = zero.apply_kraus_branch(lower, q0));
+  EXPECT_EQ(p, 0.0);
+
+  // A NaN state still fails loudly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  State poisoned(1);
+  poisoned.apply_gate(Matrix(2, 2, {nan, nan, nan, nan}), q0);
+  EXPECT_THROW((void)poisoned.apply_kraus_branch(lower, q0),
                precondition_error);
+
+  // Above the cut: the probability branch_probability predicts, and the
+  // state renormalised.
+  const Matrix decay(2, 2, {0.0, std::sqrt(0.4), 0.0, 0.0});
+  State bell(2);
+  bell.apply_gate(gates::H(), q0);
+  bell.apply_gate(gates::CX(), std::array{0u, 1u});
+  const double predicted = bell.branch_probability(decay, q0);
+  EXPECT_NEAR(bell.apply_kraus_branch(decay, q0), predicted, 1e-12);
+  EXPECT_NEAR(norm_of(bell), 1.0, 1e-12);
+}
+
+TEST(ForkableStates, ApplyKrausBranchContract) {
+  {
+    SCOPED_TRACE("statevector");
+    expect_kraus_branch_contract<StateVector>();
+  }
+  {
+    SCOPED_TRACE("densmat");
+    expect_kraus_branch_contract<DensityMatrix>();
+  }
+  {
+    SCOPED_TRACE("mps");
+    expect_kraus_branch_contract<MpsState>();
+  }
 }
 
 TEST(StateVector, ReductionBitsIgnoreOpenMPTeamSize) {
