@@ -32,7 +32,7 @@ int main() {
   NoiseModel noise;
   noise.add_all_gate_noise(channels::depolarizing(0.004));
   const NoisyCircuit noisy = noise.apply(circuit);
-  const qec::CssLookupDecoder decoder(code, 1);
+  const qec::LookupDecoder decoder(code.z_supports, code.n, 1);
   std::printf("workload: Steane |0_L> readout, %zu noise sites\n\n",
               noisy.num_sites());
 
@@ -47,7 +47,7 @@ int main() {
     for (const auto& batch : result.batches) {
       double fails = 0.0;
       for (auto record : batch.records)
-        fails += decoder.logical_z_value(record) != 0 ? 1.0 : 0.0;
+        fails += qec::decode_readout(code, qec::CssBasis::kZ, decoder, record);
       // Weight each trajectory by its probability so rates are physical.
       const double w = batch.spec.nominal_probability;
       weighted_fail += w * fails / static_cast<double>(batch.records.size());

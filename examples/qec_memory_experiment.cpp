@@ -23,7 +23,7 @@ int main() {
   const qec::CssCode code = qec::steane();
   const unsigned rounds = 1;
   const qec::MemoryExperiment exp = qec::make_memory_experiment(code, rounds);
-  const qec::CssLookupDecoder decoder(code, 1);
+  const qec::LookupDecoder decoder(code.z_supports, code.n, 1);
   std::printf("Steane memory: %u rounds, %u qubits, depth %zu\n\n", rounds,
               exp.circuit.num_qubits(), exp.circuit.depth());
 

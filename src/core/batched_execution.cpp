@@ -109,7 +109,7 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
         accum.prepare_seconds += shot.prepare_seconds;
         accum.sample_seconds += shot.sample_seconds;
         leaves.emit(worker, t, std::move(shot.records),
-                    shot.realized_probability, worker);
+                    shot.realized_probability);
       });
     }
   }

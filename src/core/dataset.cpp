@@ -113,7 +113,6 @@ std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
   out.records.resize(extent.num_records);
   source.read_at(extent.end - kRecordBytes * extent.num_records,
                  out.records.data(), kRecordBytes * extent.num_records);
-  out.device_id = 0;  // scheduling artifact; not stored
   return extent.end;
 }
 

@@ -152,8 +152,4 @@ void Reader::seek_batch(std::uint64_t index) {
   index_ = index;
 }
 
-Reader open_view(const std::string& path, ViewMode mode) {
-  return Reader(path, mode);
-}
-
 }  // namespace ptsbe::dataset

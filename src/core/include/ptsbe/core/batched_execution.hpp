@@ -72,16 +72,16 @@ struct Options {
   /// Worker threads for inter-trajectory parallelism (the work-stealing
   /// `TrajectoryExecutor`): 0 = hardware concurrency, 1 (default) = serial
   /// execution on one worker. Records are bit-identical at every thread
-  /// count; only batch *completion order* (and the diagnostic per-batch
-  /// `device_id`) depends on scheduling. Inside one trajectory, OpenMP
-  /// parallelises sweeps and reductions once a state has 2^14 amplitudes,
-  /// and never changes a bit. It pays off when fewer specs than cores run
+  /// count; only batch *completion order* depends on scheduling. Inside
+  /// one trajectory, OpenMP parallelises sweeps and reductions once a state
+  /// has 2^14 amplitudes, and never changes a bit. It pays off when fewer
+  /// specs than cores run
   /// (4-core VM, threads = 1, one amplitude-damped spec: 22 qubits 2.0 s vs
   /// 6.0-6.4 s at OMP_NUM_THREADS=1, 24 qubits 9.3-9.7 s vs 25-27 s); with
   /// a spec per core its effect on wall time is within run-to-run noise.
   std::size_t threads = 1;
   /// Master seed; trajectory t uses substream (t+1) so results are
-  /// reproducible regardless of device scheduling.
+  /// reproducible regardless of worker scheduling.
   std::uint64_t seed = 0x5EEDBA5EDULL;
   /// Optional pre-built execution plan. When set, BE skips the per-call
   /// `Backend::make_plan` (fusion + lowering) and sweeps this plan instead —
@@ -109,10 +109,6 @@ struct TrajectoryBatch {
   /// second amplitude-damping decay on an already-decayed qubit); such
   /// batches carry no records.
   double realized_probability = 1.0;
-  /// Executor worker ("simulated device") that prepared this trajectory.
-  /// Diagnostics only: under work stealing the value depends on thread
-  /// scheduling, which is why the dataset formats do not persist it.
-  std::size_t device_id = 0;
 };
 
 /// Full BE output.

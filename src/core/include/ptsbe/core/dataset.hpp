@@ -44,9 +44,9 @@ inline constexpr std::size_t kHeaderBytes =
 //   num_branches, (site, branch) × num_branches,
 //   num_records, record × num_records
 //
-// The per-batch `device_id` is not stored: which worker prepared a batch is
-// a scheduling artifact (format v1 stored it, which broke byte identity
-// across thread counts).
+// No field depends on scheduling. Format v1 also stored the id of the
+// worker that prepared the batch, which broke byte identity across thread
+// counts.
 
 /// Encoded size of `batch`'s block.
 [[nodiscard]] std::uint64_t block_bytes(
@@ -113,7 +113,7 @@ struct BlockExtent {
 /// Decode the block at `offset` into `out` and return the offset one past
 /// it. Its extent is checked by `block_extent` before anything is allocated,
 /// so a hostile count cannot force a huge resize. `out`'s vectors are
-/// reused, so a decode loop allocates only on growth; `device_id` is 0.
+/// reused, so a decode loop allocates only on growth.
 /// \throws invariant_error on a truncated block or hostile counts.
 std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
                            be::TrajectoryBatch& out);

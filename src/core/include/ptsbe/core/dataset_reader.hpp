@@ -13,7 +13,7 @@
 ///    and `block_extent` bounds every count by the remaining file size
 ///    before any allocation, so a hostile length field cannot force a huge
 ///    resize.
-///  - **Two byte sources.** `open_view` maps the file read-only
+///  - **Two byte sources.** `Reader` maps the file read-only
 ///    (`ViewMode::kMmap`) so iteration touches only the pages it decodes,
 ///    with a `pread`-based fallback (`ViewMode::kStream`) for filesystems
 ///    where mapping fails; `kAuto` tries the map first. Decoded batches
@@ -105,10 +105,5 @@ class Reader {
   /// (grown by next()/seek_batch(); offsets_[0] is the header size).
   std::vector<std::uint64_t> offsets_;
 };
-
-/// Convenience: `Reader(path, mode)` — named to make call sites read as
-/// "open a view over the file" rather than "load the file".
-[[nodiscard]] Reader open_view(const std::string& path,
-                               ViewMode mode = ViewMode::kAuto);
 
 }  // namespace ptsbe::dataset

@@ -79,10 +79,9 @@ class LeafSampler {
   void emit_unrealizable(std::size_t worker,
                          std::span<const std::size_t> group);
 
-  /// Emit spec `t`'s batch; `device` is the worker that prepared it.
+  /// Emit spec `t`'s batch.
   void emit(std::size_t worker, std::size_t t,
-            std::vector<std::uint64_t> records, double realized,
-            std::size_t device);
+            std::vector<std::uint64_t> records, double realized);
 
   /// `worker`'s accounting slot, for preparation time measured elsewhere.
   [[nodiscard]] WorkerAccum& accum(std::size_t worker) {

@@ -20,9 +20,8 @@
 /// chunk regenerates a fixed, position-addressed slice of the spec's
 /// substream, and the order-dependent work (prefix sum, division, bin
 /// walk) runs once, sequentially, in whichever chunk finishes last
-/// (ptsbe/core/leaf_sampler.hpp). Only completion *order* (and the
-/// diagnostic `TrajectoryBatch::device_id`, the id of the worker that
-/// prepared the batch) depends on scheduling.
+/// (ptsbe/core/leaf_sampler.hpp). Only completion *order* depends on
+/// scheduling.
 ///
 /// Thread model:
 ///  - `spawn` seeds work before `drain` (caller thread) or adds work from

@@ -43,7 +43,6 @@ struct LeafSampler::SplitLeaf {
   std::atomic<std::uint64_t> chunks_left{0};
   double realized = 0.0;
   std::size_t spec = 0;
-  std::size_t device = 0;
 };
 
 LeafSampler::LeafSampler(TrajectoryExecutor& executor,
@@ -84,7 +83,7 @@ double LeafSampler::sample(std::size_t worker, SimStatePtr state,
     std::vector<std::uint64_t> records =
         sample_records(*sampler, shots, rng, measured_);
     seconds += timer.seconds();
-    emit(worker, t, std::move(records), realized, worker);
+    emit(worker, t, std::move(records), realized);
   }
   accums_[worker].sample_seconds += seconds;
   return seconds;
@@ -102,7 +101,6 @@ void LeafSampler::spawn_chunks(std::size_t worker,
   leaf->chunks_left.store(chunks, std::memory_order_relaxed);
   leaf->realized = realized;
   leaf->spec = t;
-  leaf->device = worker;
   // Later chunks go on this worker's deque for idle workers to steal; this
   // worker draws chunk 0 now.
   for (std::uint64_t c = chunks; c-- > 1;)
@@ -130,22 +128,19 @@ void LeafSampler::run_chunk(std::size_t worker, SplitLeaf& leaf,
   rng.skip_doubles(leaf.records.size());
   leaf.state->records_from_exponentials(leaf.records, rng.exponential(),
                                         measured_);
-  emit(worker, leaf.spec, std::move(leaf.records), leaf.realized,
-       leaf.device);
+  emit(worker, leaf.spec, std::move(leaf.records), leaf.realized);
 }
 
 void LeafSampler::emit_unrealizable(std::size_t worker,
                                     std::span<const std::size_t> group) {
-  for (std::size_t t : group) emit(worker, t, {}, 0.0, worker);
+  for (std::size_t t : group) emit(worker, t, {}, 0.0);
 }
 
 void LeafSampler::emit(std::size_t worker, std::size_t t,
-                       std::vector<std::uint64_t> records, double realized,
-                       std::size_t device) {
+                       std::vector<std::uint64_t> records, double realized) {
   TrajectoryBatch batch;
   batch.spec_index = t;
   batch.spec = specs_[t];
-  batch.device_id = device;
   batch.records = std::move(records);
   batch.realized_probability = realized;
   WorkerAccum& accum = accums_[worker];

@@ -41,11 +41,14 @@
 ///    mnemonic (`i x y z h s sdg t tdg sx sxdg sy sydg` · `rx ry rz p`
 ///    with one angle · `u3` with three · `cx cy cz swap iswap`)
 ///  - `unitary <name> <k> <q…> <nparams> <params…> <re im …>` — arbitrary
-///    k-qubit gate with an explicit 2^k×2^k matrix
+///    k-qubit gate with an explicit 2^k×2^k matrix, unitary to 1e-9
 ///  - `noise <id> <q…>`            — noise site on the declared channel
 ///    `<id>`, attached after the most recent operation line (before the
 ///    circuit when none precedes it)
 ///  - `measure <q>`                — terminal measurement
+///
+/// Every number must be finite: `nan`, `inf` and overflowing literals
+/// such as `1e999` are rejected at their token.
 ///
 /// Round-trip contract: `parse_circuit(write_circuit(c))` reproduces `c`
 /// *exactly* — op names, qubit lists, params, matrices, site order and
@@ -95,8 +98,9 @@ class ParseError : public runtime_failure {
 /// Serialise `noisy` as `.ptq` text. Channels are emitted in raw Kraus
 /// form (one declaration per distinct channel handle), gates by mnemonic
 /// when the stored matrix is bit-identical to the gate library's
-/// reconstruction and as `unitary` lines otherwise, so the output always
-/// parses back to an exactly equal program.
+/// reconstruction and as `unitary` lines otherwise, so the output of a
+/// program with unitary gates and finite parameters parses back to an
+/// exactly equal program.
 /// \throws precondition_error when `noisy`'s sites are not in program
 ///         order (such programs have no line-oriented representation that
 ///         preserves site indices).

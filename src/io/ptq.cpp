@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -245,6 +246,9 @@ class Parser {
     const double v = std::strtod(begin, &end);
     if (end != begin + tok.text.size())
       fail(tok.column, "expected " + what + ", got '" + tok.text + "'");
+    // nan, inf and overflow (1e999) parse, but describe no physical program.
+    if (!std::isfinite(v))
+      fail(tok.column, what + " '" + tok.text + "' is not finite");
     return v;
   }
 
@@ -367,6 +371,10 @@ class Parser {
         const double im = need_double("matrix entry");
         m(r, c) = cplx{re, im};
       }
+    // KrausChannel's tolerance: a gate is held to the same standard as a
+    // one-operator channel.
+    if (!is_unitary(m, 1e-9))
+      fail(head.column, "unitary '" + name.text + "' is not unitary");
     append_gate(head, name.text, m, std::move(qubits), std::move(params));
   }
 

@@ -86,7 +86,8 @@ class Matrix {
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const noexcept;
 
-  /// Max elementwise |difference| against another matrix of the same shape.
+  /// Max elementwise |difference| against another matrix of the same shape;
+  /// NaN when any difference is NaN, so no tolerance check passes it.
   [[nodiscard]] double max_abs_diff(const Matrix& other) const;
 
   Matrix& operator+=(const Matrix& rhs);

@@ -49,8 +49,12 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   PTSBE_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
                 "max_abs_diff() shape mismatch");
   double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    m = std::max(m, std::abs(data_[i] - other.data_[i]));
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    const double d = std::abs(data_[i] - other.data_[i]);
+    // std::max(m, NaN) is m: return the NaN, so no tolerance accepts it.
+    if (std::isnan(d)) return d;
+    m = std::max(m, d);
+  }
   return m;
 }
 

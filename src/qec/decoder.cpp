@@ -64,31 +64,6 @@ std::uint64_t LookupDecoder::decode(std::uint64_t syndrome_bits) const {
   return it == table_.end() ? 0 : it->second;
 }
 
-CssLookupDecoder::CssLookupDecoder(const CssCode& code,
-                                   unsigned max_error_weight)
-    : code_(code) {
-  PTSBE_REQUIRE(!code_.z_supports.empty(), "decoder needs Z-type stabilizers");
-  table_ = build_min_weight_table(code_.z_supports, code_.n, max_error_weight);
-}
-
-std::uint64_t CssLookupDecoder::syndrome(std::uint64_t outcome) const {
-  return css_syndrome(code_.z_supports, outcome);
-}
-
-std::uint64_t CssLookupDecoder::correction(std::uint64_t syndrome_bits) const {
-  const auto it = table_.find(syndrome_bits);
-  return it == table_.end() ? 0 : it->second;
-}
-
-unsigned CssLookupDecoder::logical_z_value(std::uint64_t outcome) const {
-  const std::uint64_t corrected = outcome ^ correction(syndrome(outcome));
-  return parity64(corrected & code_.logical_z.z);
-}
-
-const std::string& CssLookupDecoder::name() const noexcept {
-  return kLookupName;
-}
-
 std::unique_ptr<Decoder> make_decoder(const std::string& kind,
                                       const CssCode& code, CssBasis basis) {
   const std::vector<std::uint64_t>& supports = code.check_supports(basis);
@@ -104,6 +79,14 @@ std::unique_ptr<Decoder> make_decoder(const std::string& kind,
     return std::make_unique<UnionFindDecoder>(supports, code.n);
   throw precondition_error("unknown decoder '" + kind +
                            "'; known decoders: lookup union-find");
+}
+
+unsigned decode_readout(const CssCode& code, CssBasis basis,
+                        const Decoder& decoder, std::uint64_t readout) {
+  const std::uint64_t syndrome =
+      css_syndrome(code.check_supports(basis), readout);
+  return parity64((readout ^ decoder.decode(syndrome)) &
+                  code.logical_support(basis));
 }
 
 }  // namespace ptsbe::qec

@@ -21,6 +21,10 @@
 /// name decoders through. All decoders are immutable after construction and
 /// safe to share across threads; `decode` is deterministic (fixed iteration
 /// order everywhere), which the QEC determinism matrix pins.
+///
+/// Decoding has two entry points: `decode_readout` returns the corrected
+/// logical value of one bare transversal readout, and a `ShotDecoder`
+/// (ptsbe/qec/spacetime.hpp) decodes a whole memory-experiment record.
 
 #include <cstdint>
 #include <memory>
@@ -98,42 +102,6 @@ class UnionFindDecoder final : public Decoder {
   std::vector<std::vector<unsigned>> incident_;
 };
 
-/// Minimum-weight lookup decoder over Z-basis readouts of one CSS block
-/// (the original PR 2 decoder, now a `Decoder`; kept for its richer
-/// syndrome/correction helpers used by the distillation workload).
-class CssLookupDecoder final : public Decoder {
- public:
-  /// Build the syndrome → correction table by enumerating X-error patterns
-  /// of weight ≤ `max_error_weight` (defaults to ⌊(d−1)/2⌋ behaviour when
-  /// given the code's correctable weight).
-  explicit CssLookupDecoder(const CssCode& code, unsigned max_error_weight = 1);
-
-  /// Syndrome bits of a readout: bit j = parity(outcome & z_support_j).
-  [[nodiscard]] std::uint64_t syndrome(std::uint64_t outcome) const;
-
-  /// Minimum-weight X-error mask for `syndrome` (0 when the syndrome is not
-  /// in the table — the decoder then corrects nothing).
-  [[nodiscard]] std::uint64_t correction(std::uint64_t syndrome_bits) const;
-
-  /// Decoded logical Z value of a readout: parity over the logical Z support
-  /// after applying the correction.
-  [[nodiscard]] unsigned logical_z_value(std::uint64_t outcome) const;
-
-  /// True when the readout's syndrome is trivial (no detected error).
-  [[nodiscard]] bool syndrome_is_trivial(std::uint64_t outcome) const {
-    return syndrome(outcome) == 0;
-  }
-
-  [[nodiscard]] const std::string& name() const noexcept override;
-  [[nodiscard]] std::uint64_t decode(std::uint64_t syndrome_bits) const override {
-    return correction(syndrome_bits);
-  }
-
- private:
-  CssCode code_;
-  std::unordered_map<std::uint64_t, std::uint64_t> table_;
-};
-
 /// Factory: build a `kind` decoder ("lookup" | "union-find") for reading
 /// `code` out in `basis`. The lookup table enumerates up to the code's
 /// correctable weight ⌊(d−1)/2⌋ (at least 1).
@@ -143,5 +111,13 @@ class CssLookupDecoder final : public Decoder {
                                                     const CssCode& code,
                                                     CssBasis basis =
                                                         CssBasis::kZ);
+
+/// Corrected logical value of a bare transversal `basis` readout of one
+/// `code` block: the parity, over `code.logical_support(basis)`, of the
+/// readout with `decoder`'s correction applied. `decoder` must be built on
+/// `code.check_supports(basis)`.
+[[nodiscard]] unsigned decode_readout(const CssCode& code, CssBasis basis,
+                                      const Decoder& decoder,
+                                      std::uint64_t readout);
 
 }  // namespace ptsbe::qec

@@ -76,16 +76,10 @@ enum class PrepStyle : std::uint8_t { kEncoder, kProduct };
     PrepStyle prep = PrepStyle::kEncoder);
 
 /// Decode one shot of the experiment with any `Decoder` built for the
-/// experiment's basis: correct the final data readout and return the
-/// measured logical value (0 = success).
+/// experiment's basis: `decode_readout` of the final data readout, i.e. the
+/// measured logical value (0 = success). The ancilla history is ignored.
 [[nodiscard]] unsigned decode_memory_shot(const MemoryExperiment& experiment,
                                           const Decoder& decoder,
-                                          std::uint64_t record);
-
-/// Decode one shot of the experiment: lookup-correct the final data readout
-/// and return the logical Z value (0 = success for a |0_L⟩ memory).
-[[nodiscard]] unsigned decode_memory_shot(const MemoryExperiment& experiment,
-                                          const CssLookupDecoder& decoder,
                                           std::uint64_t record);
 
 /// Logical error rate over a batch of records.

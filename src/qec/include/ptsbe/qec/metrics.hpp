@@ -11,25 +11,23 @@
 ///    (well-behaved at 0 failures, unlike the normal approximation);
 ///  - `LogicalErrorAccumulator` — a streaming consumer of trajectory
 ///    batches (usable directly as a `be::BatchSink`, so sweeps never
-///    materialise a full `Result`). It weighs shots with exactly the
-///    estimator's `be::shot_weight` rule, so the weighted rate equals
-///    `RunResult::estimate_probability(decoder fails)` bit-for-bit, and
-///    scales its Wilson interval by the Kish effective sample size
-///    (Σw)²/Σw² — which degrades gracefully under importance-sampling
-///    strategies and reduces to the raw shot count for uniform weights;
+///    materialise a full `Result`). It decodes each record with a
+///    `ShotDecoder` (`make_shot_decoder` names them) and weighs shots
+///    with exactly the estimator's `be::shot_weight` rule, so the weighted
+///    rate equals `RunResult::estimate_probability(decoder fails)`
+///    bit-for-bit, and scales its Wilson interval by the Kish effective
+///    sample size (Σw)²/Σw² — which degrades gracefully under
+///    importance-sampling strategies and reduces to the raw shot count for
+///    uniform weights;
 ///  - `run_memory_point` — one threshold-sweep point end to end: workload →
-///    pipeline (streaming) → decoded `LogicalErrorPoint`.
+///    pipeline (streaming) → `ShotDecoder` → `LogicalErrorPoint`.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include <memory>
-
 #include "ptsbe/core/estimator.hpp"
 #include "ptsbe/core/pipeline.hpp"
-#include "ptsbe/qec/decoder.hpp"
-#include "ptsbe/qec/memory.hpp"
 #include "ptsbe/qec/spacetime.hpp"
 #include "ptsbe/qec/workload.hpp"
 
@@ -61,11 +59,6 @@ class LogicalErrorAccumulator {
   LogicalErrorAccumulator(const ShotDecoder& decoder,
                           be::Weighting weighting);
 
-  /// Spatial convenience: wraps `decoder` for `experiment` (both borrowed;
-  /// must outlive the accumulator).
-  LogicalErrorAccumulator(const MemoryExperiment& experiment,
-                          const Decoder& decoder, be::Weighting weighting);
-
   void consume(const be::TrajectoryBatch& batch);
   void consume(const be::Result& result);
 
@@ -88,7 +81,6 @@ class LogicalErrorAccumulator {
   [[nodiscard]] WilsonInterval wilson(double z = kZ95) const;
 
  private:
-  std::unique_ptr<ShotDecoder> owned_;  ///< Set by the spatial ctor.
   const ShotDecoder* decoder_;
   be::Weighting weighting_;
   std::uint64_t shots_ = 0;
@@ -130,11 +122,6 @@ struct LogicalErrorPoint {
 /// as devices finish, never materialised) and summarise.
 [[nodiscard]] LogicalErrorPoint run_memory_point(
     const MemoryWorkload& workload, const ShotDecoder& decoder,
-    const MemoryRunConfig& run = {});
-
-/// Spatial convenience overload (final-data-only decoding).
-[[nodiscard]] LogicalErrorPoint run_memory_point(
-    const MemoryWorkload& workload, const Decoder& decoder,
     const MemoryRunConfig& run = {});
 
 }  // namespace ptsbe::qec

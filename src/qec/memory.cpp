@@ -1,6 +1,5 @@
 #include "ptsbe/qec/memory.hpp"
 
-#include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/qec/stabilizer_code.hpp"
 
@@ -64,21 +63,8 @@ MemoryExperiment make_memory_experiment(const CssCode& code, unsigned rounds,
 
 unsigned decode_memory_shot(const MemoryExperiment& experiment,
                             const Decoder& decoder, std::uint64_t record) {
-  const std::uint64_t data = experiment.data_bits(record);
-  const auto& supports = experiment.code.check_supports(experiment.basis);
-  const std::uint64_t corrected =
-      data ^ decoder.decode(css_syndrome(supports, data));
-  return parity64(corrected &
-                  experiment.code.logical_support(experiment.basis));
-}
-
-unsigned decode_memory_shot(const MemoryExperiment& experiment,
-                            const CssLookupDecoder& decoder,
-                            std::uint64_t record) {
-  PTSBE_REQUIRE(experiment.basis == CssBasis::kZ,
-                "CssLookupDecoder decodes Z-basis memories; use make_decoder "
-                "for the X basis");
-  return decoder.logical_z_value(experiment.data_bits(record));
+  return decode_readout(experiment.code, experiment.basis, decoder,
+                        experiment.data_bits(record));
 }
 
 double memory_logical_error_rate(const MemoryExperiment& experiment,

@@ -33,26 +33,6 @@ LogicalErrorAccumulator::LogicalErrorAccumulator(const ShotDecoder& decoder,
                                                  be::Weighting weighting)
     : decoder_(&decoder), weighting_(weighting) {}
 
-LogicalErrorAccumulator::LogicalErrorAccumulator(
-    const MemoryExperiment& experiment, const Decoder& decoder,
-    be::Weighting weighting)
-    : weighting_(weighting) {
-  // Non-owning view of the caller's Decoder behind the ShotDecoder shape.
-  struct Borrowed final : Decoder {
-    const Decoder* inner;
-    explicit Borrowed(const Decoder& d) : inner(&d) {}
-    [[nodiscard]] const std::string& name() const noexcept override {
-      return inner->name();
-    }
-    [[nodiscard]] std::uint64_t decode(std::uint64_t s) const override {
-      return inner->decode(s);
-    }
-  };
-  owned_ = std::make_unique<SpatialShotDecoder>(
-      experiment, std::make_unique<Borrowed>(decoder));
-  decoder_ = owned_.get();
-}
-
 void LogicalErrorAccumulator::consume(const be::TrajectoryBatch& batch) {
   const double v = be::shot_weight(batch, weighting_);
   if (v <= 0.0) return;
@@ -116,24 +96,6 @@ LogicalErrorPoint run_memory_point(const MemoryWorkload& workload,
   point.effective_shots = acc.effective_shots();
   point.ci = acc.wilson();
   return point;
-}
-
-LogicalErrorPoint run_memory_point(const MemoryWorkload& workload,
-                                   const Decoder& decoder,
-                                   const MemoryRunConfig& run) {
-  struct Borrowed final : Decoder {
-    const Decoder* inner;
-    explicit Borrowed(const Decoder& d) : inner(&d) {}
-    [[nodiscard]] const std::string& name() const noexcept override {
-      return inner->name();
-    }
-    [[nodiscard]] std::uint64_t decode(std::uint64_t s) const override {
-      return inner->decode(s);
-    }
-  };
-  const SpatialShotDecoder shot(workload.experiment,
-                                std::make_unique<Borrowed>(decoder));
-  return run_memory_point(workload, shot, run);
 }
 
 }  // namespace ptsbe::qec

@@ -48,14 +48,15 @@ TEST(Integration, ThirtyFiveQubitEncodedMsdOnMps) {
   // Decode: acceptance = all four syndrome blocks read logical 0. With
   // ideal inputs acceptance ≈ 1/6 (BK05); with p=1e-3 noise it stays in
   // that neighbourhood.
-  const qec::CssLookupDecoder decoder(code, 1);
+  const qec::LookupDecoder decoder(code.z_supports, code.n, 1);
   double accepted = 0, total = 0, weight_sum = 0, weighted_accept = 0;
   for (const auto& batch : result.batches) {
     for (auto record : batch.records) {
       bool ok = true;
       for (unsigned b = 0; b < 4 && ok; ++b) {
         const std::uint64_t block_bits = (record >> (b * 7)) & 0x7F;
-        ok = decoder.logical_z_value(block_bits) == 0;
+        ok = qec::decode_readout(code, qec::CssBasis::kZ, decoder,
+                                 block_bits) == 0;
       }
       accepted += ok;
       total += 1;
@@ -84,15 +85,18 @@ TEST(Integration, EncodedMsdLogicalOutputIsMagicOnMps) {
   // block 4 is nonzero along the magic axis and that shots decode sensibly.
   RngStream rng(3);
   const auto shots = mps.sample_shots(3000, rng);
-  const qec::CssLookupDecoder decoder(code, 1);
+  const qec::LookupDecoder decoder(code.z_supports, code.n, 1);
+  const auto block_value = [&](std::uint64_t record, unsigned b) {
+    return qec::decode_readout(code, qec::CssBasis::kZ, decoder,
+                               (record >> (b * 7)) & 0x7F);
+  };
   std::size_t accepted = 0, output_ones = 0;
   for (auto record : shots) {
     bool ok = true;
-    for (unsigned b = 0; b < 4 && ok; ++b)
-      ok = decoder.logical_z_value((record >> (b * 7)) & 0x7F) == 0;
+    for (unsigned b = 0; b < 4 && ok; ++b) ok = block_value(record, b) == 0;
     if (!ok) continue;
     ++accepted;
-    output_ones += decoder.logical_z_value((record >> 28) & 0x7F);
+    output_ones += block_value(record, 4);
   }
   ASSERT_GT(accepted, 100u);
   // Accepted output: a T-type state up to the protocol's known Clifford

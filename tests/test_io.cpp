@@ -365,12 +365,29 @@ class PtqDiagnostics : public ::testing::TestWithParam<int> {
         return {"unitary entry count",
                 "ptq 1\nqubits 2\nunitary g 1 0 0 1 0\n", 3, 1,
                 "needs 8 matrix-entry tokens, got 2"};
-      default:
+      case 15:
         // Aliased noise targets would corrupt backend kernels.
         return {"duplicate noise qubit",
                 "ptq 1\nqubits 2\nchannel g depolarizing2 0.02\nh 0\n"
                 "noise g 0 0\n",
                 5, 11, "duplicate qubit 0 in noise site"};
+      // Numbers must describe a physical program: nan, inf and overflow
+      // are refused at their token, a non-unitary matrix at its directive.
+      case 16:
+        return {"nan gate parameter", "ptq 1\nqubits 2\nrx 0 nan\n", 3, 6,
+                "gate parameter 'nan' is not finite"};
+      case 17:
+        return {"overflowing unitary entry",
+                "ptq 1\nqubits 1\nunitary u 1 0 0 1e999 0 0 0 0 0 1 0\n", 3,
+                17, "matrix entry '1e999' is not finite"};
+      case 18:
+        return {"non-unitary unitary",
+                "ptq 1\nqubits 1\nunitary u 1 0 0 2 0 0 0 0 0 2 0\n", 3, 1,
+                "unitary 'u' is not unitary"};
+      default:
+        return {"nan Kraus entry",
+                "ptq 1\nqubits 1\nchannel k kraus kk 1 2 nan 0 0 0 0 0 1 0\n",
+                3, 24, "Kraus matrix entry 'nan' is not finite"};
     }
   }
 };
@@ -394,7 +411,7 @@ TEST_P(PtqDiagnostics, ReportsLineAndColumn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, PtqDiagnostics, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Cases, PtqDiagnostics, ::testing::Range(0, 20));
 
 TEST(PtqWrite, RejectsProgramsTheParserCannotReadBack) {
   // A 7-qubit custom gate is a valid in-memory Circuit but exceeds the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "ptsbe/circuit/gates.hpp"
 #include "ptsbe/common/rng.hpp"
@@ -60,6 +61,17 @@ TEST(Matrix, ShapeMismatchThrows) {
   EXPECT_THROW(a += b, precondition_error);
   EXPECT_THROW((void)(a * Matrix(3, 2)), precondition_error);
   EXPECT_THROW((void)Matrix(2, 3).trace(), precondition_error);
+}
+
+TEST(Matrix, NanNeverComparesClose) {
+  // std::max(m, NaN) is m; a NaN entry must not be folded away as "close".
+  Matrix m = Matrix::identity(2);
+  m(0, 1) = cplx{std::nan(""), 0.0};
+  EXPECT_TRUE(std::isnan(m.max_abs_diff(Matrix::identity(2))));
+  EXPECT_FALSE(approx_equal(m, Matrix::identity(2), 1.0));
+  EXPECT_FALSE(is_unitary(m));
+  const std::vector<Matrix> kraus = {m};
+  EXPECT_FALSE(is_cptp_set(kraus));
 }
 
 TEST(GateLibrary, AllGatesAreUnitary) {

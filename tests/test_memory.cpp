@@ -35,7 +35,7 @@ TEST(Memory, NoiselessRoundsAreTriviallySilent) {
   PauliFrameSampler sampler(noisy, RngStream(1));
   RngStream rng(2);
   const auto records = sampler.sample(2000, rng);
-  const CssLookupDecoder decoder(code, 1);
+  const LookupDecoder decoder(code.z_supports, code.n, 1);
   for (std::uint64_t r : records) {
     EXPECT_EQ(r & 0xFFF, 0u) << "ancilla fired without noise";
     EXPECT_EQ(decode_memory_shot(exp, decoder, r), 0u);
@@ -65,7 +65,7 @@ TEST(Memory, SingleDataXErrorTripsTheExpectedChecks) {
   PauliFrameSampler sampler(noisy, RngStream(3));
   RngStream rng(4);
   const auto records = sampler.sample(100, rng);
-  const CssLookupDecoder decoder(code, 1);
+  const LookupDecoder decoder(code.z_supports, code.n, 1);
   // Z-checks occupy record bits 3..5 (after the 3 X-checks).
   std::uint64_t expected_syndrome = 0;
   for (std::size_t j = 0; j < code.z_supports.size(); ++j)
@@ -79,7 +79,7 @@ TEST(Memory, SingleDataXErrorTripsTheExpectedChecks) {
 TEST(Memory, LogicalErrorRateGrowsWithNoise) {
   const CssCode code = steane();
   const MemoryExperiment exp = make_memory_experiment(code, 1);
-  const CssLookupDecoder decoder(code, 1);
+  const LookupDecoder decoder(code.z_supports, code.n, 1);
   double previous = 0.0;
   for (const double p : {0.001, 0.01, 0.05}) {
     NoiseModel nm;
@@ -104,7 +104,7 @@ TEST(Memory, FrameSamplerAndPtsbeAgreeOnLogicalErrorRate) {
   NoiseModel nm;
   nm.add_all_gate_noise(channels::depolarizing(0.01));
   const NoisyCircuit noisy = nm.apply(exp.circuit);
-  const CssLookupDecoder decoder(code, 1);
+  const LookupDecoder decoder(code.z_supports, code.n, 1);
 
   PauliFrameSampler sampler(noisy, RngStream(7));
   RngStream rng_f(8);

@@ -1,12 +1,14 @@
 // Tests for the QEC substrate: Pauli algebra, code validation and distance,
 // encoder synthesis (verified against both the tableau and the statevector),
-// transversal logical gates on Steane, lookup decoding, and the 5→1 magic
-// state distillation property.
+// transversal logical gates on Steane, lookup decoding of Steane readouts
+// in both bases, and the 5→1 magic state distillation property.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ptsbe/qec/codes.hpp"
 #include "ptsbe/qec/decoder.hpp"
@@ -255,38 +257,64 @@ TEST(Transversal, LogicalCxAndCzBetweenSteaneBlocks) {
   }
 }
 
-TEST(Decoder, CorrectsAllSingleXErrorsOnSteane) {
-  const CssCode code = steane();
-  const CssLookupDecoder decoder(code, 1);
-  // Noiseless |0_L⟩ readout: sample and confirm logical 0, then inject each
-  // single X error and confirm the decoder still reads logical 0.
+/// Noiseless transversal `basis` readouts of a Steane logical basis state:
+/// the encoder's input qubit carries |0⟩/|1⟩ for the Z basis or |+⟩/|−⟩
+/// for the X basis (`one` selects the second), and a transversal H turns
+/// the X-basis readout into computational-basis bits.
+std::vector<std::uint64_t> steane_readouts(const CssCode& code,
+                                           CssBasis basis, bool one,
+                                           std::size_t shots,
+                                           std::uint64_t seed) {
+  Circuit c(code.n);
+  if (one) c.x(code.n - 1);
+  if (basis == CssBasis::kX) c.h(code.n - 1);
+  c.append(synthesize_encoder(code));
+  if (basis == CssBasis::kX)
+    for (unsigned q = 0; q < code.n; ++q) c.h(q);
   StateVector sv(code.n);
-  sv.apply_circuit(synthesize_encoder(code));
-  RngStream rng(3);
-  const auto shots = sv.sample_shots(200, rng);
-  for (std::uint64_t shot : shots) {
-    EXPECT_EQ(decoder.syndrome(shot), 0u);
-    EXPECT_EQ(decoder.logical_z_value(shot), 0u);
+  sv.apply_circuit(c);
+  RngStream rng(seed);
+  return sv.sample_shots(shots, rng);
+}
+
+/// Every readout has a zero syndrome and decodes to `expected`; flipping any
+/// one readout bit (an X error before a Z readout, a Z error before an X
+/// readout) lights the syndrome and still decodes to `expected`.
+void expect_decodes_through_single_flips(
+    const CssCode& code, CssBasis basis,
+    const std::vector<std::uint64_t>& readouts, unsigned expected) {
+  const std::vector<std::uint64_t>& checks = code.check_supports(basis);
+  const LookupDecoder decoder(checks, code.n, 1);
+  for (std::uint64_t shot : readouts) {
+    EXPECT_EQ(css_syndrome(checks, shot), 0u);
+    EXPECT_EQ(decode_readout(code, basis, decoder, shot), expected);
     for (unsigned q = 0; q < code.n; ++q) {
       const std::uint64_t corrupted = shot ^ (1ULL << q);
-      EXPECT_EQ(decoder.logical_z_value(corrupted), 0u)
-          << "X error on " << q;
-      EXPECT_NE(decoder.syndrome(corrupted), 0u);
+      EXPECT_EQ(decode_readout(code, basis, decoder, corrupted), expected)
+          << "flip on " << q;
+      EXPECT_NE(css_syndrome(checks, corrupted), 0u);
     }
   }
 }
 
-TEST(Decoder, LogicalOneReadsOne) {
+TEST(Decoder, CorrectsAllSingleXErrorsOnSteane) {
+  // |0_L⟩ read in Z and |+_L⟩ read in X both decode to logical 0.
   const CssCode code = steane();
-  const CssLookupDecoder decoder(code, 1);
-  Circuit c(code.n);
-  c.x(code.n - 1);  // logical input |1⟩
-  c.append(synthesize_encoder(code));
-  StateVector sv(code.n);
-  sv.apply_circuit(c);
-  RngStream rng(4);
-  for (std::uint64_t shot : sv.sample_shots(100, rng))
-    EXPECT_EQ(decoder.logical_z_value(shot), 1u);
+  for (const CssBasis basis : {CssBasis::kZ, CssBasis::kX}) {
+    SCOPED_TRACE("basis " + to_string(basis));
+    expect_decodes_through_single_flips(
+        code, basis, steane_readouts(code, basis, false, 200, 3), 0u);
+  }
+}
+
+TEST(Decoder, LogicalOneReadsOne) {
+  // |1_L⟩ read in Z and |−_L⟩ read in X both decode to logical 1.
+  const CssCode code = steane();
+  for (const CssBasis basis : {CssBasis::kZ, CssBasis::kX}) {
+    SCOPED_TRACE("basis " + to_string(basis));
+    expect_decodes_through_single_flips(
+        code, basis, steane_readouts(code, basis, true, 100, 4), 1u);
+  }
 }
 
 TEST(Distillation, MagicFidelityHelper) {

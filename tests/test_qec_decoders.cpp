@@ -44,13 +44,6 @@ unsigned decoded_logical(const Decoder& dec,
   return parity64(corrected & logical);
 }
 
-TEST(CssSyndromeTest, MatchesCssLookupDecoderDefinition) {
-  const CssCode code = steane();
-  const CssLookupDecoder lookup(code, 1);
-  for (std::uint64_t e : {0x1ULL, 0x12ULL, 0x55ULL, 0x7FULL})
-    EXPECT_EQ(css_syndrome(code.z_supports, e), lookup.syndrome(e));
-}
-
 TEST(DecoderInterfaceTest, NamesAndFactory) {
   const CssCode rep = repetition_code(3);
   EXPECT_EQ(make_decoder("lookup", rep)->name(), "lookup");
@@ -63,16 +56,6 @@ TEST(DecoderInterfaceTest, NamesAndFactory) {
   // Steane's qubits sit in three Z-checks each — not a matchable graph.
   EXPECT_THROW((void)make_decoder("union-find", steane()), precondition_error);
   EXPECT_NO_THROW((void)make_decoder("lookup", steane()));
-}
-
-TEST(DecoderInterfaceTest, CssLookupDecoderIsADecoder) {
-  const CssCode code = steane();
-  const CssLookupDecoder lookup(code, 1);
-  const Decoder& dec = lookup;
-  for (std::uint64_t e : masks_of_weight(code.n, 1)) {
-    const std::uint64_t s = css_syndrome(code.z_supports, e);
-    EXPECT_EQ(dec.decode(s), lookup.correction(s));
-  }
 }
 
 // Satellite: lookup vs union-find agree on ALL single- and two-error

@@ -80,7 +80,7 @@ std::vector<std::size_t> matrix_thread_counts() {
 TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
   const MemoryWorkload workload = repetition_workload(3, 0.02);
   const auto decoder =
-      qec::make_decoder("union-find", workload.experiment.code);
+      qec::make_shot_decoder("union-find", workload.experiment);
   const std::vector<std::size_t> thread_counts = matrix_thread_counts();
   const std::string ref_path = "/tmp/ptsbe_test_qec_matrix_ref.bin";
   const std::string got_path = "/tmp/ptsbe_test_qec_matrix_got.bin";
@@ -108,8 +108,7 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
         dataset::write_binary(ref_path, reference);
         const std::string ref_bytes = slurp(ref_path);
         ASSERT_FALSE(ref_bytes.empty());
-        LogicalErrorAccumulator ref_acc(workload.experiment, *decoder,
-                                        be::Weighting::kDrawWeighted);
+        LogicalErrorAccumulator ref_acc(*decoder, be::Weighting::kDrawWeighted);
         ref_acc.consume(reference);
         for (const std::size_t threads : thread_counts) {
           SCOPED_TRACE("backend=" + backend + " schedule=" +
@@ -123,8 +122,7 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
           dataset::write_binary(got_path, result);
           EXPECT_EQ(ref_bytes, slurp(got_path));
           // The analytics see exactly the same failures, too.
-          LogicalErrorAccumulator acc(workload.experiment, *decoder,
-                                      be::Weighting::kDrawWeighted);
+          LogicalErrorAccumulator acc(*decoder, be::Weighting::kDrawWeighted);
           acc.consume(result);
           EXPECT_EQ(ref_acc.shots(), acc.shots());
           EXPECT_EQ(ref_acc.failures(), acc.failures());
@@ -140,7 +138,7 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
 TEST(QecDeterminismMatrix, StreamingSinkMatchesMaterialisedAnalytics) {
   const MemoryWorkload workload = repetition_workload(3, 0.02);
   const auto decoder =
-      qec::make_decoder("union-find", workload.experiment.code);
+      qec::make_shot_decoder("union-find", workload.experiment);
   pts::StrategyConfig cfg;
   cfg.nsamples = 150;
   cfg.nshots = 16;
@@ -148,8 +146,7 @@ TEST(QecDeterminismMatrix, StreamingSinkMatchesMaterialisedAnalytics) {
   Pipeline pipeline(workload.noisy);
   pipeline.strategy("probabilistic", cfg).backend("stabilizer").seed(99);
   const RunResult reference = pipeline.run();
-  LogicalErrorAccumulator ref_acc(workload.experiment, *decoder,
-                                  reference.weighting);
+  LogicalErrorAccumulator ref_acc(*decoder, reference.weighting);
   ref_acc.consume(reference.result);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -159,8 +156,7 @@ TEST(QecDeterminismMatrix, StreamingSinkMatchesMaterialisedAnalytics) {
         .backend("stabilizer")
         .threads(threads)
         .seed(99);
-    LogicalErrorAccumulator acc(workload.experiment, *decoder,
-                                streaming.weighting());
+    LogicalErrorAccumulator acc(*decoder, streaming.weighting());
     streaming.run_streaming(acc.sink());
     EXPECT_EQ(ref_acc.shots(), acc.shots());
     EXPECT_EQ(ref_acc.failures(), acc.failures());
@@ -236,12 +232,10 @@ TEST(QecDeterminismMatrix, ServedJobsBitIdenticalToStandalone) {
     EXPECT_EQ(slurp(standalone_path), slurp(served_path));
 
     const auto decoder =
-        qec::make_decoder("union-find", job.workload->experiment.code);
-    LogicalErrorAccumulator served_acc(job.workload->experiment, *decoder,
-                                       served.weighting);
+        qec::make_shot_decoder("union-find", job.workload->experiment);
+    LogicalErrorAccumulator served_acc(*decoder, served.weighting);
     served_acc.consume(served.result);
-    LogicalErrorAccumulator ref_acc(job.workload->experiment, *decoder,
-                                    reference.weighting);
+    LogicalErrorAccumulator ref_acc(*decoder, reference.weighting);
     ref_acc.consume(reference.result);
     EXPECT_EQ(ref_acc.shots(), served_acc.shots());
     EXPECT_EQ(ref_acc.failures(), served_acc.failures());
@@ -391,7 +385,7 @@ TEST(WilsonIntervalTest, BracketsTheRateAndTightensWithTrials) {
 TEST(LogicalErrorAccumulatorTest, AgreesWithEstimatorExactly) {
   const MemoryWorkload workload = repetition_workload(3, 0.04);
   const auto decoder =
-      qec::make_decoder("union-find", workload.experiment.code);
+      qec::make_shot_decoder("union-find", workload.experiment);
   pts::StrategyConfig cfg;
   cfg.nsamples = 200;
   cfg.nshots = 12;
@@ -399,10 +393,10 @@ TEST(LogicalErrorAccumulatorTest, AgreesWithEstimatorExactly) {
   pipeline.strategy("probabilistic", cfg).backend("stabilizer").seed(11);
   const RunResult run = pipeline.run();
 
-  LogicalErrorAccumulator acc(workload.experiment, *decoder, run.weighting);
+  LogicalErrorAccumulator acc(*decoder, run.weighting);
   acc.consume(run.result);
   const be::Estimate est = run.estimate_probability([&](std::uint64_t r) {
-    return qec::decode_memory_shot(workload.experiment, *decoder, r) != 0;
+    return decoder->decode_shot(r) != 0;
   });
   EXPECT_EQ(acc.logical_error_rate(), est.value);
   EXPECT_GT(acc.shots(), 0u);
@@ -420,7 +414,7 @@ TEST(LogicalErrorAccumulatorTest, NoiselessMemoryNeverFails) {
   cfg.readout_noise = 0.0;
   const MemoryWorkload workload = qec::make_memory_workload(cfg);
   const auto decoder =
-      qec::make_decoder("union-find", workload.experiment.code);
+      qec::make_shot_decoder("union-find", workload.experiment);
   qec::MemoryRunConfig run;
   run.strategy_config.nsamples = 10;
   run.strategy_config.nshots = 50;

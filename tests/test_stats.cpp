@@ -134,7 +134,7 @@ TEST(StatsReader, MatchesReadBinaryUnderBothByteSources) {
 TEST(StatsReader, AutoModeFallsSomewhereValid) {
   const std::string path = temp_path("auto");
   dataset::write_binary(path, make_result());
-  dataset::Reader reader = dataset::open_view(path);
+  dataset::Reader reader(path);
   be::TrajectoryBatch batch;
   std::size_t n = 0;
   while (reader.next(batch)) ++n;
