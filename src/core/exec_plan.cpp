@@ -62,9 +62,10 @@ ExecPlan build_exec_plan(const NoisyCircuit& noisy, bool fuse_gates) {
 
   // Pre-classify barrier-free 1-/2-qubit gate stretches into PreparedRuns:
   // the per-gate classification and matrix flattening happen once here,
-  // then every trajectory walk consumes whole runs through the batched
-  // kernel entry point. A gate wider than 2 qubits breaks the run (it
-  // takes the general k-qubit path), as does any site step.
+  // then every trajectory walk appends whole runs to the gate span it
+  // hands the batched kernel entry point. A gate wider than 2 qubits
+  // breaks the run (it takes the general k-qubit path), as does any site
+  // step.
   plan.run_at_step.assign(plan.steps.size(), ExecPlan::npos);
   std::size_t s = 0;
   while (s < plan.steps.size()) {

@@ -74,8 +74,10 @@ struct Options {
   /// execution on one worker. Records are bit-identical at every thread
   /// count; only batch *completion order* depends on scheduling. Inside
   /// one trajectory, OpenMP parallelises sweeps and reductions once a state
-  /// has 2^14 amplitudes, and never changes a bit. It pays off when fewer
-  /// specs than cores run
+  /// has 2^14 amplitudes (a cache-blocked gate group splits its 2^16-
+  /// amplitude tiles instead, when there are at least as many tiles as
+  /// threads), and never changes a bit. It pays off when fewer specs than
+  /// cores run
   /// (4-core VM, threads = 1, one amplitude-damped spec: 22 qubits 2.0 s vs
   /// 6.0-6.4 s at OMP_NUM_THREADS=1, 24 qubits 9.3-9.7 s vs 25-27 s); with
   /// a spec per core its effect on wall time is within run-to-run noise.

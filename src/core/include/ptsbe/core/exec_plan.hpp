@@ -47,7 +47,9 @@ struct ExecPlan {
   /// pre-classified into flat `PreparedGate`s once at plan-build time so
   /// every trajectory walk skips per-step matrix indirection and gate
   /// classification. `gates.size()` plan steps starting at `first_step`
-  /// are covered.
+  /// are covered. A walk consumes whole runs: it appends each to its
+  /// pending gate span, which can continue across unitary-mixture sites
+  /// into the next run (see `run_subtree`, core/prefix_scheduler.cpp).
   struct PreparedRun {
     std::size_t first_step = 0;
     std::vector<kernels::PreparedGate> gates;

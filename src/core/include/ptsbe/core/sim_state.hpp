@@ -56,13 +56,15 @@ class SimState {
   /// True when this state consumes classified `kernels::PreparedGate` runs
   /// directly (the amplitude representations). The plan walk uses this to
   /// swap per-step `apply_gate` calls for one `apply_prepared_run` per
-  /// barrier-free gate stretch.
+  /// straight-line stretch: the gates between two forks, together with the
+  /// chosen unitaries of the unitary-mixture sites among them, up to the
+  /// next general-Kraus site or gate wider than two qubits.
   [[nodiscard]] virtual bool supports_prepared_runs() const { return false; }
 
-  /// Apply a contiguous prepared-gate run in one batched pass. Only valid
-  /// when `supports_prepared_runs()` is true; the sequence of per-gate
-  /// applies is identical to calling `apply_gate` step by step, so records
-  /// cannot depend on which path the walk took.
+  /// Apply a span of prepared gates in one batched (on the statevector,
+  /// cache-blocked) pass. Only valid when `supports_prepared_runs()` is
+  /// true; the result is bit-identical to calling `apply_gate` gate by
+  /// gate, so records cannot depend on which path the walk took.
   virtual void apply_prepared_run(std::span<const kernels::PreparedGate>) {
     throw precondition_error(
         "apply_prepared_run on a state without prepared-run support");

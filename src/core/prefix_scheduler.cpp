@@ -4,9 +4,11 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/common/timer.hpp"
+#include "ptsbe/kernels/kernel_set.hpp"
 
 namespace ptsbe::be {
 
@@ -30,28 +32,6 @@ struct Walk {
 
 using WalkPtr = std::shared_ptr<const Walk>;
 
-/// Apply branch `branch` of `site` to `state`, accumulating the realised
-/// probability into `realized`. Returns false when the branch is
-/// unrealizable at this state (a general-Kraus branch whose norm ‖Kψ‖²
-/// falls under `kUnrealizableCut`); `realized` is then 0 and the state must
-/// be discarded.
-bool apply_branch(SimState& state, const NoiseSite& site, std::size_t branch,
-                  double& realized) {
-  const KrausChannel& ch = *site.channel;
-  if (ch.is_unitary_mixture()) {
-    state.apply_gate(ch.unitary(branch), site.qubits);
-    realized *= ch.nominal_probabilities()[branch];
-    return true;
-  }
-  const double p = state.apply_kraus_branch(ch.kraus(branch), site.qubits);
-  if (p < kUnrealizableCut) {
-    realized = 0.0;
-    return false;
-  }
-  realized *= p;
-  return true;
-}
-
 void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
                    double realized, std::size_t step, std::size_t first,
                    std::size_t last);
@@ -61,34 +41,55 @@ void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
 /// owns `state` — the per-thread ownership that makes subtrees
 /// synchronisation-free. Runs iteratively; forks spawn sibling tasks rather
 /// than recursing.
+///
+/// On a state with prepared runs, the walk defers its gates: each prepared
+/// run, and the chosen unitary of each unitary-mixture site on at most two
+/// qubits, is appended to `span`, which goes to the kernels as one call
+/// (and so one cache-blocked pass) only where the state must be current —
+/// before a fork's first snapshot, a general-Kraus site, a gate no run
+/// covers, and the leaf sampler. The gate sequence is the same as applying
+/// each one at its step.
 void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
                  double realized, std::size_t step, std::size_t first,
                  std::size_t last) {
   if (walk->executor.cancelled()) return;
   WallTimer timer;
   const bool batched = state->supports_prepared_runs();
+  std::vector<kernels::PreparedGate> span;
+  // Bring the state up to date; false when the walk was cancelled instead,
+  // so a cancelled walk never starts a long span.
+  const auto flush = [&] {
+    if (walk->executor.cancelled()) return false;
+    if (!span.empty()) {
+      state->apply_prepared_run(span);
+      span.clear();
+    }
+    return true;
+  };
+  const auto stop = [&] {
+    walk->leaves.accum(worker).prepare_seconds += timer.seconds();
+  };
   std::size_t s = step;
   while (s < walk->plan.steps.size()) {
     const PlanStep& plan_step = walk->plan.steps[s];
     if (plan_step.is_gate) {
       // Subtrees enter the plan at step 0 or just after a site step, which
-      // is exactly where prepared runs begin — so whole barrier-free gate
-      // stretches go through the batched kernel path.
+      // is exactly where prepared runs begin.
       const std::size_t run =
           batched ? walk->plan.run_starting_at(s) : ExecPlan::npos;
       if (run != ExecPlan::npos) {
-        state->apply_prepared_run(walk->plan.prepared_runs[run].gates);
-        s += walk->plan.prepared_runs[run].gates.size();
+        const std::vector<kernels::PreparedGate>& gates =
+            walk->plan.prepared_runs[run].gates;
+        span.insert(span.end(), gates.begin(), gates.end());
+        s += gates.size();
       } else {
+        if (!flush()) return stop();
         state->apply_gate(plan_step.matrix, plan_step.qubits);
         ++s;
       }
       continue;
     }
-    if (walk->executor.cancelled()) {
-      walk->leaves.accum(worker).prepare_seconds += timer.seconds();
-      return;
-    }
+    if (walk->executor.cancelled()) return stop();
     // Scan the (sorted) range for runs of equal branch choice. A unanimous
     // range — every one-spec range — is one scan and no fork. Otherwise the
     // fork point is a task-spawn point: snapshot the pre-branch state once
@@ -98,20 +99,37 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
     const std::size_t site_id = plan_step.site;
     for (std::size_t end = first + 1; end < last; ++end) {
       if (walk->rows[end][site_id] == walk->rows[first][site_id]) continue;
+      if (!flush()) return stop();
       spawn_subtree(walk, worker, state->clone(), realized, s, first, end);
       first = end;
     }
-    if (!apply_branch(*state, walk->noisy.sites()[site_id],
-                      walk->rows[first][site_id], realized)) {
-      // A zero-probability Kraus branch: every spec of the range is
-      // unrealizable.
-      walk->leaves.accum(worker).prepare_seconds += timer.seconds();
-      walk->leaves.emit_unrealizable(
-          worker, std::span(walk->order).subspan(first, last - first));
-      return;
+    const NoiseSite& site = walk->noisy.sites()[site_id];
+    const KrausChannel& ch = *site.channel;
+    const std::size_t branch = walk->rows[first][site_id];
+    if (ch.is_unitary_mixture()) {
+      realized *= ch.nominal_probabilities()[branch];
+      if (batched && site.qubits.size() <= 2) {
+        span.push_back(kernels::prepare_gate(ch.unitary(branch), site.qubits));
+      } else {
+        if (!flush()) return stop();
+        state->apply_gate(ch.unitary(branch), site.qubits);
+      }
+    } else {
+      if (!flush()) return stop();
+      const double p = state->apply_kraus_branch(ch.kraus(branch), site.qubits);
+      if (p < kUnrealizableCut) {
+        // A branch of norm ‖Kψ‖² under the cut: every spec of the range is
+        // unrealizable.
+        stop();
+        walk->leaves.emit_unrealizable(
+            worker, std::span(walk->order).subspan(first, last - first));
+        return;
+      }
+      realized *= p;
     }
     ++s;
   }
+  if (!flush()) return stop();
   const double sample_seconds = walk->leaves.sample(
       worker, std::move(state), realized,
       std::span(walk->order).subspan(first, last - first));

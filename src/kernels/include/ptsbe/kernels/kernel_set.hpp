@@ -129,9 +129,23 @@ struct KernelSet {
 void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                     const PreparedGate& g);
 
-/// Batched entry point: walk a whole prepared gate run in one call. This is
-/// the span `SimState::apply_prepared_run` forwards and the boundary a
-/// device backend would turn into a single launch.
+/// Cache-blocking tile of `apply_prepared_span`: 2^kTileBits amplitudes
+/// (1 MiB), small enough to stay in a core's L2 while several gates pass
+/// over it.
+inline constexpr unsigned kTileBits = 16;
+
+/// Batched entry point: apply a span of prepared gates in order, in one
+/// call. This is the span `SimState::apply_prepared_run` forwards and the
+/// boundary a device backend would turn into a single launch.
+///
+/// Cache blocking: each maximal group of at least two consecutive gates
+/// that stay inside a tile (identities, and gates whose qubits all lie
+/// below `kTileBits`) runs tile by tile — every tile takes the whole group
+/// before the next tile starts, and OpenMP splits the tiles. Other gates
+/// sweep the full state one at a time. Tiling needs more than one tile and
+/// at least as many tiles as the OpenMP team has threads; otherwise every
+/// gate sweeps. Each amplitude sees the same gates in the same order with
+/// the same arithmetic either way, so the bytes never depend on it.
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates);
 

@@ -8,6 +8,10 @@
 #include <cstdlib>
 #include <sstream>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "kernel_sets_isa.hpp"
 #include "ptsbe/common/error.hpp"
 
@@ -162,9 +166,50 @@ void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
   }
 }
 
+namespace {
+
+/// Does `g` only pair amplitudes inside one tile? An identity touches none.
+bool fits_in_tile(const PreparedGate& g) {
+  if (g.cls == GateClass::kIdentity) return true;
+  const bool two_qubit = g.arity == 2 || g.cls == GateClass::kCtrl1;
+  return g.q[0] < kTileBits && (!two_qubit || g.q[1] < kTileBits);
+}
+
+/// Threads a parallel region started here would get.
+std::uint64_t openmp_team_size() {
+#ifdef _OPENMP
+  return static_cast<std::uint64_t>(omp_get_max_threads());
+#else
+  return 1;
+#endif
+}
+
+}  // namespace
+
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates) {
-  for (const PreparedGate& g : gates) apply_prepared(ks, amp, dim, g);
+  constexpr std::uint64_t kTile = std::uint64_t{1} << kTileBits;
+  const std::uint64_t tiles = dim >> kTileBits;
+  // Fewer tiles than threads would idle part of the team, which a full
+  // sweep's own OpenMP loop does not.
+  const bool tiled = tiles > 1 && tiles >= openmp_team_size();
+  std::size_t i = 0;
+  while (i < gates.size()) {
+    std::size_t end = i;
+    if (tiled)
+      while (end < gates.size() && fits_in_tile(gates[end])) ++end;
+    if (end - i < 2) {
+      apply_prepared(ks, amp, dim, gates[i++]);
+      continue;
+    }
+    const std::span<const PreparedGate> group = gates.subspan(i, end - i);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t t = 0; t < static_cast<std::int64_t>(tiles); ++t) {
+      cplx* tile = amp + (static_cast<std::uint64_t>(t) << kTileBits);
+      for (const PreparedGate& g : group) apply_prepared(ks, tile, kTile, g);
+    }
+    i = end;
+  }
 }
 
 void apply_gate(const KernelSet& ks, cplx* amp, std::uint64_t dim,

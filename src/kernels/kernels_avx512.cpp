@@ -67,6 +67,20 @@ struct Avx512Policy {
     store(p, _mm512_permutex2var_pd(o0, lo, o1));      // [c0' c1' c2' c3']
     store(p + 4, _mm512_permutex2var_pd(o0, hi, o1));  // [c4' .. c7']
   }
+  /// Dense 2x2 on qubit 1 over eight consecutive amplitudes: the bit-1
+  /// partners are whole 128-bit lanes apart, so one lane shuffle per
+  /// register gathers them, and the same two shuffles scatter back.
+  static void apply1_stride2(cplx* p, const Coef* mc) {
+    const Reg a = load(p);                           // [c0 c1 c2 c3]
+    const Reg b = load(p + 4);                       // [c4 c5 c6 c7]
+    const Reg v0 = _mm512_shuffle_f64x2(a, b, 0x44);  // [c0 c1 c4 c5]
+    const Reg v1 = _mm512_shuffle_f64x2(a, b, 0xEE);  // [c2 c3 c6 c7]
+    const Reg v0s = swapri(v0), v1s = swapri(v1);
+    const Reg o0 = add(mulc(mc[0], v0, v0s), mulc(mc[1], v1, v1s));
+    const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
+    store(p, _mm512_shuffle_f64x2(o0, o1, 0x44));      // [c0' c1' c2' c3']
+    store(p + 4, _mm512_shuffle_f64x2(o0, o1, 0xEE));  // [c4' .. c7']
+  }
 };
 
 }  // namespace

@@ -24,9 +24,11 @@
 /// bit-for-bit, with no FMA anywhere. Sums over matrix rows are
 /// left-associated in every path. With `-ffp-contract=off` on all kernel
 /// TUs, every kernel set therefore produces bit-identical amplitudes; the
-/// SIMD sets only vectorise *across* amplitude groups (and fall back to the
-/// scalar-policy instantiation whenever a stride is narrower than the
-/// vector, so narrow states stay bit-identical too).
+/// SIMD sets only vectorise *across* amplitude groups. A stride narrower
+/// than the vector either takes a packed policy variant with the same
+/// per-lane arithmetic (dense 2x2 on qubit 0, and on qubit 1 for AVX-512)
+/// or falls back to the scalar-policy instantiation, so narrow states stay
+/// bit-identical too.
 ///
 /// Loop structure: strides are hoisted into a rectangular
 /// (outer, middle, tile) nest — `insert_zero_bit` per-group bit surgery is
@@ -72,9 +74,18 @@ struct ScalarPolicy {
   }
 };
 
+/// A policy may vectorise dense 2x2 gates on qubits narrower than its
+/// register: `apply1_stride1` (qubit 0) and `apply1_stride2` (qubit 1) each
+/// update 2*kWidth consecutive amplitudes with the wide path's per-lane
+/// arithmetic, only packed differently.
 template <class P>
 concept HasStride1Apply1 = requires(cplx* p, const typename P::Coef* mc) {
   P::apply1_stride1(p, mc);
+};
+
+template <class P>
+concept HasStride2Apply1 = requires(cplx* p, const typename P::Coef* mc) {
+  P::apply1_stride2(p, mc);
 };
 
 /// Tile width in vector registers for policy P (>= 1).
@@ -88,6 +99,19 @@ constexpr std::int64_t tile_vecs(std::int64_t inner_vecs) {
 // ---------------------------------------------------------------------------
 // Dense 2x2
 // ---------------------------------------------------------------------------
+
+/// Sweep a sub-width dense 2x2 kernel `step` over consecutive blocks of
+/// 2*kWidth amplitudes.
+template <class P, class Step>
+void apply1_packed(cplx* amp, std::uint64_t dim, const cplx* m, Step step) {
+  const typename P::Coef mc[4] = {
+      P::prep(P::bcast(m[0])), P::prep(P::bcast(m[1])),
+      P::prep(P::bcast(m[2])), P::prep(P::bcast(m[3]))};
+  const std::int64_t n = static_cast<std::int64_t>(dim / (2 * P::kWidth));
+#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
+  for (std::int64_t i = 0; i < n; ++i)
+    step(amp + static_cast<std::uint64_t>(i) * 2 * P::kWidth, mc);
+}
 
 template <class P>
 void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q) {
@@ -121,14 +145,17 @@ void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q) {
   }
   if constexpr (HasStride1Apply1<P>) {
     if (stride == 1 && dim >= 2 * P::kWidth) {
-      const typename P::Coef mc[4] = {
-          P::prep(P::bcast(m[0])), P::prep(P::bcast(m[1])),
-          P::prep(P::bcast(m[2])), P::prep(P::bcast(m[3]))};
-      const std::int64_t n = static_cast<std::int64_t>(dim / (2 * P::kWidth));
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
-      for (std::int64_t i = 0; i < n; ++i)
-        P::apply1_stride1(amp + static_cast<std::uint64_t>(i) * 2 * P::kWidth,
-                          mc);
+      apply1_packed<P>(amp, dim, m, [](cplx* p, const typename P::Coef* mc) {
+        P::apply1_stride1(p, mc);
+      });
+      return;
+    }
+  }
+  if constexpr (HasStride2Apply1<P>) {
+    if (stride == 2 && dim >= 2 * P::kWidth) {
+      apply1_packed<P>(amp, dim, m, [](cplx* p, const typename P::Coef* mc) {
+        P::apply1_stride2(p, mc);
+      });
       return;
     }
   }

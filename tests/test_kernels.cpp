@@ -162,7 +162,9 @@ void expect_parity(const Matrix& m, std::vector<unsigned> qubits,
 }
 
 TEST(KernelParity, OneQubitGatesAcrossStridesAndSets) {
-  const unsigned sizes[] = {1, 2, 6, 12};
+  // n = 3 is the smallest state the AVX-512 qubit-1 path takes (one block
+  // of eight amplitudes).
+  const unsigned sizes[] = {1, 2, 3, 6, 12};
   const Matrix shapes[] = {gates::S(), gates::X(), gates::H(),
                            random_dense(1, 3)};
   std::uint64_t seed = 100;
@@ -254,6 +256,28 @@ TEST(KernelBatched, StateVectorPreparedRunEqualsOpByOp) {
   }
   batched.apply_prepared_gates(run);
   EXPECT_TRUE(bytes_equal(one_by_one.amplitudes(), batched.amplitudes()));
+
+  // At 18 qubits the span crosses four 2^16-amplitude tiles, so its groups
+  // of low-qubit gates run tile by tile (with at most four OpenMP threads).
+  // A dense gate on qubit 1 and a gate straddling the tile width join the
+  // mix; every set must still match its own op-by-op sweeps.
+  const unsigned wide = 18;
+  auto wide_ops = mixed_program(wide);
+  wide_ops.emplace_back(random_dense(1, 23), std::vector<unsigned>{1});
+  wide_ops.emplace_back(random_dense(2, 24), std::vector<unsigned>{15, 16});
+  std::vector<PreparedGate> wide_run;
+  for (const auto& [m, qubits] : wide_ops)
+    wide_run.push_back(kernels::prepare_gate(m, qubits));
+  const AlignedVector<cplx> init = random_state(wide, 31);
+  for (const kernels::KernelSet* set : kernels::available_sets()) {
+    AlignedVector<cplx> op_by_op = init;
+    for (const auto& [m, qubits] : wide_ops)
+      kernels::apply_gate(*set, op_by_op.data(), op_by_op.size(), m, qubits);
+    AlignedVector<cplx> spanned = init;
+    kernels::apply_prepared_span(*set, spanned.data(), spanned.size(),
+                                 wide_run);
+    EXPECT_TRUE(bytes_equal(op_by_op, spanned)) << "set=" << set->name;
+  }
 }
 
 TEST(KernelBatched, DensityMatrixPreparedRunEqualsOpByOp) {

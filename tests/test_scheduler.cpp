@@ -510,6 +510,27 @@ NoisyCircuit damped_program() {
   return noise.apply(c);
 }
 
+/// 18 qubits, so the walk's spans cross 2^16-amplitude tiles: three
+/// brickwork layers of dense rotations and cx/cz bricks, depolarizing after
+/// every gate and amplitude damping on readout.
+NoisyCircuit tiled_program() {
+  const unsigned n = 18;
+  Circuit c(n);
+  for (unsigned layer = 0; layer < 3; ++layer) {
+    for (unsigned q = 0; q < n; ++q) {
+      const double angle = 0.3 + 0.1 * ((q + layer) % 7);
+      layer % 2 == 0 ? c.rx(q, angle) : c.ry(q, angle);
+    }
+    for (unsigned q = layer % 2; q + 1 < n; q += 2)
+      layer % 2 == 0 ? c.cx(q, q + 1) : c.cz(q, q + 1);
+  }
+  c.measure_all();
+  NoiseModel noise;
+  noise.add_all_gate_noise(channels::depolarizing(0.01));
+  noise.add_measurement_noise(channels::amplitude_damping(0.02));
+  return noise.apply(c);
+}
+
 /// The trajectory `assignment` selects, prepared gate by gate and branch by
 /// branch on the concrete dense state: its basis masses — the masses the
 /// sequential sampler walks (|a_i|², max(0, Re ρ_ii)) — and its realised
@@ -587,13 +608,14 @@ std::vector<std::uint64_t> reference_records(
 }
 
 /// `specs` on `noisy` against the reference: records and realised
-/// probabilities at every thread count, under both schedules and on both
-/// dense backends, and spec-ordered dataset bytes that do not depend on the
+/// probabilities at every thread count, under both schedules and on each of
+/// `backends`, and spec-ordered dataset bytes that do not depend on the
 /// thread count. The last `unrealizable` specs must be unrealizable and the
 /// others realizable, so the input exercises what it claims to.
-void expect_matches_reference(const NoisyCircuit& noisy,
-                              std::vector<TrajectorySpec> specs,
-                              std::size_t unrealizable) {
+void expect_matches_reference(
+    const NoisyCircuit& noisy, std::vector<TrajectorySpec> specs,
+    std::size_t unrealizable,
+    const std::vector<std::string>& backends = {"statevector", "densmat"}) {
   refresh_probabilities(noisy, specs);
   const std::vector<unsigned> measured = noisy.circuit().measured_qubits();
   std::vector<std::size_t> thread_counts = {1, 2};
@@ -601,8 +623,7 @@ void expect_matches_reference(const NoisyCircuit& noisy,
   if (hw > 2) thread_counts.push_back(hw);
   const std::string ref_path = "/tmp/ptsbe_test_split_ref.bin";
   const std::string got_path = "/tmp/ptsbe_test_split_got.bin";
-  for (const char* backend_name : {"statevector", "densmat"}) {
-    const std::string backend(backend_name);
+  for (const std::string& backend : backends) {
     be::Options options;
     options.backend = backend;
     const RngStream master(options.seed);
@@ -685,6 +706,41 @@ TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
     specs.push_back(spec({}, chunk + 3));
     specs.push_back(spec({{2, decay}, {4, decay}}, 50));
     expect_matches_reference(noisy, std::move(specs), 1);
+  }
+  {
+    // Statevector only: the density matrix stops at 13 qubits.
+    SCOPED_TRACE("18 qubits across tiles");
+    const NoisyCircuit noisy = tiled_program();
+    const auto& sites = noisy.sites();
+    // The first and last depolarizing site on `q`: after its first and
+    // its last gate.
+    const auto depolarizing_on = [&](unsigned q, bool last) {
+      std::size_t found = sites.size();
+      for (const NoiseSite& site : sites)
+        if (site.channel->is_unitary_mixture() && site.qubits[0] == q) {
+          found = site.index;
+          if (!last) break;
+        }
+      EXPECT_LT(found, sites.size()) << "qubit " << q;
+      return found;
+    };
+    std::size_t readout = sites.size();
+    for (const NoiseSite& site : sites)
+      if (!site.channel->is_unitary_mixture() && site.qubits[0] == 9)
+        readout = site.index;
+    ASSERT_LT(readout, sites.size());
+    // X, Y and Z (branches 1-3) early and late on a low and a high qubit,
+    // so shared-prefix forks fall inside spans; one readout decay; the
+    // error-free spec.
+    std::vector<TrajectorySpec> specs;
+    for (unsigned q : {1u, 17u})
+      for (bool late : {false, true})
+        for (std::size_t pauli = 1; pauli <= 3; ++pauli)
+          specs.push_back(
+              spec({{depolarizing_on(q, late), pauli}}, 40 + specs.size()));
+    specs.push_back(spec({{readout, 1}}, 60));
+    specs.push_back(spec({}, 3000));
+    expect_matches_reference(noisy, std::move(specs), 0, {"statevector"});
   }
 }
 
