@@ -1,14 +1,19 @@
 #include "ptsbe/core/dataset.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/record_runs.hpp"
 #include "ptsbe/core/dataset_reader.hpp"
 
 namespace ptsbe::dataset {
@@ -38,6 +43,20 @@ static_assert(sizeof(BlockHead) == kBlockFixedBytes - sizeof(std::uint64_t));
 constexpr std::uint64_t kPairBytes = sizeof(BranchChoice);
 constexpr std::uint64_t kRecordBytes = sizeof(std::uint64_t);
 
+/// Tag in the count word after the branch pairs: set, the low 63 bits count
+/// (record, count) runs; clear, the word counts plain records.
+constexpr std::uint64_t kRunTag = std::uint64_t{1} << 63;
+
+/// One run of equal adjacent records, stored as its two u64 fields.
+struct Run {
+  std::uint64_t record;
+  std::uint64_t count;
+};
+static_assert(sizeof(Run) == 2 * sizeof(std::uint64_t) &&
+                  std::is_trivially_copyable_v<Run>,
+              "a run is stored as its two u64 fields, in place");
+constexpr std::uint64_t kRunBytes = sizeof(Run);
+
 /// Byte offset of the header's batch-count field (after magic + version).
 constexpr std::streamoff kBatchCountOffset =
     sizeof(kFormatMagic) + sizeof(kFormatVersion);
@@ -47,12 +66,55 @@ void put(std::ofstream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-}  // namespace
-
-std::uint64_t block_bytes(const be::TrajectoryBatch& batch) noexcept {
-  return kBlockFixedBytes + kPairBytes * batch.spec.branches.size() +
-         kRecordBytes * batch.records.size();
+/// Collect the runs of `records` into `runs` and return true when they take
+/// strictly fewer bytes than the records (16·runs < 8·n) and expand to at
+/// most kMaxBlockRecords. One read pass, which gives up as soon as the runs
+/// can no longer win.
+bool collect_runs(const std::vector<std::uint64_t>& records,
+                  std::vector<Run>& runs) {
+  const std::size_t n = records.size();
+  if (n == 0 || n > kMaxBlockRecords) return false;
+  for (std::size_t begin = 0; begin < n;) {
+    if (2 * (runs.size() + 1) >= n) return false;
+    const std::size_t end = run_end(records, begin);
+    runs.push_back({records[begin], end - begin});
+    begin = end;
+  }
+  return true;
 }
+
+/// Expand the `num_runs` runs stored at `at` into `records`. The first pass
+/// checks every count (at least 1, summing to at most kMaxBlockRecords)
+/// before `records` is sized; the second writes each run once. Runs are
+/// read in fixed chunks, so nothing is allocated before the counts pass.
+void expand_runs(const ByteSource& source, std::uint64_t at,
+                 std::uint64_t num_runs, std::vector<std::uint64_t>& records) {
+  Run chunk[256];
+  const auto for_each_stored_run = [&](const auto& fn) {
+    for (std::uint64_t done = 0; done < num_runs;) {
+      const std::uint64_t k =
+          std::min<std::uint64_t>(std::size(chunk), num_runs - done);
+      source.read_at(at + kRunBytes * done, chunk, kRunBytes * k);
+      for (std::uint64_t i = 0; i < k; ++i) fn(chunk[i]);
+      done += k;
+    }
+  };
+  std::uint64_t total = 0;
+  for_each_stored_run([&](const Run& run) {
+    PTSBE_CHECK(run.count >= 1 && run.count <= kMaxBlockRecords - total,
+                "run block in " + source.name() +
+                    " has a zero count or expands past " +
+                    std::to_string(kMaxBlockRecords) + " records");
+    total += run.count;
+  });
+  records.clear();
+  records.reserve(total);
+  for_each_stored_run([&records](const Run& run) {
+    records.insert(records.end(), run.count, run.record);
+  });
+}
+
+}  // namespace
 
 void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write) {
   const auto piece = [&write](const void* data, std::size_t size) {
@@ -63,9 +125,16 @@ void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write) {
                        batch.spec.branches.size()};
   piece(&head, sizeof head);
   piece(batch.spec.branches.data(), kPairBytes * batch.spec.branches.size());
-  const std::uint64_t num_records = batch.records.size();
-  piece(&num_records, sizeof num_records);
-  piece(batch.records.data(), kRecordBytes * num_records);
+  std::vector<Run> runs;
+  if (collect_runs(batch.records, runs)) {
+    const std::uint64_t count_word = kRunTag | runs.size();
+    piece(&count_word, sizeof count_word);
+    piece(runs.data(), kRunBytes * runs.size());
+  } else {
+    const std::uint64_t num_records = batch.records.size();
+    piece(&num_records, sizeof num_records);
+    piece(batch.records.data(), kRecordBytes * num_records);
+  }
 }
 
 void MemorySource::read_at(std::uint64_t offset, void* dst,
@@ -88,11 +157,15 @@ BlockExtent block_extent(const ByteSource& source, std::uint64_t offset) {
   PTSBE_CHECK(extent.num_branches <= (size - at) / kPairBytes,
               "batch block in " + name + " claims more branches than fit");
   at += kPairBytes * extent.num_branches;
-  source.read_at(at - sizeof extent.num_records, &extent.num_records,
-                 sizeof extent.num_records);
-  PTSBE_CHECK(extent.num_records <= (size - at) / kRecordBytes,
-              "batch block in " + name + " claims more records than fit");
-  extent.end = at + kRecordBytes * extent.num_records;
+  std::uint64_t count_word = 0;
+  source.read_at(at - sizeof count_word, &count_word, sizeof count_word);
+  extent.runs = (count_word & kRunTag) != 0;
+  extent.num_entries = count_word & ~kRunTag;
+  const std::uint64_t entry_bytes = extent.runs ? kRunBytes : kRecordBytes;
+  PTSBE_CHECK(extent.num_entries <= (size - at) / entry_bytes,
+              "batch block in " + name + " claims more " +
+                  (extent.runs ? "runs" : "records") + " than fit");
+  extent.end = at + entry_bytes * extent.num_entries;
   return extent;
 }
 
@@ -110,9 +183,15 @@ std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
   out.spec.branches.resize(extent.num_branches);
   source.read_at(offset + sizeof head, out.spec.branches.data(),
                  kPairBytes * extent.num_branches);
-  out.records.resize(extent.num_records);
-  source.read_at(extent.end - kRecordBytes * extent.num_records,
-                 out.records.data(), kRecordBytes * extent.num_records);
+  const std::uint64_t entries_at =
+      offset + kBlockFixedBytes + kPairBytes * extent.num_branches;
+  if (extent.runs) {
+    expand_runs(source, entries_at, extent.num_entries, out.records);
+  } else {
+    out.records.resize(extent.num_entries);
+    source.read_at(entries_at, out.records.data(),
+                   kRecordBytes * extent.num_entries);
+  }
   return extent.end;
 }
 
@@ -169,11 +248,11 @@ void StreamWriter::append(const be::TrajectoryBatch& batch) {
   encode_block(batch, [this](const void* data, std::size_t size) {
     os_.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(size));
+    bytes_ += size;
   });
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
   ++count_;
   records_ += batch.records.size();
-  bytes_ += block_bytes(batch);
 }
 
 void StreamWriter::flush() {

@@ -113,7 +113,8 @@ Reader::Reader(const std::string& path, ViewMode mode)
     throw runtime_failure("'" + path + "' is not a PTSB dataset");
   std::uint32_t version = 0;
   source_->read_at(sizeof magic, &version, sizeof version);
-  if (version != kFormatVersion)
+  // A v2 block is a v3 plain block, so one decoder reads both versions.
+  if (version < 2 || version > kFormatVersion)
     throw runtime_failure(
         "unsupported dataset version " + std::to_string(version) +
         (version == 1 ? " (version 1 embedded scheduler-dependent device "

@@ -29,12 +29,18 @@ namespace ptsbe::dataset {
 /// (magic + version + u64 batch count). These are part of the on-disk
 /// contract — bump `kFormatVersion` on any incompatible layout change.
 inline constexpr char kFormatMagic[4] = {'P', 'T', 'S', 'B'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::size_t kHeaderBytes =
     sizeof(kFormatMagic) + sizeof(kFormatVersion) + sizeof(std::uint64_t);
 
+/// Most records a run-length block may expand to (2 GiB of records). A
+/// 16-byte run can claim any count, so the decoder bounds the sum of a
+/// block's counts by this before it allocates; the encoder writes a larger
+/// batch plain, where the file's bytes bound the count instead.
+inline constexpr std::uint64_t kMaxBlockRecords = std::uint64_t{1} << 28;
+
 // ---------------------------------------------------------------------------
-// The batch-block codec. A format-v2 file is the header followed by one
+// The batch-block codec. A format-v3 file is the header followed by one
 // *block* per trajectory batch, and a net BATCH frame's payload is exactly
 // one block, so the disk and the wire share this single encoder/decoder
 // pair. Every field is a little-endian u64 (probabilities as raw IEEE-754
@@ -42,21 +48,30 @@ inline constexpr std::size_t kHeaderBytes =
 //
 //   spec_index, nominal_probability, realized_probability, shots,
 //   num_branches, (site, branch) × num_branches,
-//   num_records, record × num_records
+//   then the records in one of two layouts, told apart by the top bit of
+//   the count word:
+//     plain (top bit clear):  num_records, record × num_records
+//     runs  (top bit set):    2^63 | num_runs, (record, count) × num_runs
+//
+// Runs are maximal stretches of equal adjacent records, in shot order, so
+// unsorted records (stabilizer, MPS) expand back exactly. The encoder picks
+// whichever layout is strictly smaller, so the layout depends on the
+// records alone. A plain block is byte for byte a format-v2 block, and the
+// one decoder reads both versions.
 //
 // No field depends on scheduling. Format v1 also stored the id of the
 // worker that prepared the batch, which broke byte identity across thread
 // counts.
 
-/// Encoded size of `batch`'s block.
-[[nodiscard]] std::uint64_t block_bytes(
-    const be::TrajectoryBatch& batch) noexcept;
-
 /// Receives the encoded bytes of one block as a few consecutive pieces.
 using BlockWriter = std::function<void(const void* data, std::size_t size)>;
 
-/// Encode `batch` as one block. The record payload is handed to `write`
-/// straight from `batch.records` (never copied); empty pieces are skipped.
+/// Encode `batch` as one block, in the run layout when its (record, count)
+/// runs take strictly fewer bytes than its records and it has at most
+/// `kMaxBlockRecords` records, else plain. One read pass over the records
+/// collects the runs and gives up once they cannot win; a plain payload is
+/// handed to `write` straight from `batch.records` (never copied). Empty
+/// pieces are skipped.
 void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write);
 
 /// Random-access bytes that blocks are decoded from: a mapped or pread
@@ -95,25 +110,29 @@ class MemorySource : public ByteSource {
   std::string_view bytes_;
 };
 
-/// Where one block lies: its two counts and the offset one past its end.
+/// Where one block lies: its branch count, its record layout, the number
+/// of entries after the count word, and the offset one past its end.
 struct BlockExtent {
   std::uint64_t num_branches = 0;
-  std::uint64_t num_records = 0;
+  bool runs = false;              ///< Records stored as (record, count) runs.
+  std::uint64_t num_entries = 0;  ///< Record words, or runs when `runs`.
   std::uint64_t end = 0;
 };
 
 /// Measure the block that starts at `offset` — the one length walk, shared
 /// by `decode_block` and `Reader`'s skip-scan seek index. Reads only the two
-/// count fields, and bounds each by the bytes that remain before trusting
-/// it.
+/// count fields, learns the layout from the count word's tag, and bounds
+/// each count by the bytes that remain before trusting it.
 /// \throws invariant_error when the block does not fit in `source`.
 [[nodiscard]] BlockExtent block_extent(const ByteSource& source,
                                        std::uint64_t offset);
 
 /// Decode the block at `offset` into `out` and return the offset one past
 /// it. Its extent is checked by `block_extent` before anything is allocated,
-/// so a hostile count cannot force a huge resize. `out`'s vectors are
-/// reused, so a decode loop allocates only on growth.
+/// so a hostile count cannot force a huge resize; a run block's counts must
+/// each be at least 1 and sum to at most `kMaxBlockRecords`, checked before
+/// `out.records` is sized. `out`'s vectors are reused, so a decode loop
+/// allocates only on growth.
 /// \throws invariant_error on a truncated block or hostile counts.
 std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
                            be::TrajectoryBatch& out);
@@ -124,15 +143,16 @@ std::uint64_t decode_block(const ByteSource& source, std::uint64_t offset,
 /// \throws runtime_failure when the file cannot be written.
 void write_csv(const std::string& path, const be::Result& result);
 
-/// Write a BE result as the compact binary format (magic "PTSB", version 2;
+/// Write a BE result as the compact binary format (magic "PTSB", version 3:
 /// version 2 dropped the scheduler-dependent per-batch device id, so the
 /// bytes of a spec-ordered export depend only on the program, the specs
-/// and the seed — never on thread count or scheduling). Implemented on top
-/// of `StreamWriter`, so the two paths cannot diverge: streaming the same
-/// batch sequence produces a byte-identical file. (A sink streaming under
-/// `threads > 1` receives batches in completion order — same blocks,
-/// possibly permuted; append in `spec_index` order when byte-stable files
-/// matter.)
+/// and the seed — never on thread count or scheduling; version 3 stores a
+/// batch's records as (record, count) runs whenever that is smaller).
+/// Implemented on top of `StreamWriter`, so the two paths cannot diverge:
+/// streaming the same batch sequence produces a byte-identical file. (A
+/// sink streaming under `threads > 1` receives batches in completion order
+/// — same blocks, possibly permuted; append in `spec_index` order when
+/// byte-stable files matter.)
 /// \throws runtime_failure when the file cannot be written.
 void write_binary(const std::string& path, const be::Result& result);
 

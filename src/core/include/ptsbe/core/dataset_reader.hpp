@@ -4,14 +4,16 @@
 /// \brief Seekable, out-of-core reader for PTSB binary datasets — the one
 /// reader of the format (`read_binary` is a loop over it).
 ///
-/// `Reader` iterates format-v2 bytes one batch at a time, decoding each
-/// block with the shared `decode_block`:
+/// `Reader` iterates format-v2 and v3 bytes one batch at a time, decoding
+/// each block with the shared `decode_block` (a v2 block is a v3 plain
+/// block, so one decoder reads both):
 ///
 ///  - **Header validation.** Bad magic and v1/future versions are rejected
 ///    with `runtime_failure`.
 ///  - **Bounded memory.** Only the batch currently being decoded is held,
 ///    and `block_extent` bounds every count by the remaining file size
-///    before any allocation, so a hostile length field cannot force a huge
+///    before any allocation (a run block's expanded size also by
+///    `kMaxBlockRecords`), so a hostile length field cannot force a huge
 ///    resize.
 ///  - **Two byte sources.** `Reader` maps the file read-only
 ///    (`ViewMode::kMmap`) so iteration touches only the pages it decodes,
@@ -45,8 +47,8 @@ enum class ViewMode : std::uint8_t {
 /// \throws precondition_error for unknown names (the message lists all).
 [[nodiscard]] ViewMode view_mode_from_string(const std::string& name);
 
-/// Seekable streaming reader over one PTSB format-v2 file. Move-only; not
-/// thread-safe (clone one per thread — sources are stateless under pread
+/// Seekable streaming reader over one PTSB format-v2 or v3 file. Move-only;
+/// not thread-safe (clone one per thread — sources are stateless under pread
 /// and shared-mapping semantics, but the cursor is not).
 class Reader {
  public:

@@ -71,6 +71,28 @@ int connect_with_timeout(const std::string& host, std::uint16_t port,
   return fd;
 }
 
+/// Drops a client's connection unless the call read its whole reply. An
+/// exception that leaves mid-exchange (a timeout, an oversize or malformed
+/// frame, an undecodable batch) would otherwise leave the rest of the reply
+/// in the socket for the next call to misread, and the server blocked
+/// sending it; after a close the next call reconnects.
+class ReplyGuard {
+ public:
+  explicit ReplyGuard(Client& client) : client_(client) {}
+  ~ReplyGuard() {
+    if (!complete_) client_.close();
+  }
+  ReplyGuard(const ReplyGuard&) = delete;
+  ReplyGuard& operator=(const ReplyGuard&) = delete;
+
+  /// The reply has been read to its end; keep the connection.
+  void complete() noexcept { complete_ = true; }
+
+ private:
+  Client& client_;
+  bool complete_ = false;
+};
+
 }  // namespace
 
 Client::Client(ClientConfig config) : config_(std::move(config)) {}
@@ -97,7 +119,6 @@ FdStream::ReadStatus Client::next_frame(Frame& out, const char* waiting_for) {
     const FdStream::ReadStatus status = stream_->read_frame(out);
     if (status != FdStream::ReadStatus::kIdle) return status;
     if (clock::now() >= deadline) {
-      close();
       throw runtime_failure(std::string("timed out waiting for ") +
                             waiting_for + " from " + config_.host + ':' +
                             std::to_string(config_.port));
@@ -109,6 +130,7 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
   PTSBE_REQUIRE(job.tenant.find_first_of(" \n") == std::string::npos,
                 "tenant label must not contain spaces or newlines");
   ensure_connected();
+  ReplyGuard guard(*this);
 
   stream_->write_frame(Frame{"SUBMIT",
                              {job.tenant, serve::to_string(job.priority)},
@@ -121,15 +143,16 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
   for (;;) {
     if (next_frame(frame, acked ? "result frames" : "ACK") ==
         FdStream::ReadStatus::kEof) {
-      close();
       throw runtime_failure("server closed the connection mid-job");
     }
     if (frame.type == "ERROR") {
       const std::string code =
           frame.args.empty() ? errc::kFailed : frame.args.front();
       const WireError error = decode_error(frame.payload);
-      // Framing errors poison the stream; engine-level failures don't.
-      if (code == errc::kProtocol || code == errc::kOversize) close();
+      // An ERROR frame ends the exchange. Framing errors poison the
+      // stream; engine-level failures leave it at a frame boundary.
+      if (code != errc::kProtocol && code != errc::kOversize)
+        guard.complete();
       throw RemoteError(code, error);
     }
     if (frame.type == "ACK") {
@@ -151,7 +174,6 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
     } else if (frame.type == "DONE") {
       break;
     } else {
-      close();
       throw RemoteError(errc::kProtocol,
                         {"unexpected frame '" + frame.type +
                              "' during SUBMIT exchange",
@@ -161,7 +183,6 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
 
   if (batches.size() != out.run.num_specs ||
       batches.size() != out.num_batches) {
-    close();
     throw RemoteError(errc::kProtocol,
                       {"batch count mismatch: streamed " +
                            std::to_string(batches.size()) + ", RESULT says " +
@@ -178,7 +199,6 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
   for (be::TrajectoryBatch& batch : batches) {
     const std::size_t index = batch.spec_index;
     if (index >= placed.size() || placed[index]) {
-      close();
       throw RemoteError(errc::kProtocol,
                         {"bad batch spec_index " + std::to_string(index),
                          0, 0});
@@ -186,35 +206,37 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
     placed[index] = true;
     out.run.result.batches[index] = std::move(batch);
   }
+  guard.complete();
   return out;
 }
 
 std::string Client::stats_json() {
   ensure_connected();
+  ReplyGuard guard(*this);
   stream_->write_frame(Frame{"STATS", {}, ""});
   Frame frame;
   if (next_frame(frame, "STATS reply") == FdStream::ReadStatus::kEof) {
-    close();
     throw runtime_failure("server closed the connection");
   }
   if (frame.type != "STATS") {
-    close();
     throw RemoteError(errc::kProtocol,
                       {"expected STATS reply, got '" + frame.type + "'", 0,
                        0});
   }
+  guard.complete();
   return std::move(frame.payload);
 }
 
 void Client::ping() {
   ensure_connected();
+  ReplyGuard guard(*this);
   stream_->write_frame(Frame{"PING", {}, ""});
   Frame frame;
   if (next_frame(frame, "PONG") == FdStream::ReadStatus::kEof ||
       frame.type != "PONG") {
-    close();
     throw runtime_failure("ping failed");
   }
+  guard.complete();
 }
 
 // ---------------------------------------------------------------------------

@@ -72,7 +72,12 @@ struct RemoteRun {
 };
 
 /// Blocking client for one daemon. Connects lazily on first call; not
-/// thread-safe (one connection, one in-flight call).
+/// thread-safe (one connection, one in-flight call). A call that fails
+/// before reading its whole reply (a timeout, an oversize or malformed
+/// frame, a framing ERROR) drops the connection, so the next call
+/// reconnects instead of reading the rest of the old reply; an
+/// engine-level ERROR (quota, rejected, parse, …) ends its reply and keeps
+/// the connection.
 class Client {
  public:
   explicit Client(ClientConfig config);

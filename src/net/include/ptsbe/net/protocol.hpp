@@ -26,9 +26,11 @@
 ///
 ///  - `ACK 0` — the frame was read and the job is being admitted.
 ///  - `BATCH <len>` — one `be::TrajectoryBatch` as exactly one PTSB
-///    format-v2 block (the bytes `dataset::StreamWriter` appends for it),
+///    format-v3 block (the bytes `dataset::StreamWriter` appends for it),
 ///    streamed off the engine's `BatchSink` path as the worker completes
-///    it (completion order; reassemble by `spec_index`).
+///    it (completion order; reassemble by `spec_index`). A block stores
+///    its records as (record, count) runs when that is smaller, so a
+///    batch's frame grows with its distinct outcomes, not its shots.
 ///  - `RESULT <len>` — run metadata (`key=value` lines: job_id, strategy,
 ///    backend, weighting, schedules, num_specs, num_batches,
 ///    plan_cache_hit).
@@ -41,9 +43,10 @@
 ///
 /// Batch payloads go through the dataset block codec
 /// (`dataset::encode_block` / `decode_block`): little-endian u64 fields with
-/// doubles as raw IEEE-754 bit patterns, so a batch round-trips
-/// *bit-identically* — the loopback determinism matrix pins served bytes to
-/// standalone `Pipeline::run`.
+/// doubles as raw IEEE-754 bit patterns, and records either plain or as
+/// runs in shot order, so a batch round-trips *bit-identically* — the
+/// loopback determinism matrix pins served bytes to standalone
+/// `Pipeline::run`.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,8 +61,9 @@
 namespace ptsbe::net {
 
 /// Protocol revision (bumped on incompatible frame changes; 2 made the
-/// BATCH payload a PTSB format-v2 block).
-inline constexpr int kProtocolVersion = 2;
+/// BATCH payload a PTSB format-v2 block, 3 a format-v3 block, which may
+/// store its records as runs).
+inline constexpr int kProtocolVersion = 3;
 /// Hard bound on one header line, including the trailing newline.
 inline constexpr std::size_t kMaxHeaderBytes = 256;
 /// Default bound on one frame payload (servers reject bigger with
@@ -155,13 +159,14 @@ class FdStream {
   std::size_t pos_ = 0;  ///< Consumed prefix of buf_.
 };
 
-/// Serialise one trajectory batch as the BATCH payload: one PTSB format-v2
+/// Serialise one trajectory batch as the BATCH payload: one PTSB format-v3
 /// block (`dataset::encode_block`), so wire and disk bytes are identical.
 [[nodiscard]] std::string encode_batch(const be::TrajectoryBatch& batch);
 
 /// Decode a BATCH payload (`dataset::decode_block`).
 /// \throws ProtocolError(errc::kProtocol) on a truncated or hostile block
-///         or trailing bytes after it.
+///         (including run counts of zero or summing past
+///         `dataset::kMaxBlockRecords`) or trailing bytes after it.
 [[nodiscard]] be::TrajectoryBatch decode_batch(std::string_view bytes);
 
 /// Serialise the pipeline configuration of `job` (strategy/backend/

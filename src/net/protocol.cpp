@@ -288,7 +288,6 @@ void FdStream::write_frame(const Frame& frame) {
 
 std::string encode_batch(const be::TrajectoryBatch& batch) {
   std::string out;
-  out.reserve(dataset::block_bytes(batch));
   dataset::encode_block(batch, [&out](const void* data, std::size_t size) {
     out.append(static_cast<const char*>(data), size);
   });

@@ -11,8 +11,10 @@
 ///    (well-behaved at 0 failures, unlike the normal approximation);
 ///  - `LogicalErrorAccumulator` — a streaming consumer of trajectory
 ///    batches (usable directly as a `be::BatchSink`, so sweeps never
-///    materialise a full `Result`). It decodes each record with a
-///    `ShotDecoder` (`make_shot_decoder` names them) and weighs shots
+///    materialise a full `Result`). It decodes each run of equal adjacent
+///    records once with a `ShotDecoder` (`make_shot_decoder` names them;
+///    the dense samplers emit sorted records, so a batch costs one decode
+///    per distinct outcome) and weighs shots
 ///    with exactly the estimator's `be::shot_weight` rule, so the weighted
 ///    rate equals `RunResult::estimate_probability(decoder fails)`
 ///    bit-for-bit, and scales its Wilson interval by the Kish effective

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/record_runs.hpp"
 
 namespace ptsbe::qec {
 
@@ -36,14 +37,19 @@ LogicalErrorAccumulator::LogicalErrorAccumulator(const ShotDecoder& decoder,
 void LogicalErrorAccumulator::consume(const be::TrajectoryBatch& batch) {
   const double v = be::shot_weight(batch, weighting_);
   if (v <= 0.0) return;
-  for (std::uint64_t record : batch.records) {
+  // Equal adjacent records decode alike, so each run is decoded once; its
+  // shots are still added one at a time, which keeps every sum bit for bit
+  // what a per-shot loop accumulates.
+  for_each_run(batch.records, [&](std::uint64_t record, std::uint64_t count) {
     const bool failed = decoder_->decode_shot(record) != 0;
-    ++shots_;
-    failures_ += failed ? 1 : 0;
-    weight_sum_ += v;
-    weight_sq_sum_ += v * v;
-    if (failed) failure_weight_ += v;
-  }
+    shots_ += count;
+    if (failed) failures_ += count;
+    for (std::uint64_t shot = 0; shot < count; ++shot) {
+      weight_sum_ += v;
+      weight_sq_sum_ += v * v;
+      if (failed) failure_weight_ += v;
+    }
+  });
 }
 
 void LogicalErrorAccumulator::consume(const be::Result& result) {

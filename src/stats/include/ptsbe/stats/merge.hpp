@@ -24,12 +24,14 @@ namespace ptsbe::stats {
 
 /// Knobs for merge_datasets.
 struct MergeOptions {
-  /// Upper bound on the bytes of batch payload buffered at any instant
-  /// (measured in on-disk block bytes — the in-memory footprint tracks it
-  /// within a constant factor). The merge holds exactly one head batch per
-  /// input, so the minimum feasible budget is the sum of the K current
-  /// head blocks; a budget too small for that \throws runtime_failure
-  /// rather than silently overshooting.
+  /// Upper bound on the bytes of batch payload buffered at any instant,
+  /// measured at each head batch's decoded size (six fixed words, 16 bytes
+  /// per branch pair and 8 per record, whatever layout its block has on
+  /// disk: a run block a few hundred bytes long can expand to gigabytes).
+  /// The merge holds exactly one head batch per input, so the minimum
+  /// feasible budget is the sum of the K current decoded heads; a budget
+  /// too small for that \throws runtime_failure rather than silently
+  /// overshooting.
   std::uint64_t memory_budget_bytes = 64ULL << 20;
 
   /// How input files are accessed (see dataset::ViewMode).
@@ -42,14 +44,15 @@ struct MergeReport {
   std::uint64_t batches = 0;               ///< Batch blocks written.
   std::uint64_t records = 0;               ///< Measurement records written.
   std::uint64_t bytes_out = 0;             ///< Output file size in bytes.
-  std::uint64_t peak_buffered_bytes = 0;   ///< High-water buffered blocks.
+  std::uint64_t peak_buffered_bytes = 0;   ///< High-water decoded heads.
 };
 
-/// Merge `inputs` (each a valid format-v2 dataset, each spec-ordered) into
-/// `out_path`, ordered by (spec_index, input index) — inputs listed first
-/// win ties, so the order of `inputs` is part of the result for
-/// overlapping shards. Disjoint spec-partitioned shards (the serve/QEC
-/// case) have no ties, and their merge is input-order independent.
+/// Merge `inputs` (each a valid format-v2 or v3 dataset, each
+/// spec-ordered) into `out_path`, ordered by (spec_index, input index) —
+/// inputs listed first win ties, so the order of `inputs` is part of the
+/// result for overlapping shards. Disjoint spec-partitioned shards (the
+/// serve/QEC case) have no ties, and their merge is input-order
+/// independent.
 /// \throws precondition_error when `inputs` is empty;
 ///         runtime_failure on invalid inputs, write errors, or a memory
 ///         budget smaller than the K concurrent head batches.

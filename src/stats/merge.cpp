@@ -21,6 +21,15 @@ struct Input {
   bool exhausted = false;
 };
 
+/// A head batch's decoded size: six fixed words, its branch pairs and 8
+/// bytes per record (its plain block's size). The budget bounds memory, and
+/// a run block on disk can be orders of magnitude smaller than that.
+std::uint64_t decoded_bytes(const be::TrajectoryBatch& batch) {
+  return 6 * sizeof(std::uint64_t) +
+         sizeof(BranchChoice) * batch.spec.branches.size() +
+         sizeof(std::uint64_t) * batch.records.size();
+}
+
 }  // namespace
 
 MergeReport merge_datasets(const std::string& out_path,
@@ -35,7 +44,7 @@ MergeReport merge_datasets(const std::string& out_path,
   shards.reserve(inputs.size());
   std::uint64_t buffered = 0;
 
-  // Replace a shard's head batch, accounting it at its block size.
+  // Replace a shard's head batch, accounting it at its decoded size.
   const auto advance = [&](Input& shard) {
     buffered -= shard.head_bytes;
     shard.head_bytes = 0;
@@ -43,7 +52,7 @@ MergeReport merge_datasets(const std::string& out_path,
       shard.exhausted = true;
       return;
     }
-    shard.head_bytes = dataset::block_bytes(shard.head);
+    shard.head_bytes = decoded_bytes(shard.head);
     buffered += shard.head_bytes;
     report.peak_buffered_bytes =
         std::max(report.peak_buffered_bytes, buffered);

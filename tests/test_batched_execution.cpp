@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -18,6 +20,7 @@
 #include "ptsbe/core/trajectory_executor.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -214,7 +217,7 @@ TEST(Dataset, BinaryRoundTrip) {
   opt.nshots = 25;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
   const auto result = be::execute(noisy, specs);
-  const std::string path = "/tmp/ptsbe_test_dataset.bin";
+  const std::string path = test::temp_file("dataset.bin");
   dataset::write_binary(path, result);
   const auto loaded = dataset::read_binary(path);
   ASSERT_EQ(loaded.batches.size(), result.batches.size());
@@ -231,7 +234,7 @@ TEST(Dataset, CsvContainsProvenance) {
   const NoisyCircuit noisy = noisy_ghz(2, 0.4);
   const auto specs = pts::enumerate_most_likely(noisy, 0.01, 5);
   const auto result = be::execute(noisy, specs);
-  const std::string path = "/tmp/ptsbe_test_dataset.csv";
+  const std::string path = test::temp_file("dataset.csv");
   dataset::write_csv(path, result);
   std::ifstream is(path);
   ASSERT_TRUE(is);
@@ -245,7 +248,7 @@ TEST(Dataset, CsvContainsProvenance) {
 }
 
 TEST(Dataset, ReadRejectsGarbage) {
-  const std::string path = "/tmp/ptsbe_test_garbage.bin";
+  const std::string path = test::temp_file("garbage.bin");
   std::ofstream(path) << "not a dataset";
   EXPECT_THROW((void)dataset::read_binary(path), runtime_failure);
 
@@ -301,7 +304,7 @@ TEST(BatchedExecution, InjectedPlanIsFingerprintChecked) {
 // reading them with the v2 layout would silently shear every field after
 // it. Same contract for versions newer than the reader.
 TEST(Dataset, ReadRejectsVersion1Header) {
-  const std::string path = ::testing::TempDir() + "ptsbe_test_v1_header.bin";
+  const std::string path = test::temp_file("v1_header.bin");
   const auto write_version = [&path](std::uint32_t version) {
     std::ofstream os(path, std::ios::binary);
     os.write("PTSB", 4);
@@ -336,17 +339,168 @@ TEST(Dataset, ReadRejectsVersion1Header) {
         << e.what();
   }
 
-  write_version(3);  // from the future: same rejection, no misparse
+  write_version(4);  // from the future: same rejection, no misparse
   try {
     (void)dataset::read_binary(path);
     FAIL() << "future-version dataset must be rejected";
   } catch (const runtime_failure& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported dataset version 3"),
+    EXPECT_NE(std::string(e.what()).find("unsupported dataset version 4"),
               std::string::npos)
         << e.what();
   }
   std::remove(path.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// The v3 block layouts: plain words, or (record, count) runs in shot order,
+// whichever is strictly smaller.
+// ---------------------------------------------------------------------------
+
+std::string encode(const be::TrajectoryBatch& batch) {
+  std::string bytes;
+  dataset::encode_block(batch, [&bytes](const void* data, std::size_t size) {
+    bytes.append(static_cast<const char*>(data), size);
+  });
+  return bytes;
+}
+
+be::TrajectoryBatch block_batch(std::vector<std::uint64_t> records,
+                                double realized = 0.25) {
+  be::TrajectoryBatch batch;
+  batch.spec_index = 3;
+  batch.spec.branches = {{1, 2}, {4, 1}};
+  batch.spec.shots = records.size();
+  batch.spec.nominal_probability = 0.25;
+  batch.realized_probability = realized;
+  batch.records = std::move(records);
+  return batch;
+}
+
+/// Runs of equal adjacent records: the count the run layout would store.
+std::uint64_t count_runs(const std::vector<std::uint64_t>& records) {
+  std::uint64_t runs = 0;
+  for (std::size_t i = 0; i < records.size(); ++i)
+    runs += (i == 0 || records[i] != records[i - 1]) ? 1 : 0;
+  return runs;
+}
+
+/// The word after the branch pairs: the record count, or 2^63 | runs.
+std::uint64_t count_word(const std::string& block, std::size_t branches) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, block.data() + 40 + 16 * branches, sizeof word);
+  return word;
+}
+
+void expect_round_trip(const be::TrajectoryBatch& batch) {
+  const std::string bytes = encode(batch);
+  const std::uint64_t n = batch.records.size();
+  const std::uint64_t runs = count_runs(batch.records);
+  const bool run_layout = 2 * runs < n;
+  const std::uint64_t fixed = 48 + 16 * batch.spec.branches.size();
+  EXPECT_EQ(bytes.size(), fixed + (run_layout ? 16 * runs : 8 * n));
+  EXPECT_EQ(count_word(bytes, batch.spec.branches.size()),
+            run_layout ? (std::uint64_t{1} << 63 | runs) : n);
+
+  be::TrajectoryBatch back;
+  back.records = {99, 99};  // reused vectors are overwritten, not appended
+  EXPECT_EQ(dataset::decode_block(dataset::MemorySource(bytes, "block"), 0,
+                                  back),
+            bytes.size());
+  EXPECT_EQ(back.spec_index, batch.spec_index);
+  EXPECT_EQ(back.spec.branches, batch.spec.branches);
+  EXPECT_EQ(back.spec.shots, batch.spec.shots);
+  EXPECT_EQ(back.records, batch.records);
+  EXPECT_EQ(std::memcmp(&back.realized_probability,
+                        &batch.realized_probability, sizeof(double)),
+            0);
+}
+
+TEST(DatasetBlock, EachBatchTakesTheSmallerLayout) {
+  std::vector<std::uint64_t> sorted(1000, 0);
+  sorted.insert(sorted.end(), 500, 3);
+  sorted.insert(sorted.end(), 24, 7);
+  std::vector<std::uint64_t> distinct(100);
+  for (std::uint64_t i = 0; i < distinct.size(); ++i) distinct[i] = i * 7;
+  // The shot-bound shape: 2^20 sorted shots over 32 outcomes, 32 runs.
+  std::vector<std::uint64_t> shot_bound;
+  for (std::uint64_t outcome = 0; outcome < 32; ++outcome)
+    shot_bound.insert(shot_bound.end(), std::uint64_t{1} << 15, outcome * 3);
+
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> records;
+    bool runs;
+  };
+  const Case cases[] = {
+      {"sorted few-outcome", sorted, true},
+      {"shot-bound", shot_bound, true},
+      // Three runs in shot order: 48 bytes either way, and a tie is plain.
+      {"unsorted tie", {5, 5, 3, 3, 3, 5}, false},
+      {"unsorted repeats", {5, 5, 3, 3, 3, 5, 5, 5}, true},
+      {"all distinct", distinct, false},
+      {"one record", {42}, false},
+      {"two equal records", {9, 9}, false},
+      {"unrealizable", {}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const be::TrajectoryBatch batch =
+        block_batch(c.records, c.records.empty() ? 0.0 : 0.25);
+    EXPECT_EQ(2 * count_runs(c.records) < c.records.size(), c.runs);
+    expect_round_trip(batch);
+  }
+  // The unsorted run block stores its runs in shot order.
+  const std::string bytes = encode(block_batch({5, 5, 3, 3, 3, 5, 5, 5}));
+  std::vector<std::uint64_t> runs(6);
+  std::memcpy(runs.data(), bytes.data() + bytes.size() - 48, 48);
+  EXPECT_EQ(runs, (std::vector<std::uint64_t>{5, 2, 3, 3, 5, 3}));
+}
+
+TEST(DatasetBlock, RandomRecordsRoundTripAtTheSmallerSize) {
+  // Run lengths straddle the encoder's eight-word scan; alphabets of 1-5
+  // outcomes, sorted and unsorted, cover both layouts and the tie.
+  RngStream rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::uint64_t n = rng.bits64() % 70;
+    const std::uint64_t alphabet = 1 + rng.bits64() % 5;
+    std::vector<std::uint64_t> records;
+    while (records.size() < n) {
+      const std::uint64_t record = rng.bits64() % alphabet;
+      const std::uint64_t length = 1 + rng.bits64() % 20;
+      for (std::uint64_t k = 0; k < length && records.size() < n; ++k)
+        records.push_back(record);
+    }
+    if (trial % 2 == 0) std::sort(records.begin(), records.end());
+    expect_round_trip(block_batch(records));
+  }
+}
+
+TEST(DatasetBlock, VersionTwoFilesReadAsBefore) {
+  // A v2 file is a header with version 2 and plain blocks: the v3 reader
+  // decodes it with the same decoder.
+  be::Result result;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::vector<std::uint64_t> records;
+    for (std::uint64_t k = 0; k <= i; ++k) records.push_back(k * 11 + i);
+    result.batches.push_back(block_batch(records));
+    result.batches.back().spec_index = i;
+  }
+  const std::string path = test::temp_file("v2_file.bin");
+  dataset::write_binary(path, result);
+  {
+    std::fstream fs(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t version = 2;
+    fs.seekp(4);
+    fs.write(reinterpret_cast<const char*>(&version), sizeof version);
+  }
+  const be::Result back = dataset::read_binary(path);
+  ASSERT_EQ(back.batches.size(), result.batches.size());
+  for (std::size_t i = 0; i < back.batches.size(); ++i)
+    EXPECT_EQ(back.batches[i].records, result.batches[i].records);
+  std::remove(path.c_str());
+}
+
 
 TEST(BatchedExecution, SpecValidationRejectsBadIndices) {
   const NoisyCircuit noisy = noisy_ghz(2, 0.1);

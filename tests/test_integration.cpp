@@ -16,6 +16,7 @@
 #include "ptsbe/qec/decoder.hpp"
 #include "ptsbe/qec/distillation.hpp"
 #include "ptsbe/trajectory/trajectory.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -198,7 +199,7 @@ TEST(Integration, DatasetRoundTripAtScale) {
   exec.backend = "mps";
   exec.config.mps.max_bond = 32;
   const auto result = be::execute(noisy, specs, exec);
-  const std::string path = "/tmp/ptsbe_integration_dataset.bin";
+  const std::string path = test::temp_file("integration_dataset.bin");
   dataset::write_binary(path, result);
   const auto loaded = dataset::read_binary(path);
   EXPECT_EQ(loaded.total_shots(), result.total_shots());

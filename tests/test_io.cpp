@@ -14,6 +14,7 @@
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -284,7 +285,7 @@ measure 0
 }
 
 TEST(PtqParse, FileHelperAndMissingFile) {
-  const std::string path = ::testing::TempDir() + "ptq_io_test.ptq";
+  const std::string path = test::temp_file("ptq_io_test.ptq");
   {
     std::ofstream os(path);
     os << "ptq 1\nqubits 1\nh 0\nmeasure 0\n";

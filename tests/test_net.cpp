@@ -15,9 +15,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -33,6 +36,7 @@
 #include "ptsbe/net/server.hpp"
 #include "ptsbe/net/shard_router.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -507,9 +511,10 @@ TEST(NetLoopback, DeterminismMatrixAcrossLanesAndShards) {
 
     // Dataset bytes, not just records: the full export path agrees even
     // after a TCP round trip.
-    const std::string dir = ::testing::TempDir();
-    const std::string path_a = dir + "net_det_a_" + std::to_string(i) + ".bin";
-    const std::string path_b = dir + "net_det_b_" + std::to_string(i) + ".bin";
+    const std::string path_a =
+        test::temp_file("net_det_a_" + std::to_string(i) + ".bin");
+    const std::string path_b =
+        test::temp_file("net_det_b_" + std::to_string(i) + ".bin");
     standalone.to_binary(path_a);
     remote.run.to_binary(path_b);
     EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
@@ -527,6 +532,76 @@ TEST(NetLoopback, DeterminismMatrixAcrossLanesAndShards) {
   }
   shard_a.stop();
   shard_b.stop();
+}
+
+// A spec of millions of shots used to need 8 bytes per shot in its BATCH
+// frame, past the default 8 MiB payload cap. As runs it is a few hundred
+// bytes, and the served result still equals the local one byte for byte.
+TEST(NetLoopback, MultiMillionShotSpecFitsTheDefaultFrameCap) {
+  net::ServerConfig config;
+  config.engine.workers = 1;
+  net::Server server(config);
+  net::Client client(client_for(server));
+
+  serve::JobRequest req = ghz_request(4);
+  req.strategy_config.nsamples = 64;
+  req.strategy_config.nshots = std::uint64_t{1} << 16;
+  const net::RemoteRun remote = client.submit(req);
+  const RunResult standalone =
+      Pipeline(io::parse_circuit(req.circuit_text))
+          .strategy(req.strategy, req.strategy_config)
+          .backend(req.backend, req.backend_config)
+          .schedule(req.schedule)
+          .threads(req.threads)
+          .seed(req.seed)
+          .run();
+  expect_same_result(standalone, remote.run);
+  std::size_t largest = 0;
+  for (const be::TrajectoryBatch& batch : remote.run.result.batches)
+    largest = std::max(largest, batch.records.size());
+  EXPECT_GE(largest, std::size_t{1} << 21);
+  EXPECT_GT(8 * largest, net::kDefaultMaxPayload);
+
+  const std::string path_a = test::temp_file("net_big_a.bin");
+  const std::string path_b = test::temp_file("net_big_b.bin");
+  standalone.to_binary(path_a);
+  remote.run.to_binary(path_b);
+  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+  server.stop();
+}
+
+// A call that fails mid-reply must drop its connection: the rest of the
+// reply would otherwise be read as the next call's frames, and the server
+// would sit blocked sending it.
+TEST(NetLoopback, OversizeBatchClosesTheStreamAndTheNextCallReconnects) {
+  net::ServerConfig config;
+  config.engine.workers = 1;
+  net::Server server(config);
+  net::ClientConfig small = client_for(server);
+  small.max_payload = 4096;
+  net::Client client(small);
+
+  // H on all 12 qubits: a few thousand shots are nearly all distinct, so
+  // the one batch stays plain and its frame is far past 4 KiB.
+  Circuit circuit(12);
+  for (unsigned q = 0; q < 12; ++q) circuit.h(q);
+  circuit.measure_all();
+  serve::JobRequest wide;
+  wide.circuit_text = io::write_circuit(NoiseModel{}.apply(circuit));
+  wide.strategy_config.nsamples = 1;
+  wide.strategy_config.nshots = 3000;
+  try {
+    (void)client.submit(wide);
+    ADD_FAILURE() << "a BATCH frame past max_payload must be refused";
+  } catch (const net::ProtocolError& e) {
+    EXPECT_EQ(e.code(), net::errc::kOversize) << e.what();
+  }
+
+  const net::RemoteRun next = client.submit(ghz_request(3));
+  EXPECT_GT(next.run.result.total_shots(), 0u);
+  server.stop();
 }
 
 TEST(NetLoopback, RepeatCircuitKeepsPlanCacheAffinity) {
@@ -772,17 +847,38 @@ TEST(NetLoopback, TenantQuotaRejectsWithQuotaCode) {
   heavy.strategy_config.nsamples = 1500;
   heavy.strategy_config.nshots = 50;
 
+  // The thread hands any exception back, and std::jthread joins on every
+  // exit path, so a failure here is reported rather than terminating.
   net::RemoteRun heavy_run;
-  std::thread first([&] {
-    net::Client client(client_for(server));
-    heavy_run = client.submit(heavy);
+  std::exception_ptr heavy_error;
+  std::atomic<bool> heavy_done{false};
+  std::jthread first([&] {
+    try {
+      net::Client client(client_for(server));
+      heavy_run = client.submit(heavy);
+    } catch (...) {
+      heavy_error = std::current_exception();
+    }
+    heavy_done = true;
   });
+  const auto rethrow_heavy = [&heavy_error] {
+    if (!heavy_error) return;
+    try {
+      std::rethrow_exception(heavy_error);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the heavy submit threw: " << e.what();
+    }
+  };
   // Submit the moment the heavy job is observed holding alice's quota slot —
   // a fixed sleep would race against how fast the kernels burn through it.
   for (;;) {
     const serve::EngineStats running = server.stats();
     const auto it = running.tenants.find("alice");
     if (it != running.tenants.end() && it->second.outstanding >= 1) break;
+    if (heavy_done) {
+      rethrow_heavy();
+      FAIL() << "the heavy job finished before it was seen running";
+    }
     std::this_thread::yield();
   }
 
@@ -794,14 +890,22 @@ TEST(NetLoopback, TenantQuotaRejectsWithQuotaCode) {
     ADD_FAILURE() << "quota must reject the second outstanding job";
   } catch (const net::RemoteError& e) {
     EXPECT_EQ(e.code(), net::errc::kQuota);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "alice's second submit threw: " << e.what();
   }
 
-  // A different tenant is not affected by alice's quota.
+  // A different tenant is not affected by alice's quota. Its job queues
+  // behind the heavy one on the single worker.
   serve::JobRequest other = ghz_request(4);
   other.tenant = "bob";
-  EXPECT_GT(client.submit(other).run.result.total_shots(), 0u);
+  try {
+    EXPECT_GT(client.submit(other).run.result.total_shots(), 0u);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "bob's submit threw: " << e.what();
+  }
 
   first.join();
+  rethrow_heavy();
   EXPECT_GT(heavy_run.run.result.total_shots(), 0u);
 
   const serve::EngineStats stats = server.stats();

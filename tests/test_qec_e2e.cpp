@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -20,6 +22,7 @@
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/qec/metrics.hpp"
 #include "ptsbe/serve/engine.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -82,8 +85,8 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
   const auto decoder =
       qec::make_shot_decoder("union-find", workload.experiment);
   const std::vector<std::size_t> thread_counts = matrix_thread_counts();
-  const std::string ref_path = "/tmp/ptsbe_test_qec_matrix_ref.bin";
-  const std::string got_path = "/tmp/ptsbe_test_qec_matrix_got.bin";
+  const std::string ref_path = test::temp_file("qec_matrix_ref.bin");
+  const std::string got_path = test::temp_file("qec_matrix_got.bin");
 
   pts::StrategyConfig cfg;
   cfg.nsamples = 200;
@@ -209,8 +212,8 @@ TEST(QecDeterminismMatrix, ServedJobsBitIdenticalToStandalone) {
     handles.push_back(engine.submit(std::move(req)));
   }
 
-  const std::string served_path = "/tmp/ptsbe_test_qec_served.bin";
-  const std::string standalone_path = "/tmp/ptsbe_test_qec_standalone.bin";
+  const std::string served_path = test::temp_file("qec_served.bin");
+  const std::string standalone_path = test::temp_file("qec_standalone.bin");
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     SCOPED_TRACE("job=" + std::to_string(i) + " schedule=" +
@@ -403,6 +406,70 @@ TEST(LogicalErrorAccumulatorTest, AgreesWithEstimatorExactly) {
   // Uniform-weight sanity: effective sample size equals the shot count.
   EXPECT_NEAR(acc.effective_shots(), static_cast<double>(acc.shots()),
               1e-6 * static_cast<double>(acc.shots()));
+}
+
+/// Fails odd records and counts its calls.
+class CountingDecoder final : public qec::ShotDecoder {
+ public:
+  [[nodiscard]] const std::string& name() const noexcept override {
+    return name_;
+  }
+  [[nodiscard]] unsigned decode_shot(std::uint64_t record) const override {
+    ++calls;
+    return static_cast<unsigned>(record & 1);
+  }
+  mutable std::size_t calls = 0;
+
+ private:
+  std::string name_ = "counting";
+};
+
+TEST(LogicalErrorAccumulatorTest, DecodesEachRunOnceWithPerShotSums) {
+  be::Result result;
+  be::TrajectoryBatch batch;
+  batch.spec.shots = 6;
+  batch.spec.nominal_probability = 0.3;
+  batch.realized_probability = 0.3;
+  batch.records = {1, 1, 1, 2, 2, 1};
+  result.batches.push_back(batch);
+  batch.spec_index = 1;
+  batch.realized_probability = 0.7;
+  batch.records = {3, 4, 4, 4, 3, 3, 3};
+  result.batches.push_back(batch);
+
+  CountingDecoder decoder;
+  LogicalErrorAccumulator acc(decoder, be::Weighting::kProbabilityWeighted);
+  acc.consume(result.batches[0]);
+  EXPECT_EQ(decoder.calls, 3u);  // runs {1×3, 2×2, 1×1}
+  acc.consume(result.batches[1]);
+  EXPECT_EQ(decoder.calls, 6u);
+
+  // The per-shot loop the accumulator used to run, one decode per record.
+  std::uint64_t shots = 0, failures = 0;
+  double weight_sum = 0.0, weight_sq_sum = 0.0, failure_weight = 0.0;
+  for (const be::TrajectoryBatch& b : result.batches) {
+    const double v = be::shot_weight(b, be::Weighting::kProbabilityWeighted);
+    for (const std::uint64_t record : b.records) {
+      const bool failed = (record & 1) != 0;
+      ++shots;
+      failures += failed ? 1 : 0;
+      weight_sum += v;
+      weight_sq_sum += v * v;
+      if (failed) failure_weight += v;
+    }
+  }
+  EXPECT_EQ(acc.shots(), shots);
+  EXPECT_EQ(acc.failures(), failures);
+  EXPECT_EQ(acc.logical_error_rate(), failure_weight / weight_sum);
+  EXPECT_EQ(acc.effective_shots(), weight_sum * weight_sum / weight_sq_sum);
+  const WilsonInterval ci = acc.wilson();
+  const WilsonInterval expected = qec::wilson_interval(
+      std::min(failure_weight / weight_sum *
+                   (weight_sum * weight_sum / weight_sq_sum),
+               weight_sum * weight_sum / weight_sq_sum),
+      weight_sum * weight_sum / weight_sq_sum);
+  EXPECT_EQ(ci.lower, expected.lower);
+  EXPECT_EQ(ci.upper, expected.upper);
 }
 
 TEST(LogicalErrorAccumulatorTest, NoiselessMemoryNeverFails) {

@@ -25,6 +25,7 @@
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/statevector/statevector.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -199,8 +200,8 @@ TEST(SharedPrefixScheduler, StreamWriterBytesMatchIndependentSchedule) {
     for (const be::TrajectoryBatch& batch : batches) writer.append(batch);
     writer.close();
   };
-  const std::string independent_path = "/tmp/ptsbe_test_sched_indep.bin";
-  const std::string shared_path = "/tmp/ptsbe_test_sched_shared.bin";
+  const std::string independent_path = test::temp_file("sched_indep.bin");
+  const std::string shared_path = test::temp_file("sched_shared.bin");
   stream_to(be::Schedule::kIndependent, independent_path);
   stream_to(be::Schedule::kSharedPrefix, shared_path);
   const std::string independent_bytes = slurp(independent_path);
@@ -356,8 +357,8 @@ std::vector<std::size_t> matrix_thread_counts() {
 TEST(DeterminismMatrix, ThreadCountNeverChangesRecordsOrBytes) {
   const NoisyCircuit noisy = ghz_program(5, 0.03);
   const std::vector<std::size_t> thread_counts = matrix_thread_counts();
-  const std::string ref_path = "/tmp/ptsbe_test_matrix_ref.bin";
-  const std::string got_path = "/tmp/ptsbe_test_matrix_got.bin";
+  const std::string ref_path = test::temp_file("matrix_ref.bin");
+  const std::string got_path = test::temp_file("matrix_got.bin");
   for (const std::string& backend : BackendRegistry::instance().names()) {
     if (backend == "tensornet") continue;  // alias of "mps"
     for (const std::string& strategy :
@@ -453,8 +454,8 @@ TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
   opt.nsamples = 12;
   opt.nshots = 64;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
-  const std::string ref_path = "/tmp/ptsbe_test_omp_ref.bin";
-  const std::string got_path = "/tmp/ptsbe_test_omp_got.bin";
+  const std::string ref_path = test::temp_file("omp_ref.bin");
+  const std::string got_path = test::temp_file("omp_got.bin");
   for (const be::Schedule schedule :
        {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
     const be::Result reference =
@@ -621,8 +622,8 @@ void expect_matches_reference(
   std::vector<std::size_t> thread_counts = {1, 2};
   const std::size_t hw = std::max(std::thread::hardware_concurrency(), 1u);
   if (hw > 2) thread_counts.push_back(hw);
-  const std::string ref_path = "/tmp/ptsbe_test_split_ref.bin";
-  const std::string got_path = "/tmp/ptsbe_test_split_got.bin";
+  const std::string ref_path = test::temp_file("split_ref.bin");
+  const std::string got_path = test::temp_file("split_got.bin");
   for (const std::string& backend : backends) {
     be::Options options;
     options.backend = backend;

@@ -18,6 +18,7 @@
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/serve/engine.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
@@ -526,9 +527,10 @@ TEST(ServeDeterminism, MatrixMatchesStandalonePipeline) {
     expect_same_result(standalone, served);
 
     // Dataset bytes, not just records: the full export path agrees.
-    const std::string dir = ::testing::TempDir();
-    const std::string path_a = dir + "serve_det_a_" + std::to_string(i) + ".bin";
-    const std::string path_b = dir + "serve_det_b_" + std::to_string(i) + ".bin";
+    const std::string path_a =
+        test::temp_file("serve_det_a_" + std::to_string(i) + ".bin");
+    const std::string path_b =
+        test::temp_file("serve_det_b_" + std::to_string(i) + ".bin");
     standalone.to_binary(path_a);
     served.to_binary(path_b);
     EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));

@@ -32,12 +32,13 @@
 #include "ptsbe/stats/compare.hpp"
 #include "ptsbe/stats/merge.hpp"
 #include "ptsbe/stats/shot_table.hpp"
+#include "temp_file.hpp"
 
 namespace ptsbe {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "stats_" + name + ".bin";
+  return test::temp_file("stats_" + name + ".bin");
 }
 
 std::string slurp(const std::string& path) {
@@ -225,6 +226,73 @@ TEST(StatsReader, HostileLengthFieldsFailBeforeAllocation) {
       EXPECT_THROW(reader.next(batch), invariant_error);
       // The seek index measures blocks with the same guarded length walk.
       EXPECT_THROW(reader.seek_batch(1), invariant_error);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StatsReader, HostileRunBlocksFailBeforeAllocation) {
+  // Format-v3 run blocks (count word 2^63 | runs, then (record, count)
+  // pairs) whose counts lie. The fixed fields are spec_index, nominal,
+  // realized, shots and num_branches = 0.
+  constexpr std::uint64_t kRuns = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = dataset::kMaxBlockRecords;
+  const auto block = [](std::vector<std::uint64_t> tail) {
+    std::vector<std::uint64_t> words = {0, 0, 0, 4, 0};
+    words.insert(words.end(), tail.begin(), tail.end());
+    return std::string(reinterpret_cast<const char*>(words.data()),
+                       words.size() * sizeof(std::uint64_t));
+  };
+  const auto v3_file = [](const std::string& body) {
+    std::string bytes("PTSB", 4);
+    const std::uint32_t version = dataset::kFormatVersion;
+    const std::uint64_t count = 1;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    return bytes + body;
+  };
+  struct Case {
+    const char* name;
+    std::string body;
+    bool extent_fits;  ///< Only the decode's count checks can catch it.
+  };
+  const Case hostile[] = {
+      {"more runs than bytes", block({kRuns | (std::uint64_t{1} << 40)}),
+       false},
+      {"half a run", block({kRuns | 1, 7}), false},
+      {"zero count", block({kRuns | 2, 7, 3, 8, 0}), true},
+      {"overflowing sum",
+       block({kRuns | 2, 7, std::numeric_limits<std::uint64_t>::max(), 8, 2}),
+       true},
+      {"sum above kMaxBlockRecords",
+       block({kRuns | 3, 1, kMax / 2, 2, kMax / 2, 3, 1}), true},
+  };
+  const std::string path = temp_path("hostile_runs");
+  for (const Case& c : hostile) {
+    SCOPED_TRACE(c.name);
+    spit(path, v3_file(c.body));
+    for (const dataset::ViewMode mode :
+         {dataset::ViewMode::kMmap, dataset::ViewMode::kStream}) {
+      SCOPED_TRACE(dataset::to_string(mode));
+      dataset::Reader reader(path, mode);
+      be::TrajectoryBatch batch;
+      EXPECT_THROW(reader.next(batch), invariant_error);
+      // Nothing was sized from the counts.
+      EXPECT_EQ(batch.records.capacity(), 0u);
+      // The seek index walks lengths only: it refuses a block whose runs
+      // cannot fit, and a block that fits is measured without decoding.
+      if (c.extent_fits) {
+        reader.seek_batch(1);
+        EXPECT_EQ(reader.position(), 1u);
+      } else {
+        EXPECT_THROW(reader.seek_batch(1), invariant_error);
+      }
+    }
+    try {
+      (void)net::decode_batch(c.body);
+      ADD_FAILURE() << "BATCH payload accepted";
+    } catch (const net::ProtocolError& e) {
+      EXPECT_EQ(e.code(), net::errc::kProtocol);
     }
   }
   std::remove(path.c_str());
@@ -580,6 +648,34 @@ TEST(StatsMerge, BudgetSmallerThanHeadBatchesThrows) {
   EXPECT_LE(report.peak_buffered_bytes, opts.memory_budget_bytes);
 
   EXPECT_THROW(stats::merge_datasets(out, {}), precondition_error);
+  for (const std::string& p : {a, b, out}) std::remove(p.c_str());
+}
+
+TEST(StatsMerge, BudgetCountsRunBlocksAtTheirDecodedSize) {
+  // Each shard holds one batch of 100000 equal shots: one run, a block of
+  // 64 bytes on disk, which decodes to 800 KB of records. Two such heads
+  // overflow a 1 MiB budget however small their files are.
+  const std::string a = temp_path("runs_budget_a");
+  const std::string b = temp_path("runs_budget_b");
+  for (std::size_t s = 0; s < 2; ++s) {
+    be::Result shard;
+    shard.batches.push_back(
+        make_batch(s, {}, std::vector<std::uint64_t>(100000, 5)));
+    dataset::write_binary(s == 0 ? a : b, shard);
+  }
+  EXPECT_EQ(slurp(a).size(), dataset::kHeaderBytes + 64);
+
+  stats::MergeOptions opts;
+  opts.memory_budget_bytes = 1 << 20;
+  const std::string out = temp_path("runs_budget_out");
+  EXPECT_THROW(stats::merge_datasets(out, {a, b}, opts), runtime_failure);
+
+  // Room for both decoded heads: the peak is their decoded size.
+  opts.memory_budget_bytes = 2 << 20;
+  const stats::MergeReport report = stats::merge_datasets(out, {a, b}, opts);
+  EXPECT_EQ(report.peak_buffered_bytes, 2 * (48 + 8 * 100000u));
+  EXPECT_EQ(report.records, 200000u);
+  EXPECT_EQ(report.bytes_out, dataset::kHeaderBytes + 2 * 64);
   for (const std::string& p : {a, b, out}) std::remove(p.c_str());
 }
 
