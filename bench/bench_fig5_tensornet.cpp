@@ -19,7 +19,10 @@
 // other MSD encoding) and the 125-qubit distance-5 block (qec/codes.hpp
 // explains the [[17,1,5]] → [[25,1,5]] substitution).
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "ptsbe/common/timer.hpp"
 #include "ptsbe/tensornet/mps.hpp"
@@ -42,13 +45,18 @@ void sweep(const char* label, const Circuit& circuit, std::size_t max_batch) {
   cfg.max_bond = 64;
   cfg.truncation_error = 1e-10;
 
+  // Records hold the first 64 qubits; the sampler still draws every qubit
+  // of the chain, so the timings cover the whole 125-qubit block.
+  std::vector<unsigned> recorded(std::min(circuit.num_qubits(), 64u));
+  std::iota(recorded.begin(), recorded.end(), 0u);
+
   // Reference: traditional rate = shots/min with one full prep per shot.
   RngStream rng(21);
   double prep_seconds;
   {
     WallTimer t;
     MpsState probe = prepare(circuit, cfg);
-    (void)probe.sample_shots(1, rng);
+    (void)probe.sample_records(1, rng, recorded);
     prep_seconds = t.seconds();
   }
   const double traditional_rate = 60.0 / prep_seconds;
@@ -64,14 +72,14 @@ void sweep(const char* label, const Circuit& circuit, std::size_t max_batch) {
     WallTimer t;
     const std::size_t probe = std::min<std::size_t>(batch, 50);
     for (std::size_t i = 0; i < probe; ++i)
-      (void)uncached_state.sample_one_uncached(rng);
+      (void)uncached_state.sample_one_uncached(rng, recorded);
     const double unc_per_shot = t.seconds() / static_cast<double>(probe);
     const double unc_rate =
         static_cast<double>(batch) * 60.0 /
         (prep_seconds + unc_per_shot * static_cast<double>(batch));
     // Cached: prep once + one canonicalisation + cheap conditional samples.
     t.reset();
-    (void)cached_state.sample_shots(batch, rng);
+    (void)cached_state.sample_records(batch, rng, recorded);
     const double cache_rate = static_cast<double>(batch) * 60.0 /
                               (prep_seconds + t.seconds());
     std::printf("%10zu %16.0f %18.0f %16.0f %9.1fx %9.1fx\n", batch,

@@ -420,11 +420,9 @@ int main(int argc, char** argv) {
       acc.consume(run.result);
 
       std::printf(
-          "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d "
+          "pipeline: strategy=%s backend=%s schedule=%s fuse=%d "
           "threads=%zu seed=%llu\n",
-          run.strategy.c_str(), run.backend.c_str(),
-          to_string(run.schedule_executed).c_str(),
-          run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
+          run.strategy.c_str(), run.backend.c_str(), schedule.c_str(),
           fuse ? 1 : 0, threads,
           static_cast<unsigned long long>(seed));
       std::printf(
@@ -510,11 +508,9 @@ int main(int argc, char** argv) {
                               .run();
 
     std::printf(
-        "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d threads=%zu "
+        "pipeline: strategy=%s backend=%s schedule=%s fuse=%d threads=%zu "
         "seed=%llu\n",
-        run.strategy.c_str(), run.backend.c_str(),
-        to_string(run.schedule_executed).c_str(),
-        run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
+        run.strategy.c_str(), run.backend.c_str(), schedule.c_str(),
         fuse ? 1 : 0, threads,
         static_cast<unsigned long long>(seed));
     std::printf("specs=%zu shots=%llu prep=%.3fs sample=%.3fs\n", run.num_specs,

@@ -7,9 +7,9 @@
 
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/common/thread_annotations.hpp"
-#include "ptsbe/common/timer.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/stabilizer/pauli_frame.hpp"
+#include "ptsbe/stabilizer/stabilizer_state.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 
 namespace ptsbe {
@@ -17,9 +17,8 @@ namespace ptsbe {
 namespace {
 
 /// Bits per shot record for `noisy` (one per measure op; all qubits when
-/// the circuit has none). ShotResult packs records into 64-bit words, so
-/// every backend's supports() declines wider programs instead of silently
-/// truncating.
+/// the circuit has none). Records are 64-bit words, so every backend's
+/// supports() declines wider programs instead of silently truncating.
 std::size_t record_width(const NoisyCircuit& noisy) {
   const std::size_t measured = noisy.circuit().measured_qubits().size();
   return measured == 0 ? noisy.num_qubits() : measured;
@@ -28,9 +27,9 @@ std::size_t record_width(const NoisyCircuit& noisy) {
 /// True when every measurement commutes to the end of the circuit: once a
 /// qubit is measured, no gate, second measurement, or noise site — other
 /// than readout noise attached to that same measure op, which fires before
-/// the record is taken — touches it again. Under this condition recording
-/// *at* the measure step (stabilizer frame sampler) and sampling the final
-/// state (amplitude backends) give the same distribution, which is what
+/// the record is taken — touches it again. Under this condition measuring
+/// every qubit after the last step, where all backends draw their records,
+/// gives the same records as measuring in program order, which is what
 /// admits QEC syndrome-extraction circuits: each ancilla is measured
 /// mid-circuit but quiescent afterwards. Terminal-measurement circuits
 /// pass trivially.
@@ -86,16 +85,20 @@ class SimStateAdapter final : public SimState {
     return state_.apply_kraus_branch(k, qubits);
   }
 
-  [[nodiscard]] std::vector<std::uint64_t> sample_shots(
-      std::size_t count, RngStream& rng) override {
-    return state_.sample_shots(count, rng);
-  }
-
   [[nodiscard]] bool samples_in_place() const override {
     return requires(const State& s, std::span<std::uint64_t> w,
                     std::span<const unsigned> m) {
       s.records_from_exponentials(w, 0.0, m);
     };
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> sample_records(
+      std::size_t count, RngStream& rng,
+      std::span<const unsigned> measured) override {
+    if constexpr (requires { state_.sample_records(count, rng, measured); })
+      return state_.sample_records(count, rng, measured);
+    else
+      return SimState::sample_records(count, rng, measured);
   }
 
   void records_from_exponentials(
@@ -113,8 +116,8 @@ class SimStateAdapter final : public SimState {
   State state_;
 };
 
-/// Shared base for the three amplitude-style backends: forkable states and
-/// the (optionally fused) execution plan Batched Execution walks on them.
+/// Shared base for the three amplitude-style backends: the (optionally
+/// fused) execution plan Batched Execution walks on their states.
 class AmplitudeBackend : public Backend {
  public:
   explicit AmplitudeBackend(bool fuse_gates) : fuse_gates_(fuse_gates) {}
@@ -122,8 +125,6 @@ class AmplitudeBackend : public Backend {
   [[nodiscard]] ExecPlan make_plan(const NoisyCircuit& noisy) const override {
     return build_exec_plan(noisy, fuse_gates_);
   }
-
-  [[nodiscard]] bool can_fork_states() const noexcept override { return true; }
 
  private:
   bool fuse_gates_;
@@ -201,12 +202,10 @@ class MpsBackend final : public AmplitudeBackend {
   MpsConfig config_;
 };
 
-/// Backend for the Clifford + Pauli-mixture fragment. The spec's assigned
-/// branches are fixed Pauli operators, so the trajectory is itself a
-/// Clifford circuit: inline each branch as Pauli gates at its site and hand
-/// the result (with zero remaining noise sites) to the word-parallel
-/// PauliFrameSampler, whose random initial Z-frame correctly randomises
-/// non-deterministic measurement outcomes across the bulk shots.
+/// Backend for the Clifford + Pauli-mixture fragment. A spec fixes every
+/// site's branch to a Pauli, so a trajectory is a Clifford circuit: the plan
+/// walk records it on a `StabilizerState`, which the frame sampler samples.
+/// Its plan is the unfused one: a fused product is not a named Clifford.
 class StabilizerBackend final : public Backend {
  public:
   [[nodiscard]] const std::string& name() const noexcept override {
@@ -220,69 +219,13 @@ class StabilizerBackend final : public Backend {
            PauliFrameSampler::is_supported(noisy);
   }
 
-  [[nodiscard]] ShotResult run(const NoisyCircuit& noisy,
-                               const TrajectorySpec& spec,
-                               std::uint64_t shots,
-                               RngStream& rng) const override {
-    ShotResult out;
-    const std::vector<std::size_t> assignment = full_assignment(noisy, spec);
-
-    WallTimer timer;
-    Circuit derived(noisy.num_qubits());
-    const auto inline_site = [&](std::size_t id) {
-      const NoiseSite& site = noisy.sites()[id];
-      const KrausChannel& ch = *site.channel;
-      const std::size_t branch = assignment[id];
-      std::vector<std::pair<bool, bool>> toggles;
-      PTSBE_REQUIRE(ch.is_unitary_mixture() &&
-                        pauli_toggles(ch.unitary(branch), ch.arity(), toggles),
-                    "stabilizer backend requires Pauli-mixture noise");
-      for (std::size_t k = 0; k < toggles.size(); ++k) {
-        const auto [x, z] = toggles[k];
-        const unsigned q = site.qubits[k];
-        if (x && z)
-          derived.y(q);
-        else if (x)
-          derived.x(q);
-        else if (z)
-          derived.z(q);
-      }
-      out.realized_probability *= ch.nominal_probabilities()[branch];
-    };
-    for (std::size_t id : noisy.sites_after(NoiseSite::kBeforeCircuit))
-      inline_site(id);
-    const auto& ops = noisy.circuit().ops();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == OpKind::kMeasure) {
-        // Readout-noise sites fire before the record is taken.
-        for (std::size_t id : noisy.sites_after(i)) inline_site(id);
-        derived.measure(ops[i].qubits.front());
-        continue;
-      }
-      derived.gate(ops[i].name, ops[i].matrix, ops[i].qubits, ops[i].params);
-      for (std::size_t id : noisy.sites_after(i)) inline_site(id);
-    }
-    // Zero noise sites remain: the frame sampler's stochastic machinery is
-    // inert and it reduces to reference-run + bulk frame propagation.
-    const PauliFrameSampler sampler(NoiseModel().apply(derived),
-                                    RngStream(rng.bits64()));
-    out.prepare_seconds = timer.seconds();
-    timer.reset();
-    out.records = sampler.sample(shots, rng);
-    out.sample_seconds = timer.seconds();
-    return out;
+  [[nodiscard]] SimStatePtr make_state(unsigned num_qubits) const override {
+    return std::make_unique<SimStateAdapter<StabilizerState>>(
+        StabilizerState(num_qubits));
   }
 };
 
 }  // namespace
-
-ShotResult Backend::run(const NoisyCircuit& /*noisy*/,
-                        const TrajectorySpec& /*spec*/, std::uint64_t /*shots*/,
-                        RngStream& /*rng*/) const {
-  throw precondition_error("backend '" + name() +
-                           "' prepares through make_state and make_plan; "
-                           "run it with be::execute");
-}
 
 // ---------------------------------------------------------------------------
 // Registry

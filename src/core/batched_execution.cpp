@@ -71,50 +71,18 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
                 "counts differ); it must come from make_plan on the same "
                 "NoisyCircuit");
 
-  // Backends that cannot fork states (stabilizer) do not prepare through
-  // plans either: they run the independent schedule through Backend::run
-  // (their records are identical under either schedule by contract; the
-  // fallback is surfaced via StreamSummary::schedule). Every other backend
-  // prepares through the one plan walk, which hands each prepared state to
-  // the leaf sampler.
-  const bool forkable = backend->can_fork_states();
-  const Schedule executed = options.schedule == Schedule::kSharedPrefix &&
-                                    forkable
-                                ? Schedule::kSharedPrefix
-                                : Schedule::kIndependent;
   // An injected plan (the serve engine's cache) replaces the per-call
   // fusion+lowering pass; otherwise build one for this run.
   const ExecPlan local_plan =
-      (forkable && !options.plan) ? backend->make_plan(noisy) : ExecPlan{};
-  const ExecPlan& plan =
-      (forkable && options.plan) ? *options.plan : local_plan;
+      options.plan ? ExecPlan{} : backend->make_plan(noisy);
+  const ExecPlan& plan = options.plan ? *options.plan : local_plan;
 
-  const RngStream master(options.seed);
   TrajectoryExecutor executor(resolved_threads(options));
-  LeafSampler leaves(executor, noisy, specs, master);
-  if (forkable) {
-    spawn_plan_walks(executor, *backend, noisy, plan, specs, executed, leaves);
-  } else {
-    // One task per spec, seeded in reverse: a worker pops its own deque
-    // newest-first, so with a single worker execution (and therefore
-    // delivery) order equals spec order.
-    for (std::size_t t = specs.size(); t-- > 0;) {
-      executor.spawn([&, t](std::size_t worker) {
-        // Cancelled runs (sink or task failure) skip pending trajectories
-        // *before* their expensive preparation.
-        if (executor.cancelled()) return;
-        RngStream rng = master.substream(t);
-        ShotResult shot = backend->run(noisy, specs[t], specs[t].shots, rng);
-        WorkerAccum& accum = leaves.accum(worker);
-        accum.prepare_seconds += shot.prepare_seconds;
-        accum.sample_seconds += shot.sample_seconds;
-        leaves.emit(worker, t, std::move(shot.records),
-                    shot.realized_probability);
-      });
-    }
-  }
+  LeafSampler leaves(executor, noisy, specs, RngStream(options.seed));
+  spawn_plan_walks(executor, *backend, noisy, plan, specs, options.schedule,
+                   leaves);
   executor.drain([&sink](TrajectoryBatch&& batch) { sink(std::move(batch)); });
-  return leaves.summary(executed);
+  return leaves.summary();
 }
 
 Result execute(const NoisyCircuit& noisy,
@@ -129,7 +97,6 @@ Result execute(const NoisyCircuit& noisy,
       noisy, specs, options, [&result](TrajectoryBatch&& batch) {
         result.batches[batch.spec_index] = std::move(batch);
       });
-  result.schedule = summary.schedule;
   result.prepare_seconds = summary.prepare_seconds;
   result.sample_seconds = summary.sample_seconds;
   return result;

@@ -35,17 +35,12 @@ namespace ptsbe::be {
 /// How trajectory preparations are scheduled across the spec set.
 enum class Schedule : std::uint8_t {
   /// Every spec is prepared from |0…0⟩ independently, as a one-spec plan
-  /// walk or one `Backend::run` call (embarrassingly parallel; works with
-  /// every backend).
+  /// walk (embarrassingly parallel).
   kIndependent,
   /// Specs are organised into a trie over their per-site branch decisions;
   /// each shared prefix is simulated once and the state is forked at the
   /// first deviating branch (see ptsbe/core/prefix_scheduler.hpp). Records
-  /// are bit-for-bit identical to kIndependent. Backends that cannot fork
-  /// states (stabilizer) deterministically fall back to kIndependent — the
-  /// records are identical by contract, and the schedule actually executed
-  /// is surfaced in `Result::schedule` / `StreamSummary::schedule` (and
-  /// `RunResult::schedule_executed` at the pipeline layer).
+  /// are bit-for-bit identical to kIndependent on every backend.
   kSharedPrefix,
 };
 
@@ -90,8 +85,7 @@ struct Options {
   /// the hook the `ptsbe::serve` engine's plan cache injects through. Must
   /// come from `make_plan` of a backend constructed with the *same*
   /// name/config against the *same* program; records are bit-identical to a
-  /// plan-less run by the ExecPlan determinism contract. Ignored by
-  /// backends that do not prepare through plans (stabilizer).
+  /// plan-less run by the ExecPlan determinism contract.
   std::shared_ptr<const ExecPlan> plan;
 };
 
@@ -116,10 +110,6 @@ struct TrajectoryBatch {
 /// Full BE output.
 struct Result {
   std::vector<TrajectoryBatch> batches;
-  /// Schedule actually executed — differs from `Options::schedule` only
-  /// when shared-prefix was requested with a backend that cannot fork
-  /// states and BE deterministically fell back to independent.
-  Schedule schedule = Schedule::kIndependent;
   /// Wall-clock split (seconds): state preparations vs bulk sampling —
   /// the two regimes whose asymmetry drives Fig. 4/5.
   double prepare_seconds = 0.0;
@@ -143,8 +133,6 @@ using BatchSink = std::function<void(TrajectoryBatch&&)>;
 struct StreamSummary {
   std::size_t num_batches = 0;
   std::uint64_t total_shots = 0;
-  /// Schedule actually executed (see `Result::schedule`).
-  Schedule schedule = Schedule::kIndependent;
   /// Wall-clock split (seconds): state preparations vs bulk sampling.
   double prepare_seconds = 0.0;
   double sample_seconds = 0.0;
@@ -157,8 +145,7 @@ struct StreamSummary {
 /// trajectory is prepared once by the plan walk — unitary-mixture branches
 /// apply U_k directly, general branches apply K_k/√p with the realised p
 /// accumulated into the batch's importance weight — and its shot budget
-/// drawn in bulk by the leaf sampler. Backends that cannot fork states
-/// (stabilizer) run each spec through `Backend::run` instead.
+/// drawn in bulk by the leaf sampler.
 ///
 /// \throws precondition_error for unknown backend names or programs the
 ///         chosen backend does not support.

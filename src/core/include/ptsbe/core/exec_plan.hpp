@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file exec_plan.hpp
-/// \brief The prepared-execution plan all amplitude backends sweep.
+/// \brief The prepared-execution plan Batched Execution walks on every backend.
 ///
 /// A `NoisyCircuit` interleaves deterministic gate ops with noise sites
 /// (`sites_after` buckets). An `ExecPlan` flattens that structure into one

@@ -79,21 +79,20 @@ class LeafSampler {
   void emit_unrealizable(std::size_t worker,
                          std::span<const std::size_t> group);
 
-  /// Emit spec `t`'s batch.
-  void emit(std::size_t worker, std::size_t t,
-            std::vector<std::uint64_t> records, double realized);
-
   /// `worker`'s accounting slot, for preparation time measured elsewhere.
   [[nodiscard]] WorkerAccum& accum(std::size_t worker) {
     return accums_[worker];
   }
 
   /// The per-worker slots merged; call after the drain.
-  [[nodiscard]] StreamSummary summary(Schedule executed) const;
+  [[nodiscard]] StreamSummary summary() const;
 
  private:
   struct SplitLeaf;
 
+  /// Emit spec `t`'s batch.
+  void emit(std::size_t worker, std::size_t t,
+            std::vector<std::uint64_t> records, double realized);
   void spawn_chunks(std::size_t worker, std::shared_ptr<const SimState> state,
                     double realized, std::size_t t);
   void run_chunk(std::size_t worker, SplitLeaf& leaf, std::uint64_t chunk);

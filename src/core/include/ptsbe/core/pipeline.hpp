@@ -54,18 +54,6 @@ struct RunResult {
   std::string backend;
   /// Trajectory specifications executed (== result.batches.size()).
   std::size_t num_specs = 0;
-  /// Schedule the caller asked for (Pipeline::schedule).
-  be::Schedule schedule_requested = be::Schedule::kIndependent;
-  /// Schedule BE actually executed. Differs from `schedule_requested` only
-  /// when shared-prefix was requested with a backend that cannot fork
-  /// states (stabilizer) and BE deterministically fell back to the
-  /// independent schedule — records are identical by contract either way.
-  be::Schedule schedule_executed = be::Schedule::kIndependent;
-
-  /// True when the shared-prefix → independent fallback occurred.
-  [[nodiscard]] bool schedule_fell_back() const noexcept {
-    return schedule_requested != schedule_executed;
-  }
 
   /// Estimate E[f(record)] under the physical noisy distribution, using the
   /// strategy's declared weighting.

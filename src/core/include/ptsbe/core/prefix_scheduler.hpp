@@ -65,8 +65,7 @@ inline constexpr double kUnrealizableCut = 1e-14;
 /// applications, forks — sampling excluded) to its worker's
 /// `leaves.accum(worker)` slot.
 ///
-/// Every argument must outlive the drain. Precondition: the backend can
-/// fork states.
+/// Every argument must outlive the drain.
 void spawn_plan_walks(TrajectoryExecutor& executor, const Backend& backend,
                       const NoisyCircuit& noisy, const ExecPlan& plan,
                       const std::vector<TrajectorySpec>& specs,

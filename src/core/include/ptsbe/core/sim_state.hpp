@@ -7,15 +7,14 @@
 /// every trajectory on a `SimState` and, under the shared-prefix schedule,
 /// snapshots it at every fork point of the spec trie. `SimState` is the
 /// minimal contract that makes that possible without the walk knowing which
-/// representation (statevector, density matrix, MPS) it is driving: the
-/// preparation and sampling operations of one trajectory, plus `clone()`.
+/// representation (statevector, density matrix, MPS, stabilizer) it is
+/// driving: the preparation and sampling operations of one trajectory, plus
+/// `clone()`.
 ///
-/// Snapshots are plain deep copies — O(2^n) for the dense representations
-/// and O(n·χ²) for MPS — i.e. the cost of roughly *one* gate sweep, which is
-/// exactly what forking saves many of. Backends whose state cannot be
-/// snapshotted (the stabilizer frame sampler folds preparation and sampling
-/// together) simply do not offer one and implement `Backend::run` instead;
-/// see `Backend::make_state`.
+/// Snapshots are plain deep copies — O(2^n) for the dense representations,
+/// O(n·χ²) for MPS and one gate list for the stabilizer — i.e. at most the
+/// cost of roughly *one* gate sweep, which is exactly what forking saves
+/// many of.
 ///
 /// Threading: a `SimState` instance is **not** thread-safe and is never
 /// shared. The multi-threaded walk gives every executor task exclusive
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/linalg/matrix.hpp"
@@ -77,21 +77,30 @@ class SimState {
   virtual double apply_kraus_branch(const Matrix& k,
                                     std::span<const unsigned> qubits) = 0;
 
-  /// Bulk-draw `count` computational-basis shots (full n-bit indices).
-  [[nodiscard]] virtual std::vector<std::uint64_t> sample_shots(
-      std::size_t count, RngStream& rng) = 0;
-
   /// True when this state samples through the splittable in-place sampler
-  /// (`records_from_exponentials`) — the dense representations. Others
-  /// sample through `sample_shots` only.
+  /// (`records_from_exponentials`) — the dense representations.
   [[nodiscard]] virtual bool samples_in_place() const { return false; }
+
+  /// Bulk-draw `count` records of the `measured` qubits: bit i of a record
+  /// is the outcome of measured[i]; empty `measured` records every qubit,
+  /// qubit q in bit q. The default is the dense states' in-place sampler,
+  /// which draws `count` + 1 exponentials (none when `count` is 0); MPS and
+  /// the stabilizer override it, and may touch the representation.
+  [[nodiscard]] virtual std::vector<std::uint64_t> sample_records(
+      std::size_t count, RngStream& rng, std::span<const unsigned> measured) {
+    std::vector<std::uint64_t> records(count);
+    if (count == 0) return records;
+    draw_exponentials(rng, records);
+    records_from_exponentials(records, rng.exponential(), measured);
+    return records;
+  }
 
   /// Turn `words` — the exponentials E_0 … E_{m-1} of m draws, bit-cast —
   /// and E_m (`last`) into m records of the `measured` qubits, in place
   /// (`exponentials_to_records`, ptsbe/common/inverse_cdf.hpp). The records
-  /// equal `sample_shots` over the same draws, reduced to `measured`. Only
-  /// valid when `samples_in_place()`; read-only on the state, so several
-  /// leaves may call it on one state concurrently.
+  /// equal the representation's `sample_shots` over the same draws, reduced
+  /// to `measured`. Only valid when `samples_in_place()`; read-only on the
+  /// state, so several leaves may call it on one state concurrently.
   virtual void records_from_exponentials(
       std::span<std::uint64_t> /*words*/, double /*last*/,
       std::span<const unsigned> /*measured*/) const {

@@ -5,8 +5,7 @@
 ///
 /// Batched Execution's unit of work is one task: one spec's preparation
 /// under the independent schedule, one trie subtree under the shared-prefix
-/// schedule, one `Backend::run` call on a backend that cannot fork, or one
-/// of the chunks a large leaf splits its bulk draw into. This executor runs
+/// schedule, or one of the chunks a large leaf splits its bulk draw into. This executor runs
 /// those units across `be::Options::threads` worker threads with classic
 /// work-stealing scheduling: every worker owns a deque, pops its own newest
 /// task (LIFO — keeps a DFS worker on its current subtree and bounds the

@@ -4,35 +4,10 @@
 #include <atomic>
 #include <utility>
 
-#include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/common/timer.hpp"
 
 namespace ptsbe::be {
-
-namespace {
-
-/// Draw `count` records of the `measured` qubits (`measured` empty = full
-/// n-bit indices) from a prepared `state` on the calling thread. Dense
-/// states sample in place and consume `count + 1` doubles of `rng` (none
-/// when `count` is 0); the others sample through `sample_shots`.
-std::vector<std::uint64_t> sample_records(SimState& state, std::uint64_t count,
-                                          RngStream& rng,
-                                          std::span<const unsigned> measured) {
-  if (!state.samples_in_place()) {
-    std::vector<std::uint64_t> records = state.sample_shots(count, rng);
-    if (!measured.empty())
-      for (std::uint64_t& r : records) r = extract_bits(r, measured);
-    return records;
-  }
-  std::vector<std::uint64_t> records(count);
-  if (count == 0) return records;
-  draw_exponentials(rng, records);
-  state.records_from_exponentials(records, rng.exponential(), measured);
-  return records;
-}
-
-}  // namespace
 
 /// The context a split leaf's chunk tasks jointly own; the last task to
 /// drop it frees the records buffer and its reference to the state.
@@ -81,7 +56,7 @@ double LeafSampler::sample(std::size_t worker, SimStatePtr state,
     }
     RngStream rng = master_.substream(t);
     std::vector<std::uint64_t> records =
-        sample_records(*sampler, shots, rng, measured_);
+        sampler->sample_records(shots, rng, measured_);
     seconds += timer.seconds();
     emit(worker, t, std::move(records), realized);
   }
@@ -149,9 +124,8 @@ void LeafSampler::emit(std::size_t worker, std::size_t t,
   executor_.emit(std::move(batch));
 }
 
-StreamSummary LeafSampler::summary(Schedule executed) const {
+StreamSummary LeafSampler::summary() const {
   StreamSummary summary;
-  summary.schedule = executed;
   for (const WorkerAccum& a : accums_) {
     summary.num_batches += a.num_batches;
     summary.total_shots += a.total_shots;

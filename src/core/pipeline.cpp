@@ -92,8 +92,6 @@ RunResult Pipeline::run() const {
   out.strategy = strategy_name_;
   out.backend = exec_.backend;
   out.num_specs = specs.size();
-  out.schedule_requested = exec_.schedule;
-  out.schedule_executed = out.result.schedule;
   return out;
 }
 

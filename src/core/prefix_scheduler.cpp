@@ -163,9 +163,6 @@ void spawn_plan_walks(TrajectoryExecutor& executor, const Backend& backend,
                       const NoisyCircuit& noisy, const ExecPlan& plan,
                       const std::vector<TrajectorySpec>& specs,
                       Schedule schedule, LeafSampler& leaves) {
-  PTSBE_REQUIRE(backend.can_fork_states(),
-                "backend '" + backend.name() +
-                    "' cannot fork states; BE runs it through Backend::run");
   if (schedule == Schedule::kIndependent) {
     for (std::size_t t = specs.size(); t-- > 0;)
       executor.spawn([&, t](std::size_t worker) {

@@ -167,10 +167,7 @@ RemoteRun Client::submit(const serve::JobRequest& job) {
       out.run.strategy = meta.strategy;
       out.run.backend = meta.backend;
       out.run.weighting = meta.weighting;
-      out.run.schedule_requested = meta.schedule_requested;
-      out.run.schedule_executed = meta.schedule_executed;
       out.run.num_specs = static_cast<std::size_t>(meta.num_specs);
-      out.run.result.schedule = meta.schedule_executed;
     } else if (frame.type == "DONE") {
       break;
     } else {

@@ -62,8 +62,9 @@ namespace ptsbe::net {
 
 /// Protocol revision (bumped on incompatible frame changes; 2 made the
 /// BATCH payload a PTSB format-v2 block, 3 a format-v3 block, which may
-/// store its records as runs).
-inline constexpr int kProtocolVersion = 3;
+/// store its records as runs; 4 dropped the RESULT frame's
+/// schedule_requested and schedule_executed keys).
+inline constexpr int kProtocolVersion = 4;
 /// Hard bound on one header line, including the trailing newline.
 inline constexpr std::size_t kMaxHeaderBytes = 256;
 /// Default bound on one frame payload (servers reject bigger with
@@ -187,8 +188,6 @@ struct ResultMeta {
   std::string strategy;
   std::string backend;
   be::Weighting weighting = be::Weighting::kDrawWeighted;
-  be::Schedule schedule_requested = be::Schedule::kIndependent;
-  be::Schedule schedule_executed = be::Schedule::kIndependent;
   std::uint64_t num_specs = 0;
   std::uint64_t num_batches = 0;
   bool plan_cache_hit = false;

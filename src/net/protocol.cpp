@@ -440,8 +440,6 @@ std::string encode_result_meta(const ResultMeta& meta) {
   put_kv(out, "strategy", meta.strategy);
   put_kv(out, "backend", meta.backend);
   put_kv(out, "weighting", weighting_to_string(meta.weighting));
-  put_kv(out, "schedule_requested", be::to_string(meta.schedule_requested));
-  put_kv(out, "schedule_executed", be::to_string(meta.schedule_executed));
   put_kv_u64(out, "num_specs", meta.num_specs);
   put_kv_u64(out, "num_batches", meta.num_batches);
   put_kv(out, "plan_cache_hit", meta.plan_cache_hit ? "1" : "0");
@@ -468,10 +466,6 @@ ResultMeta decode_result_meta(std::string_view payload) {
         meta.backend = value;
       } else if (key == "weighting") {
         meta.weighting = weighting_from_string(value);
-      } else if (key == "schedule_requested") {
-        meta.schedule_requested = be::schedule_from_string(value);
-      } else if (key == "schedule_executed") {
-        meta.schedule_executed = be::schedule_from_string(value);
       } else if (key == "num_specs") {
         meta.num_specs = parse_u64(key, value);
       } else if (key == "num_batches") {

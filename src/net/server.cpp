@@ -269,8 +269,6 @@ bool Server::handle_submit(FdStream& stream, Frame& frame) {
     meta.strategy = run.strategy;
     meta.backend = run.backend;
     meta.weighting = run.weighting;
-    meta.schedule_requested = run.schedule_requested;
-    meta.schedule_executed = run.schedule_executed;
     meta.num_specs = run.num_specs;
     meta.num_batches = num_batches;
     meta.plan_cache_hit = handle.plan_cache_hit();

@@ -315,10 +315,9 @@ JobHandle Engine::submit(JobRequest request) {
                   "backend '" + req.backend +
                       "' does not support this program (gate set, channel "
                       "class or qubit count)");
-    // Plan cache: only backends that prepare through plans participate.
-    // The canonical key makes formatting-only differences between tenant
-    // texts collapse onto one entry.
-    if (backend->can_fork_states() && config_.plan_cache_capacity > 0) {
+    // Plan cache: the canonical key makes formatting-only differences
+    // between tenant texts collapse onto one entry.
+    if (config_.plan_cache_capacity > 0) {
       const std::string key = plan_cache_key(io::write_circuit(*job->program),
                                              req.backend, req.backend_config);
       job->plan = plan_cache_.lookup(key);
@@ -489,11 +488,8 @@ void Engine::execute(const std::shared_ptr<detail::JobState>& job) {
       run.weighting = pipeline.weighting();
       run.strategy = req.strategy;
       run.backend = req.backend;
-      run.schedule_requested = req.schedule;
       const be::StreamSummary summary = pipeline.run_streaming(sink);
-      run.schedule_executed = summary.schedule;
       run.num_specs = summary.num_batches;
-      run.result.schedule = summary.schedule;
       run.result.prepare_seconds = summary.prepare_seconds;
       run.result.sample_seconds = summary.sample_seconds;
     } else {

@@ -27,7 +27,7 @@ namespace ptsbe {
 
 /// If `u` equals a Pauli tensor up to global phase, return true and fill
 /// per-qubit (x, z) toggles (qubit 0 = LSB of the matrix). Shared by the
-/// frame sampler's branch tables and the tableau backend adapter.
+/// frame sampler's branch tables and `StabilizerState`.
 [[nodiscard]] bool pauli_toggles(const Matrix& u, unsigned arity,
                                  std::vector<std::pair<bool, bool>>& out);
 
@@ -43,12 +43,6 @@ class PauliFrameSampler {
 
   /// True if every gate is Clifford and every channel a Pauli mixture.
   [[nodiscard]] static bool is_supported(const NoisyCircuit& noisy);
-
-  /// Number of measured bits per shot record (measured qubits in program
-  /// order; all qubits if the circuit has no measure ops).
-  [[nodiscard]] unsigned record_bits() const noexcept {
-    return static_cast<unsigned>(measured_.size());
-  }
 
   /// Draw `shots` noisy measurement records. Bit i of a record is the i-th
   /// measured qubit's outcome. Word-parallel across shots.

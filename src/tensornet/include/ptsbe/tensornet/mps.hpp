@@ -12,10 +12,12 @@
 /// conditional probabilities). The expensive step is bringing the chain to
 /// right-canonical form — the analogue of the tensor-network contraction the
 /// paper says "must reoccur for each sample" in the un-cached CUDA-Q flow.
-/// `sample_shots` performs that canonicalisation *once* and reuses it for
+/// `sample_records` performs that canonicalisation *once* and reuses it for
 /// every shot in the batch (the cached-environment fast path the paper calls
 /// for); `sample_one_uncached` deliberately redoes it per shot so the
-/// ablation bench can measure exactly what caching buys.
+/// ablation bench can measure exactly what caching buys. Both draw every
+/// qubit of the chain and keep the outcomes of the measured ones, so a
+/// chain may be wider than a 64-bit record.
 
 #include <cstddef>
 #include <cstdint>
@@ -89,13 +91,19 @@ class MpsState {
   [[nodiscard]] std::vector<cplx> to_statevector() const;
 
   /// Batched perfect sampling: right-canonicalise once (the cached
-  /// environment), then draw `count` shots at O(n·χ²) each.
-  [[nodiscard]] std::vector<std::uint64_t> sample_shots(std::size_t count,
-                                                        RngStream& rng);
+  /// environment), then draw `count` shots at O(n·χ²) each. Bit i of a
+  /// record is the outcome of measured[i]; empty `measured` records every
+  /// qubit, qubit q in bit q.
+  /// \throws precondition_error when a record would exceed 64 bits or a
+  ///         measured qubit is out of range.
+  [[nodiscard]] std::vector<std::uint64_t> sample_records(
+      std::size_t count, RngStream& rng, std::span<const unsigned> measured);
 
-  /// One shot with NO environment reuse: re-canonicalises the entire chain
-  /// first, mimicking per-sample re-contraction (ablation baseline).
-  [[nodiscard]] std::uint64_t sample_one_uncached(RngStream& rng);
+  /// One record with NO environment reuse: re-canonicalises the entire
+  /// chain first, mimicking per-sample re-contraction (ablation baseline).
+  /// `measured` and the throws as for `sample_records`.
+  [[nodiscard]] std::uint64_t sample_one_uncached(
+      RngStream& rng, std::span<const unsigned> measured);
 
   /// Largest current bond dimension.
   [[nodiscard]] std::size_t max_bond_dim() const noexcept;
@@ -115,9 +123,11 @@ class MpsState {
   /// Leaves the center at p+1. Does not renormalise (norm tracks K exactly).
   void apply_adjacent(const Matrix& g, unsigned p);
   void apply_gate1(const Matrix& g, unsigned q);
-  /// Draw one shot given right-canonical form (center at 0) without
-  /// disturbing the state.
-  [[nodiscard]] std::uint64_t sample_from_canonical(RngStream& rng) const;
+  /// Draw one record given right-canonical form (center at 0) without
+  /// disturbing the state; outcome 1 of qubit q sets the record bits
+  /// `bits[q]`.
+  [[nodiscard]] std::uint64_t sample_from_canonical(
+      RngStream& rng, std::span<const std::uint64_t> bits) const;
 
   unsigned n_;
   MpsConfig cfg_;

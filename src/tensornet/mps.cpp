@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "ptsbe/circuit/gates.hpp"
 #include "ptsbe/common/bits.hpp"
@@ -305,7 +306,31 @@ std::vector<cplx> MpsState::to_statevector() const {
   return acc;
 }
 
-std::uint64_t MpsState::sample_from_canonical(RngStream& rng) const {
+namespace {
+
+/// The record bits each qubit's outcome 1 sets: bit i for every i with
+/// measured[i] == q, or bit q for every qubit when `measured` is empty.
+std::vector<std::uint64_t> record_bits(unsigned num_qubits,
+                                       std::span<const unsigned> measured) {
+  const std::size_t width = measured.empty() ? num_qubits : measured.size();
+  PTSBE_REQUIRE(width <= 64, "an MPS record holds at most 64 qubits; got " +
+                                 std::to_string(width));
+  std::vector<std::uint64_t> bits(num_qubits, 0);
+  if (measured.empty()) {
+    for (unsigned q = 0; q < num_qubits; ++q) bits[q] = std::uint64_t{1} << q;
+    return bits;
+  }
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    PTSBE_REQUIRE(measured[i] < num_qubits, "measured qubit out of range");
+    bits[measured[i]] |= std::uint64_t{1} << i;
+  }
+  return bits;
+}
+
+}  // namespace
+
+std::uint64_t MpsState::sample_from_canonical(
+    RngStream& rng, std::span<const std::uint64_t> bits) const {
   PTSBE_ASSERT(center_ == 0);
   std::uint64_t shot = 0;
   std::vector<cplx> left{cplx{1.0, 0.0}};
@@ -326,7 +351,7 @@ std::uint64_t MpsState::sample_from_canonical(RngStream& rng) const {
     const double total = w[0] + w[1];
     PTSBE_CHECK(total > 1e-300, "sampling hit a zero-probability prefix");
     const std::size_t s = rng.uniform() * total < w[0] ? 0 : 1;
-    shot |= static_cast<std::uint64_t>(s) << q;
+    if (s == 1) shot |= bits[q];
     const double inv = 1.0 / std::sqrt(w[s]);
     left = std::move(cand[s]);
     for (cplx& v : left) v *= inv;
@@ -334,23 +359,27 @@ std::uint64_t MpsState::sample_from_canonical(RngStream& rng) const {
   return shot;
 }
 
-std::vector<std::uint64_t> MpsState::sample_shots(std::size_t count,
-                                                  RngStream& rng) {
+std::vector<std::uint64_t> MpsState::sample_records(
+    std::size_t count, RngStream& rng, std::span<const unsigned> measured) {
+  const std::vector<std::uint64_t> bits = record_bits(n_, measured);
   // The single canonicalisation below is the cached environment shared by
   // the whole batch — the heart of the batched-execution win on the
   // tensor-network backend.
   move_center_to(0);
-  std::vector<std::uint64_t> shots(count);
-  for (std::size_t i = 0; i < count; ++i) shots[i] = sample_from_canonical(rng);
-  return shots;
+  std::vector<std::uint64_t> records(count);
+  for (std::size_t i = 0; i < count; ++i)
+    records[i] = sample_from_canonical(rng, bits);
+  return records;
 }
 
-std::uint64_t MpsState::sample_one_uncached(RngStream& rng) {
+std::uint64_t MpsState::sample_one_uncached(
+    RngStream& rng, std::span<const unsigned> measured) {
+  const std::vector<std::uint64_t> bits = record_bits(n_, measured);
   // Deliberately re-canonicalise the whole chain, mimicking per-sample
   // re-contraction of the tensor network (the paper's un-cached baseline).
   move_center_to(n_ - 1);
   move_center_to(0);
-  return sample_from_canonical(rng);
+  return sample_from_canonical(rng, bits);
 }
 
 }  // namespace ptsbe

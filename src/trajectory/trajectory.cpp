@@ -1,5 +1,7 @@
 #include "ptsbe/trajectory/trajectory.hpp"
 
+#include <type_traits>
+
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
 
@@ -81,11 +83,17 @@ Result run_impl(const NoisyCircuit& noisy, std::size_t num_trajectories,
                               result.stats);
     }
 
-    const std::vector<std::uint64_t> shots =
-        state.sample_shots(options.shots_per_trajectory, rng);
-    for (std::uint64_t full : shots)
-      result.records.push_back(
-          measured.empty() ? full : extract_bits(full, measured));
+    // The MPS sampler packs the measured qubits itself, so its chain may be
+    // wider than a 64-bit basis-state index.
+    std::vector<std::uint64_t> shots;
+    if constexpr (std::is_same_v<State, MpsState>) {
+      shots = state.sample_records(options.shots_per_trajectory, rng, measured);
+    } else {
+      shots = state.sample_shots(options.shots_per_trajectory, rng);
+      if (!measured.empty())
+        for (std::uint64_t& shot : shots) shot = extract_bits(shot, measured);
+    }
+    result.records.insert(result.records.end(), shots.begin(), shots.end());
   }
   return result;
 }

@@ -101,18 +101,14 @@ TEST(BackendRegistry, ExecuteDispatchesByName) {
   be::Options bad;
   bad.backend = "no-such-backend";
   EXPECT_THROW((void)be::execute(noisy, {spec}, bad), precondition_error);
-  // Forkable backends prepare through be::execute only.
-  RngStream rng(1);
-  EXPECT_THROW((void)make_backend("statevector")->run(noisy, spec, 8, rng),
-               precondition_error);
 }
 
 TEST(BackendRegistry, PluginRegistrationRoundTrips) {
   auto& registry = BackendRegistry::instance();
   const std::string name = "test-plugin-backend";
   if (!registry.contains(name)) {
-    // A run-only plugin: it delegates to the stabilizer backend, whose
-    // states cannot fork, so Batched Execution calls its run() per spec.
+    // A plugin implements the one seam: it delegates its states and plan
+    // to the stabilizer backend, which Batched Execution then walks.
     // Delegating keeps the every-registered-backend Bell test valid
     // regardless of the order gtest runs this suite in (registrations are
     // process-global).
@@ -125,11 +121,13 @@ TEST(BackendRegistry, PluginRegistrationRoundTrips) {
         [[nodiscard]] bool supports(const NoisyCircuit& noisy) const override {
           return make_backend("stabilizer")->supports(noisy);
         }
-        [[nodiscard]] ShotResult run(const NoisyCircuit& noisy,
-                                     const TrajectorySpec& spec,
-                                     std::uint64_t shots,
-                                     RngStream& rng) const override {
-          return make_backend("stabilizer")->run(noisy, spec, shots, rng);
+        [[nodiscard]] SimStatePtr make_state(
+            unsigned num_qubits) const override {
+          return make_backend("stabilizer")->make_state(num_qubits);
+        }
+        [[nodiscard]] ExecPlan make_plan(
+            const NoisyCircuit& noisy) const override {
+          return make_backend("stabilizer")->make_plan(noisy);
         }
       };
       return std::make_unique<Plugin>();

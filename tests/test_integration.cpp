@@ -85,7 +85,7 @@ TEST(Integration, EncodedMsdLogicalOutputIsMagicOnMps) {
   // is expensive on MPS; instead verify the *unconditioned* logical Bloch of
   // block 4 is nonzero along the magic axis and that shots decode sensibly.
   RngStream rng(3);
-  const auto shots = mps.sample_shots(3000, rng);
+  const auto shots = mps.sample_records(3000, rng, {});
   const qec::LookupDecoder decoder(code.z_supports, code.n, 1);
   const auto block_value = [&](std::uint64_t record, unsigned b) {
     return qec::decode_readout(code, qec::CssBasis::kZ, decoder,

@@ -7,10 +7,14 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "ptsbe/circuit/circuit.hpp"
+#include "ptsbe/core/batched_execution.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 #include "ptsbe/tensornet/mps.hpp"
+#include "ptsbe/trajectory/trajectory.hpp"
 
 namespace ptsbe {
 namespace {
@@ -171,7 +175,7 @@ TEST(Mps, SamplingMatchesAmplitudes) {
   const auto dense = mps.to_statevector();
   RngStream rng(21);
   const std::size_t m = 40000;
-  const auto shots = mps.sample_shots(m, rng);
+  const auto shots = mps.sample_records(m, rng, {});
   std::map<std::uint64_t, double> freq;
   for (auto s : shots) freq[s] += 1.0 / m;
   for (std::uint64_t i = 0; i < (1u << n); ++i)
@@ -187,7 +191,7 @@ TEST(Mps, UncachedSamplerSameDistribution) {
   RngStream rng(22);
   std::map<std::uint64_t, double> freq;
   const std::size_t m = 20000;
-  for (std::size_t i = 0; i < m; ++i) freq[mps.sample_one_uncached(rng)] += 1.0 / m;
+  for (std::size_t i = 0; i < m; ++i) freq[mps.sample_one_uncached(rng, {})] += 1.0 / m;
   for (std::uint64_t i = 0; i < (1u << n); ++i)
     EXPECT_NEAR(freq[i], std::norm(dense[i]), 0.02);
 }
@@ -199,7 +203,7 @@ TEST(Mps, GhzSamplingOnlyTwoOutcomes) {
   for (unsigned q = 0; q + 1 < n; ++q)
     mps.apply_gate(gates::CX(), std::array{q, q + 1});
   RngStream rng(23);
-  const auto shots = mps.sample_shots(2000, rng);
+  const auto shots = mps.sample_records(2000, rng, {});
   const std::uint64_t all_ones = (1ULL << n) - 1;
   int ones = 0;
   for (auto s : shots) {
@@ -218,7 +222,7 @@ TEST(Mps, FortyQubitGhzIsCheap) {
     mps.apply_gate(gates::CX(), std::array{q, q + 1});
   EXPECT_EQ(mps.max_bond_dim(), 2u);
   RngStream rng(24);
-  const auto shots = mps.sample_shots(100, rng);
+  const auto shots = mps.sample_records(100, rng, {});
   const std::uint64_t all_ones = (1ULL << n) - 1;
   for (auto s : shots) EXPECT_TRUE(s == 0 || s == all_ones);
 }
@@ -230,6 +234,36 @@ TEST(Mps, ResetClearsState) {
   mps.reset();
   EXPECT_NEAR(std::abs(mps.amplitude(0) - cplx{1, 0}), 0.0, 1e-14);
   EXPECT_EQ(mps.max_bond_dim(), 1u);
+}
+
+TEST(Mps, RecordsOfChainsWiderThan64Qubits) {
+  // Qubit 65 is |1⟩ and qubit 1 is |0⟩: every record of (1, 65) is 0b10.
+  Circuit c(66);
+  c.x(65).measure(1).measure(65);
+  const NoisyCircuit noisy = NoiseModel().apply(c);
+  TrajectorySpec spec;
+  spec.shots = 16;
+  for (const be::Schedule schedule :
+       {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
+    for (const char* backend : {"mps", "stabilizer"}) {
+      SCOPED_TRACE(std::string(backend) + " " + be::to_string(schedule));
+      be::Options options;
+      options.backend = backend;
+      options.schedule = schedule;
+      const be::Result result = be::execute(noisy, {spec}, options);
+      ASSERT_EQ(result.batches.size(), 1u);
+      EXPECT_EQ(result.batches[0].records, std::vector<std::uint64_t>(16, 2));
+    }
+  }
+  RngStream rng(3);
+  EXPECT_EQ(traj::run_mps(noisy, 8, rng, MpsConfig{}).records,
+            std::vector<std::uint64_t>(8, 2));
+
+  // A record of all 66 qubits does not fit a word.
+  MpsState wide(66);
+  EXPECT_THROW((void)wide.sample_records(1, rng, {}), precondition_error);
+  EXPECT_THROW((void)wide.sample_one_uncached(rng, {}), precondition_error);
+  EXPECT_EQ(wide.sample_one_uncached(rng, std::vector<unsigned>{65, 0}), 0u);
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(x.realized_probability, y.realized_probability);
   }
   EXPECT_EQ(a.weighting, b.weighting);
-  EXPECT_EQ(a.schedule_executed, b.schedule_executed);
 }
 
 net::ClientConfig client_for(const net::Server& server) {
@@ -222,8 +221,6 @@ TEST(NetProtocol, ResultMetaAndErrorPayloadsRoundTrip) {
   meta.strategy = "band";
   meta.backend = "mps";
   meta.weighting = be::Weighting::kProbabilityWeighted;
-  meta.schedule_requested = be::Schedule::kSharedPrefix;
-  meta.schedule_executed = be::Schedule::kIndependent;
   meta.num_specs = 9;
   meta.num_batches = 9;
   meta.plan_cache_hit = true;
@@ -233,8 +230,6 @@ TEST(NetProtocol, ResultMetaAndErrorPayloadsRoundTrip) {
   EXPECT_EQ(back.strategy, meta.strategy);
   EXPECT_EQ(back.backend, meta.backend);
   EXPECT_EQ(back.weighting, meta.weighting);
-  EXPECT_EQ(back.schedule_requested, meta.schedule_requested);
-  EXPECT_EQ(back.schedule_executed, meta.schedule_executed);
   EXPECT_EQ(back.num_specs, meta.num_specs);
   EXPECT_EQ(back.num_batches, meta.num_batches);
   EXPECT_EQ(back.plan_cache_hit, meta.plan_cache_hit);

@@ -121,7 +121,6 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
           const be::Result result =
               be::execute(workload.noisy, specs, options);
           expect_results_identical(reference, result);
-          EXPECT_EQ(reference.schedule, result.schedule);
           dataset::write_binary(got_path, result);
           EXPECT_EQ(ref_bytes, slurp(got_path));
           // The analytics see exactly the same failures, too.

@@ -65,7 +65,6 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(x.realized_probability, y.realized_probability);
   }
   EXPECT_EQ(a.weighting, b.weighting);
-  EXPECT_EQ(a.schedule_executed, b.schedule_executed);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +271,18 @@ TEST(ServeEngine, PlanCacheHitsOnRepeatCircuits) {
   EXPECT_EQ(stats.plan_cache_hits, 2u);
   EXPECT_EQ(stats.plan_cache_misses, 2u);
   EXPECT_NEAR(stats.plan_cache_hit_rate(), 0.5, 1e-12);
+}
+
+TEST(ServeEngine, StabilizerJobsUseThePlanCache) {
+  serve::Engine engine(
+      {.workers = 1, .queue_capacity = 4, .plan_cache_capacity = 4});
+  serve::JobRequest req = ghz_request();
+  req.backend = "stabilizer";
+  serve::JobHandle first = engine.submit(req);
+  serve::JobHandle second = engine.submit(req);
+  EXPECT_FALSE(first.plan_cache_hit());
+  EXPECT_TRUE(second.plan_cache_hit());
+  expect_same_result(first.wait(), second.wait());
 }
 
 TEST(ServeEngine, PlanCacheEvictsLeastRecentlyUsed) {
@@ -541,9 +552,9 @@ TEST(ServeDeterminism, MatrixMatchesStandalonePipeline) {
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.served, cells.size());
   EXPECT_EQ(stats.failed, 0u);
-  // Nine plan-using cells share one (circuit, config) key per backend;
-  // repeats must have hit (stabilizer runs plan-less and does no lookup).
-  EXPECT_GE(stats.plan_cache_hits, 4u);
+  // Every backend's cells share one (circuit, config) key, so each repeat
+  // must have hit: four statevector, one mps and one stabilizer.
+  EXPECT_GE(stats.plan_cache_hits, 6u);
 }
 
 }  // namespace

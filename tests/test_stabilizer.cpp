@@ -1,13 +1,21 @@
-// Tests for the Clifford tableau and the Pauli-frame bulk sampler,
-// including cross-validation against the statevector backend.
+// Tests for the Clifford tableau, the Pauli-frame bulk sampler and the
+// stabilizer backend's trajectory state, including cross-validation against
+// the statevector backend.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "ptsbe/core/batched_execution.hpp"
+#include "ptsbe/core/pts.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "ptsbe/qec/workload.hpp"
 #include "ptsbe/stabilizer/pauli_frame.hpp"
+#include "ptsbe/stabilizer/stabilizer_state.hpp"
 #include "ptsbe/stabilizer/tableau.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 #include "ptsbe/trajectory/trajectory.hpp"
@@ -254,6 +262,172 @@ TEST(PauliFrame, BulkEqualsManyIndependentFrames) {
   for (std::size_t i = 0; i + 1 < records.size(); i += 2)
     mismatch += ((records[i] & 1) != (records[i + 1] & 1));
   EXPECT_NEAR(mismatch / (records.size() / 2), 0.5, 0.02);
+}
+
+// ---------------------------------------------------------------------------
+// The stabilizer backend through Batched Execution, against a written-out
+// reference.
+// ---------------------------------------------------------------------------
+
+struct StabilizerReference {
+  std::vector<std::uint64_t> records;
+  double realized = 1.0;
+};
+
+/// One spec the reference way: the spec's Clifford circuit with each site's
+/// branch Paulis inlined at the site and every measurement at its program
+/// position, reference-simulated on a seed drawn from `rng`, then
+/// bulk-sampled from `rng`.
+StabilizerReference stabilizer_reference(const NoisyCircuit& noisy,
+                                         const TrajectorySpec& spec,
+                                         RngStream rng) {
+  StabilizerReference out;
+  const std::vector<std::size_t> assignment = full_assignment(noisy, spec);
+  Circuit derived(noisy.num_qubits());
+  const auto inline_site = [&](std::size_t id) {
+    const NoiseSite& site = noisy.sites()[id];
+    const KrausChannel& ch = *site.channel;
+    const std::size_t branch = assignment[id];
+    std::vector<std::pair<bool, bool>> toggles;
+    EXPECT_TRUE(pauli_toggles(ch.unitary(branch), ch.arity(), toggles));
+    for (std::size_t k = 0; k < toggles.size(); ++k) {
+      const auto [x, z] = toggles[k];
+      const unsigned q = site.qubits[k];
+      if (x && z)
+        derived.y(q);
+      else if (x)
+        derived.x(q);
+      else if (z)
+        derived.z(q);
+    }
+    out.realized *= ch.nominal_probabilities()[branch];
+  };
+  for (std::size_t id : noisy.sites_after(NoiseSite::kBeforeCircuit))
+    inline_site(id);
+  const auto& ops = noisy.circuit().ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == OpKind::kMeasure) {
+      for (std::size_t id : noisy.sites_after(i)) inline_site(id);
+      derived.measure(ops[i].qubits.front());
+      continue;
+    }
+    derived.gate(ops[i].name, ops[i].matrix, ops[i].qubits, ops[i].params);
+    for (std::size_t id : noisy.sites_after(i)) inline_site(id);
+  }
+  const PauliFrameSampler sampler(NoiseModel().apply(derived),
+                                  RngStream(rng.bits64()));
+  out.records = sampler.sample(spec.shots, rng);
+  return out;
+}
+
+/// PTS-sampled specs of `noisy`, plus the error-free spec at 0 and 1 shots.
+std::vector<TrajectorySpec> stabilizer_specs(const NoisyCircuit& noisy) {
+  RngStream rng(97);
+  pts::Options opt;
+  opt.nsamples = 60;
+  opt.nshots = 33;
+  opt.merge_duplicates = true;
+  std::vector<TrajectorySpec> specs = pts::sample_probabilistic(noisy, opt, rng);
+  for (const std::uint64_t shots : {0u, 1u}) {
+    TrajectorySpec spec;
+    spec.shots = shots;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+void expect_stabilizer_matches_reference(const NoisyCircuit& noisy) {
+  const std::vector<TrajectorySpec> specs = stabilizer_specs(noisy);
+  ASSERT_GT(specs.size(), 4u);
+  be::Options options;
+  options.backend = "stabilizer";
+  const RngStream master(options.seed);
+  std::vector<StabilizerReference> expected;
+  for (std::size_t t = 0; t < specs.size(); ++t)
+    expected.push_back(
+        stabilizer_reference(noisy, specs[t], master.substream(t)));
+  for (const be::Schedule schedule :
+       {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("schedule=" + be::to_string(schedule) +
+                   " threads=" + std::to_string(threads));
+      options.schedule = schedule;
+      options.threads = threads;
+      const be::Result result = be::execute(noisy, specs, options);
+      ASSERT_EQ(result.batches.size(), specs.size());
+      for (std::size_t t = 0; t < specs.size(); ++t) {
+        EXPECT_EQ(result.batches[t].records, expected[t].records)
+            << "spec " << t;
+        EXPECT_EQ(result.batches[t].realized_probability,
+                  expected[t].realized)
+            << "spec " << t;
+      }
+    }
+  }
+}
+
+TEST(StabilizerBackend, MatchesInlinedReferenceUnderBothSchedules) {
+  {
+    SCOPED_TRACE("surface d3 memory, X basis");
+    qec::MemoryWorkloadConfig cfg;
+    cfg.code = "surface";
+    cfg.distance = 3;
+    cfg.rounds = 2;
+    cfg.basis = qec::CssBasis::kX;
+    cfg.noise = 0.02;
+    expect_stabilizer_matches_reference(qec::make_memory_workload(cfg).noisy);
+  }
+  {
+    SCOPED_TRACE("every named Clifford, two-qubit and state-prep noise");
+    Circuit c(5);
+    c.h(0).s(1).sdg(2).sx(3).sxdg(4).sy(0).sydg(1).x(2).y(3).z(4);
+    c.gate("i", gates::I(), {0});
+    c.cx(0, 1).cz(1, 2).swap(2, 3).cx(3, 4).h(4).measure(4);
+    c.cx(0, 2).cz(1, 3).h(1).measure(2).measure(0).measure(3).measure(1);
+    NoiseModel nm;
+    nm.add_state_prep_noise(channels::bit_flip(0.1));
+    nm.add_gate_noise("cx", channels::depolarizing2(0.06));
+    nm.add_gate_noise("cz", channels::correlated_xx_zz(0.08));
+    nm.add_gate_noise("h", channels::depolarizing(0.05));
+    nm.add_measurement_noise(channels::bit_flip(0.04));
+    expect_stabilizer_matches_reference(nm.apply(c));
+  }
+  {
+    SCOPED_TRACE("no measure ops: every qubit recorded");
+    Circuit c(4);
+    c.h(0).cx(0, 1).s(1).cx(1, 2).sx(3).cz(2, 3);
+    NoiseModel nm;
+    nm.add_all_gate_noise(channels::depolarizing(0.05));
+    expect_stabilizer_matches_reference(nm.apply(c));
+  }
+  {
+    SCOPED_TRACE("70 qubits, 41 recorded");
+    Circuit c(70);
+    c.h(0);
+    for (unsigned q = 0; q + 1 < 70; ++q) c.cx(q, q + 1);
+    c.x(65).h(69);
+    for (unsigned q = 60; q + 1 > 20; --q) c.measure(q);
+    NoiseModel nm;
+    nm.add_gate_noise("cx", channels::bit_flip(0.01));
+    expect_stabilizer_matches_reference(nm.apply(c));
+  }
+}
+
+TEST(StabilizerState, RecognisesCliffordsAndPaulisAndRefusesTheRest) {
+  StabilizerState state(2);
+  state.apply_gate(gates::H(), std::array{0u});
+  state.apply_gate(gates::CX(), std::array{0u, 1u});
+  state.apply_gate(kron(gates::Z(), gates::X()), std::array{0u, 1u});
+  EXPECT_THROW(state.apply_gate(gates::T(), std::array{0u}),
+               precondition_error);
+  EXPECT_THROW((void)state.apply_kraus_branch(gates::X(), std::array{0u}),
+               precondition_error);
+  // H, CX, then X on qubit 0 (the matrix LSB) and Z on qubit 1: a Bell
+  // pair with one bit flipped, so the records are 01 or 10.
+  RngStream rng(5);
+  const std::vector<std::uint64_t> records =
+      state.sample_records(200, rng, std::vector<unsigned>{0, 1});
+  for (const std::uint64_t r : records) EXPECT_TRUE(r == 1 || r == 2) << r;
 }
 
 }  // namespace
