@@ -13,7 +13,7 @@
 // the best set the CPU supports — the end-to-end win of SIMD dispatch on
 // the full trajectory engine, with scheduling gains factored out.
 //
-//   bench_gate_kernels [output.json] [--tiny]
+//   bench_gate_kernels [output.json] [--tiny]   (JSON only to a given path)
 //
 // --tiny shrinks every dimension so the ctest smoke can exercise the JSON
 // emitter in well under a second.
@@ -217,7 +217,7 @@ void write_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out = "BENCH_gate_kernels.json";
+  const char* out = nullptr;  // JSON only to a path given on the command line
   bool tiny = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0)
@@ -262,6 +262,6 @@ int main(int argc, char** argv) {
   run_workload_case("ghz" + std::to_string(n) + "/moderate-overlap(gate-noise)",
                     ghz_workload(n, "all", 0), trajectories, shots, repeats);
 
-  write_json(out);
+  if (out != nullptr) write_json(out);
   return 0;
 }

@@ -15,7 +15,7 @@
 // long shared prefixes and large wins; noise spread over every gate means
 // prefixes diverge early and the win shrinks toward the fusion-only gain.
 //
-//   bench_prefix_sharing [output.json] [--tiny]
+//   bench_prefix_sharing [output.json] [--tiny]   (JSON only to a given path)
 //
 // --tiny shrinks every dimension so the ctest smoke can exercise the JSON
 // emitter in well under a second.
@@ -185,7 +185,7 @@ void write_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out = "BENCH_prefix_sharing.json";
+  const char* out = nullptr;  // JSON only to a path given on the command line
   bool tiny = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0)
@@ -216,6 +216,6 @@ int main(int argc, char** argv) {
       "by collapsing same-support gate runs into single sweeps. At a fixed\n"
       "fusion setting records are bit-for-bit identical across schedules;\n"
       "fusion is equivalent up to floating-point reassociation.\n");
-  write_json(out);
+  if (out != nullptr) write_json(out);
   return 0;
 }

@@ -6,6 +6,8 @@
 // O(2^n) state preparation *per shot*; PTSBE pays one per *trajectory* and
 // amortises it over the batch. The measured ratio should therefore track
 // the batch size until bulk sampling itself dominates.
+//
+//   bench_speedup_headline [output.json]   (JSON only to a given path)
 
 #include <cstdio>
 #include <string>
@@ -127,6 +129,6 @@ int main(int argc, char** argv) {
       "dominates (statevector: ~linear to 1e5+, matching the paper's 1e6x\n"
       "at 1e6-1e7 shots on the 35-qubit footprint; tensor network: smaller,\n"
       "~16x regime at 1e3 shots).\n");
-  write_json(argc > 1 ? argv[1] : "BENCH_headline.json");
+  if (argc > 1) write_json(argv[1]);
   return 0;
 }

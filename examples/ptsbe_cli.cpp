@@ -100,9 +100,11 @@ void usage(std::FILE* os, const char* argv0) {
       "  --noise P              depolarizing probability per gate [0.01]\n"
       "  --nsamples N           candidate trajectory draws [2000]\n"
       "  --nshots N             shots per surviving trajectory [500]\n"
-      "  --threads N            worker threads for trajectory execution\n"
-      "                         (0 = hardware concurrency; records are\n"
-      "                         bit-identical at every thread count) [1]\n"
+      "  --threads N            worker threads, the only threads a run\n"
+      "                         uses: they run trajectories, and idle ones\n"
+      "                         split a running preparation (0 = hardware\n"
+      "                         concurrency; records are bit-identical at\n"
+      "                         every count) [1]\n"
       "  --seed S               master seed for PTS and BE [42]\n"
       "  --cutoff P             'enumerate' probability cutoff [1e-6]\n"
       "  --p-min P --p-max P    'band' probability window [0, 1]\n"

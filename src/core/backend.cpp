@@ -1,12 +1,7 @@
 #include "ptsbe/core/backend.hpp"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
 #include <utility>
 
-#include "ptsbe/common/error.hpp"
-#include "ptsbe/common/thread_annotations.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/stabilizer/pauli_frame.hpp"
 #include "ptsbe/stabilizer/stabilizer_state.hpp"
@@ -214,9 +209,16 @@ class StabilizerBackend final : public Backend {
   }
 
   [[nodiscard]] bool supports(const NoisyCircuit& noisy) const override {
-    return noisy.num_qubits() >= 1 && record_width(noisy) <= 64 &&
-           measurements_are_deferrable(noisy) &&
-           PauliFrameSampler::is_supported(noisy);
+    if (noisy.num_qubits() < 1 || record_width(noisy) > 64 ||
+        !measurements_are_deferrable(noisy) ||
+        !PauliFrameSampler::is_supported(noisy))
+      return false;
+    // The walk records each gate by its matrix, whatever its name says.
+    for (const Operation& op : noisy.circuit().ops())
+      if (op.kind == OpKind::kGate &&
+          !StabilizerState::can_record(op.matrix, op.qubits.size()))
+        return false;
+    return true;
   }
 
   [[nodiscard]] SimStatePtr make_state(unsigned num_qubits) const override {
@@ -231,72 +233,27 @@ class StabilizerBackend final : public Backend {
 // Registry
 // ---------------------------------------------------------------------------
 
-struct BackendRegistry::Impl {
-  mutable Mutex mutex;
-  std::map<std::string, BackendFactory> factories PTSBE_GUARDED_BY(mutex);
-};
-
-BackendRegistry::BackendRegistry() : impl_(std::make_shared<Impl>()) {
-  register_backend("statevector", [](const BackendConfig& config) -> BackendPtr {
+BackendRegistry::BackendRegistry() : Registry("backend") {
+  add("statevector", [](const BackendConfig& config) -> BackendPtr {
     return std::make_unique<StatevectorBackend>(config.fuse_gates);
   });
-  register_backend("densmat", [](const BackendConfig& config) -> BackendPtr {
+  add("densmat", [](const BackendConfig& config) -> BackendPtr {
     return std::make_unique<DensmatBackend>(config.fuse_gates);
   });
-  register_backend("stabilizer", [](const BackendConfig&) -> BackendPtr {
+  add("stabilizer", [](const BackendConfig&) -> BackendPtr {
     return std::make_unique<StabilizerBackend>();
   });
   const auto make_mps = [](const BackendConfig& config) -> BackendPtr {
     return std::make_unique<MpsBackend>(config.mps, config.fuse_gates);
   };
-  register_backend("mps", make_mps);
+  add("mps", make_mps);
   // Alias matching the paper's CUDA-Q backend name.
-  register_backend("tensornet", make_mps);
+  add("tensornet", make_mps);
 }
 
 BackendRegistry& BackendRegistry::instance() {
   static BackendRegistry registry;
   return registry;
-}
-
-void BackendRegistry::register_backend(const std::string& name,
-                                       BackendFactory factory) {
-  PTSBE_REQUIRE(!name.empty(), "backend name must be non-empty");
-  PTSBE_REQUIRE(static_cast<bool>(factory), "backend factory must be callable");
-  MutexLock lock(impl_->mutex);
-  const bool inserted =
-      impl_->factories.emplace(name, std::move(factory)).second;
-  PTSBE_REQUIRE(inserted, "backend name already registered: " + name);
-}
-
-bool BackendRegistry::contains(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  return impl_->factories.count(name) != 0;
-}
-
-BackendPtr BackendRegistry::make(const std::string& name,
-                                 const BackendConfig& config) const {
-  BackendFactory factory;
-  {
-    MutexLock lock(impl_->mutex);
-    const auto it = impl_->factories.find(name);
-    if (it != impl_->factories.end()) factory = it->second;
-  }
-  if (!factory) {
-    std::ostringstream os;
-    os << "unknown backend '" << name << "'; registered backends:";
-    for (const std::string& n : names()) os << ' ' << n;
-    throw precondition_error(os.str());
-  }
-  return factory(config);
-}
-
-std::vector<std::string> BackendRegistry::names() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> out;
-  out.reserve(impl_->factories.size());
-  for (const auto& [name, factory] : impl_->factories) out.push_back(name);
-  return out;  // std::map iteration is already sorted
 }
 
 BackendPtr make_backend(const std::string& name, const BackendConfig& config) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "ptsbe/core/exec_plan.hpp"
+#include "ptsbe/core/registry.hpp"
 #include "ptsbe/core/sim_state.hpp"
 #include "ptsbe/tensornet/mps.hpp"
 
@@ -82,35 +83,24 @@ using BackendPtr = std::unique_ptr<Backend>;
 /// Factory signature stored in the registry.
 using BackendFactory = std::function<BackendPtr(const BackendConfig&)>;
 
-/// Process-wide name → factory map. The four built-ins are registered on
-/// first access; plugins may add more at any time before use. Registration
-/// and lookup are thread-safe.
-class BackendRegistry {
+/// Process-wide backend name → factory map (aliases included). The four
+/// built-ins are registered on first access; plugins may `add` more at any
+/// time before use.
+class BackendRegistry final : public Registry<BackendFactory> {
  public:
   /// The global registry.
   static BackendRegistry& instance();
-
-  /// Register `factory` under `name`.
-  /// \throws precondition_error if `name` is empty or already taken.
-  void register_backend(const std::string& name, BackendFactory factory);
-
-  /// True when `name` resolves to a factory.
-  [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Construct the backend registered under `name`.
   /// \throws precondition_error for unknown names (the message lists the
   ///         registered names).
   [[nodiscard]] BackendPtr make(const std::string& name,
-                                const BackendConfig& config = {}) const;
-
-  /// All registered names, sorted (aliases included).
-  [[nodiscard]] std::vector<std::string> names() const;
+                                const BackendConfig& config = {}) const {
+    return find(name)(config);
+  }
 
  private:
   BackendRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
 };
 
 /// Convenience: `BackendRegistry::instance().make(name, config)`.

@@ -14,8 +14,9 @@
 /// `Options::threads` sizes the pool), each with a reproducible Philox
 /// substream keyed by its batch index — which is why records are
 /// bit-identical at every thread count.
-/// A spec holding more than one chunk of shots also splits its bulk draw
-/// across idle workers, without changing a bit (ptsbe/core/leaf_sampler.hpp).
+/// A spec's preparation sweeps, and a bulk draw of more than one chunk of
+/// shots, also split across idle workers without changing a bit
+/// (ptsbe/common/parallel.hpp, ptsbe/core/leaf_sampler.hpp).
 /// Error provenance — the spec's branch list — rides along as metadata on
 /// every batch (the paper's third bullet).
 
@@ -64,18 +65,15 @@ struct Options {
   /// portion of the preparation sweep across overlapping specs; results
   /// are bit-identical to kIndependent.
   Schedule schedule = Schedule::kIndependent;
-  /// Worker threads for inter-trajectory parallelism (the work-stealing
-  /// `TrajectoryExecutor`): 0 = hardware concurrency, 1 (default) = serial
-  /// execution on one worker. Records are bit-identical at every thread
-  /// count; only batch *completion order* depends on scheduling. Inside
-  /// one trajectory, OpenMP parallelises sweeps and reductions once a state
-  /// has 2^14 amplitudes (a cache-blocked gate group splits its 2^16-
-  /// amplitude tiles instead, when there are at least as many tiles as
-  /// threads), and never changes a bit. It pays off when fewer specs than
-  /// cores run
-  /// (4-core VM, threads = 1, one amplitude-damped spec: 22 qubits 2.0 s vs
-  /// 6.0-6.4 s at OMP_NUM_THREADS=1, 24 qubits 9.3-9.7 s vs 25-27 s); with
-  /// a spec per core its effect on wall time is within run-to-run noise.
+  /// Worker threads of the work-stealing `TrajectoryExecutor`, the only
+  /// threads a run uses: 0 = hardware concurrency, 1 (default) = everything
+  /// on one thread. Workers run specs, and an idle worker also takes ranges
+  /// of another's preparation once its state exceeds 2^14 amplitudes
+  /// (ptsbe/common/parallel.hpp). Records are bit-identical at every thread
+  /// count; only batch *completion order* depends on scheduling. The split
+  /// pays off when fewer specs than workers run (4-core VM, one error-free
+  /// 12-layer brickwork spec: 20 qubits 358 → 153 ms and 22 qubits
+  /// 2089 → 820 ms for threads 1 → 4); a busy executor never splits.
   std::size_t threads = 1;
   /// Master seed; trajectory t uses substream (t+1) so results are
   /// reproducible regardless of worker scheduling.

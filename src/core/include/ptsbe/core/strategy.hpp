@@ -36,6 +36,7 @@
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/core/estimator.hpp"
 #include "ptsbe/core/pts.hpp"
+#include "ptsbe/core/registry.hpp"
 #include "ptsbe/core/trajectory_spec.hpp"
 
 namespace ptsbe::pts {
@@ -108,34 +109,23 @@ using StrategyPtr = std::unique_ptr<Strategy>;
 /// Factory signature stored in the registry.
 using StrategyFactory = std::function<StrategyPtr()>;
 
-/// Process-wide name → factory map, mirroring BackendRegistry: the six
-/// built-ins are registered on first access; plugins may add more at any
-/// time before use. Registration and lookup are thread-safe.
-class StrategyRegistry {
+/// Process-wide strategy name → factory map: the six built-ins are
+/// registered on first access; plugins may `add` more at any time before
+/// use.
+class StrategyRegistry final : public Registry<StrategyFactory> {
  public:
   /// The global registry.
   static StrategyRegistry& instance();
 
-  /// Register `factory` under `name`.
-  /// \throws precondition_error if `name` is empty or already taken.
-  void register_strategy(const std::string& name, StrategyFactory factory);
-
-  /// True when `name` resolves to a factory.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// Construct the strategy registered under `name`.
   /// \throws precondition_error for unknown names (the message lists the
   ///         registered names).
-  [[nodiscard]] StrategyPtr make(const std::string& name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
+  [[nodiscard]] StrategyPtr make(const std::string& name) const {
+    return find(name)();
+  }
 
  private:
   StrategyRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
 };
 
 /// Convenience: `StrategyRegistry::instance().make(name)`.

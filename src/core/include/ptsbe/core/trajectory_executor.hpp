@@ -5,7 +5,8 @@
 ///
 /// Batched Execution's unit of work is one task: one spec's preparation
 /// under the independent schedule, one trie subtree under the shared-prefix
-/// schedule, or one of the chunks a large leaf splits its bulk draw into. This executor runs
+/// schedule, one of the chunks a large leaf splits its bulk draw into, or a
+/// fork's helper. This executor runs
 /// those units across `be::Options::threads` worker threads with classic
 /// work-stealing scheduling: every worker owns a deque, pops its own newest
 /// task (LIFO — keeps a DFS worker on its current subtree and bounds the
@@ -15,7 +16,8 @@
 /// Determinism contract: the executor adds no randomness, so any task
 /// placement yields bit-identical records — preparation consumes no
 /// randomness at all and each spec samples from its own Philox substream.
-/// A spec's preparation is never split. Its bulk draw may be: each sampling
+/// A spec's preparation may split into position-addressed ranges
+/// (ptsbe/common/parallel.hpp), and so may its bulk draw: each sampling
 /// chunk regenerates a fixed, position-addressed slice of the spec's
 /// substream, and the order-dependent work (prefix sum, division, bin
 /// walk) runs once, sequentially, in whichever chunk finishes last
@@ -25,6 +27,15 @@
 /// Thread model:
 ///  - `spawn` seeds work before `drain` (caller thread) or adds work from
 ///    inside a running task via `spawn_from(worker, …)`.
+///  - Every worker installs its fork-join team for its thread, so
+///    `ptsbe::parallel_for` inside a task splits across this executor: the
+///    caller pushes a helper task per idle worker (at most
+///    `num_workers() − 1`) onto its own deque, helpers and caller claim
+///    ranges from one atomic counter, and the caller then sleeps until the
+///    ranges others claimed are done. With no idle worker, or inside a
+///    range, the caller runs every range: no task, no allocation. Helpers
+///    own the fork's state, so one that runs after the call returned finds
+///    no range left.
 ///  - Workers hand completed batches to `emit` — a lock-free Treiber-stack
 ///    push. A worker never waits on the sink call itself; only when the
 ///    drain loop has fallen a bounded number of batches behind does `emit`
@@ -54,6 +65,7 @@
 #include <thread>
 #include <vector>
 
+#include "ptsbe/common/parallel.hpp"
 #include "ptsbe/common/thread_annotations.hpp"
 #include "ptsbe/core/batched_execution.hpp"
 
@@ -168,7 +180,11 @@ class TrajectoryExecutor {
     Mutex mutex;
     std::deque<WorkerTask> tasks PTSBE_GUARDED_BY(mutex);
   };
+  struct WorkerTeam;
+  struct ForkJob;
 
+  /// `parallel_for` on worker `self`: the fork-join primitive.
+  void fork(std::size_t self, std::uint64_t count, RangeBody body);
   void worker_loop(std::size_t self);
   [[nodiscard]] WorkerTask try_pop(std::size_t self);
   void finish_task();
@@ -187,6 +203,8 @@ class TrajectoryExecutor {
   /// emit, on pending_ reaching zero and on stop — the single futex both
   /// idle workers and the drain loop sleep on.
   std::atomic<std::uint64_t> events_{0};
+  /// Workers asleep on `events_`: the helpers a fork may wake.
+  std::atomic<std::size_t> idle_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> cancelled_{false};
   std::atomic<CompletedNode*> completed_{nullptr};

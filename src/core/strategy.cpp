@@ -1,11 +1,6 @@
 #include "ptsbe/core/strategy.hpp"
 
-#include <map>
-#include <sstream>
 #include <utility>
-
-#include "ptsbe/common/error.hpp"
-#include "ptsbe/common/thread_annotations.hpp"
 
 namespace ptsbe::pts {
 
@@ -133,26 +128,20 @@ class CorrelatedStrategy final : public NamedStrategy {
 // Registry
 // ---------------------------------------------------------------------------
 
-struct StrategyRegistry::Impl {
-  mutable Mutex mutex;
-  std::map<std::string, StrategyFactory> factories PTSBE_GUARDED_BY(mutex);
-};
-
-StrategyRegistry::StrategyRegistry() : impl_(std::make_shared<Impl>()) {
-  register_strategy("probabilistic", []() -> StrategyPtr {
+StrategyRegistry::StrategyRegistry() : Registry("strategy") {
+  add("probabilistic", []() -> StrategyPtr {
     return std::make_unique<ProbabilisticStrategy>();
   });
-  register_strategy("proportional", []() -> StrategyPtr {
+  add("proportional", []() -> StrategyPtr {
     return std::make_unique<ProportionalStrategy>();
   });
-  register_strategy(
-      "band", []() -> StrategyPtr { return std::make_unique<BandStrategy>(); });
-  register_strategy("enumerate", []() -> StrategyPtr {
+  add("band", []() -> StrategyPtr { return std::make_unique<BandStrategy>(); });
+  add("enumerate", []() -> StrategyPtr {
     return std::make_unique<EnumerateStrategy>();
   });
-  register_strategy(
-      "twirl", []() -> StrategyPtr { return std::make_unique<TwirlStrategy>(); });
-  register_strategy("correlated", []() -> StrategyPtr {
+  add("twirl",
+      []() -> StrategyPtr { return std::make_unique<TwirlStrategy>(); });
+  add("correlated", []() -> StrategyPtr {
     return std::make_unique<CorrelatedStrategy>();
   });
 }
@@ -160,46 +149,6 @@ StrategyRegistry::StrategyRegistry() : impl_(std::make_shared<Impl>()) {
 StrategyRegistry& StrategyRegistry::instance() {
   static StrategyRegistry registry;
   return registry;
-}
-
-void StrategyRegistry::register_strategy(const std::string& name,
-                                         StrategyFactory factory) {
-  PTSBE_REQUIRE(!name.empty(), "strategy name must be non-empty");
-  PTSBE_REQUIRE(static_cast<bool>(factory),
-                "strategy factory must be callable");
-  MutexLock lock(impl_->mutex);
-  const bool inserted =
-      impl_->factories.emplace(name, std::move(factory)).second;
-  PTSBE_REQUIRE(inserted, "strategy name already registered: " + name);
-}
-
-bool StrategyRegistry::contains(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  return impl_->factories.count(name) != 0;
-}
-
-StrategyPtr StrategyRegistry::make(const std::string& name) const {
-  StrategyFactory factory;
-  {
-    MutexLock lock(impl_->mutex);
-    const auto it = impl_->factories.find(name);
-    if (it != impl_->factories.end()) factory = it->second;
-  }
-  if (!factory) {
-    std::ostringstream os;
-    os << "unknown strategy '" << name << "'; registered strategies:";
-    for (const std::string& n : names()) os << ' ' << n;
-    throw precondition_error(os.str());
-  }
-  return factory();
-}
-
-std::vector<std::string> StrategyRegistry::names() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> out;
-  out.reserve(impl_->factories.size());
-  for (const auto& [name, factory] : impl_->factories) out.push_back(name);
-  return out;  // std::map iteration is already sorted
 }
 
 StrategyPtr make_strategy(const std::string& name) {

@@ -7,6 +7,55 @@
 
 namespace ptsbe::be {
 
+/// The team a worker installs for its thread.
+struct TrajectoryExecutor::WorkerTeam final : ForkJoin {
+  WorkerTeam(TrajectoryExecutor& executor, std::size_t worker) noexcept
+      : executor(executor), worker(worker) {}
+  WorkerTeam(const WorkerTeam&) = delete;
+  WorkerTeam& operator=(const WorkerTeam&) = delete;
+  void fork(std::uint64_t count, RangeBody body) override {
+    executor.fork(worker, count, body);
+  }
+  TrajectoryExecutor& executor;
+  const std::size_t worker;
+};
+
+/// One fork's state, shared by the caller and its helpers. `body` lives on
+/// the caller's stack: it runs only for a claimed range, and the caller
+/// returns only once every claimed range is done.
+struct TrajectoryExecutor::ForkJob {
+  /// Claim and run ranges until none is left, with the thread's team slot
+  /// cleared so that a range never forks. After a range has thrown, the
+  /// rest are claimed and counted but not run.
+  void run() noexcept {
+    ForkJoin* const team = std::exchange(thread_team(), nullptr);
+    for (std::uint64_t i;
+         (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          body(i);
+        } catch (...) {
+          if (!failed.exchange(true, std::memory_order_relaxed))
+            error = std::current_exception();
+        }
+      }
+      // acq_rel: the caller's acquire of the final count sees every range's
+      // writes, the error included.
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count)
+        done.notify_all();
+    }
+    thread_team() = team;
+  }
+
+  const std::uint64_t count;
+  const RangeBody body;
+  std::atomic<std::uint64_t> next{0};
+  std::atomic<std::uint64_t> done{0};
+  std::atomic<bool> failed{false};
+  /// Written once, by the range that set `failed`.
+  std::exception_ptr error{};
+};
+
 std::size_t resolved_threads(const Options& options) noexcept {
   if (options.threads != 0) return options.threads;
   return std::max(std::thread::hardware_concurrency(), 1u);
@@ -38,27 +87,47 @@ TrajectoryExecutor::~TrajectoryExecutor() {
 }
 
 void TrajectoryExecutor::spawn(WorkerTask task) {
-  PTSBE_REQUIRE(static_cast<bool>(task), "cannot spawn an empty task");
-  const std::size_t target = seed_cursor_++ % queues_.size();
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    WorkerQueue& queue = *queues_[target];
-    MutexLock lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
-  }
-  bump_events();
+  spawn_from(seed_cursor_++ % queues_.size(), std::move(task));
 }
 
 void TrajectoryExecutor::spawn_from(std::size_t worker, WorkerTask task) {
   PTSBE_REQUIRE(static_cast<bool>(task), "cannot spawn an empty task");
   PTSBE_REQUIRE(worker < queues_.size(), "spawn_from: bad worker id");
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  {
+  try {
     WorkerQueue& queue = *queues_[worker];
     MutexLock lock(queue.mutex);
     queue.tasks.push_back(std::move(task));
+  } catch (...) {
+    finish_task();  // a task that was never queued must not hold up drain
+    throw;
   }
   bump_events();
+}
+
+void TrajectoryExecutor::fork(std::size_t self, std::uint64_t count,
+                              RangeBody body) {
+  const std::size_t helpers = std::min<std::uint64_t>(
+      {count - 1, queues_.size() - 1, idle_.load(std::memory_order_relaxed)});
+  std::shared_ptr<ForkJob> shared;
+  if (helpers != 0) {
+    try {
+      shared = std::make_shared<ForkJob>(count, body);
+      for (std::size_t h = 0; h < helpers; ++h)
+        spawn_from(self, [shared](std::size_t) { shared->run(); });
+    } catch (...) {
+      // Out of memory: the caller claims whatever no helper was given.
+    }
+  }
+  // Without helpers the job lives on this stack: no task, no allocation.
+  ForkJob local(count, body);
+  ForkJob& job = shared ? *shared : local;
+  job.run();
+  // Sleep until the ranges other workers claimed are done.
+  for (std::uint64_t finished;
+       (finished = job.done.load(std::memory_order_acquire)) != count;)
+    job.done.wait(finished, std::memory_order_acquire);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void TrajectoryExecutor::emit(TrajectoryBatch&& batch) {
@@ -135,6 +204,8 @@ void TrajectoryExecutor::finish_task() {
 }
 
 void TrajectoryExecutor::worker_loop(std::size_t self) {
+  WorkerTeam team(*this, self);
+  thread_team() = &team;
   while (true) {
     if (WorkerTask task = try_pop(self)) {
       try {
@@ -156,7 +227,9 @@ void TrajectoryExecutor::worker_loop(std::size_t self) {
       finish_task();
       continue;
     }
+    idle_.fetch_add(1, std::memory_order_relaxed);
     events_.wait(seen, std::memory_order_acquire);
+    idle_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

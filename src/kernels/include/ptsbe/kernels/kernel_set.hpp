@@ -92,28 +92,40 @@ struct PreparedGate {
 /// are non-null in a registered set. `amp` is the full amplitude array of
 /// `dim` complex entries (dim a power of two, 64-byte aligned); qubit
 /// indices address bits of the amplitude index (qubit 0 = LSB).
+///
+/// Range entry: every kernel updates only the groups [first, last) of its
+/// group index space. A group is the 2^k amplitudes a k-qubit kernel mixes
+/// (k = 2 for `ctrl1`, whose control-0 half is left alone), numbered by its
+/// first amplitude's index with the gate's k bits removed, so
+/// [0, dim >> k) is the whole sweep. A range is that whole sweep or one
+/// slice: `first` a multiple of 2^(kSliceBits − k) and `last` the next one
+/// or the end.
 struct KernelSet {
   const char* name = "";  ///< registry key: "scalar", "avx2", "avx512"
   /// Dense 2×2 `m` (row-major) on qubit q.
-  void (*apply1)(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q);
+  void (*apply1)(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q,
+                 std::uint64_t first, std::uint64_t last);
   /// Dense 4×4 `m` (row-major) on qubits (q0 = LSB of the matrix index).
   void (*apply2)(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q0,
-                 unsigned q1);
+                 unsigned q1, std::uint64_t first, std::uint64_t last);
   /// Diagonal d[2] on qubit q: amp[i] *= d[bit_q(i)].
-  void (*diag1)(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q);
+  void (*diag1)(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q,
+                std::uint64_t first, std::uint64_t last);
   /// Diagonal d[4] on qubits (q0, q1): amp[i] *= d[bit_q1(i)<<1 | bit_q0(i)].
   void (*diag2)(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
-                unsigned q1);
+                unsigned q1, std::uint64_t first, std::uint64_t last);
   /// Phased 2-permutation: group (v0, v1) -> (ph[0]*v[src[0]], ph[1]*v[src[1]]).
   void (*perm1)(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
-                const cplx* ph, unsigned q);
+                const cplx* ph, unsigned q, std::uint64_t first,
+                std::uint64_t last);
   /// Phased 4-permutation over a two-qubit group.
   void (*perm2)(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
-                const cplx* ph, unsigned q0, unsigned q1);
+                const cplx* ph, unsigned q0, unsigned q1, std::uint64_t first,
+                std::uint64_t last);
   /// Controlled dense 2×2 `u` on `target` where bit `control` is 1; the
   /// control=0 half of the state is untouched.
   void (*ctrl1)(cplx* amp, std::uint64_t dim, const cplx* u, unsigned control,
-                unsigned target);
+                unsigned target, std::uint64_t first, std::uint64_t last);
 };
 
 // ---------------------------------------------------------------------------
@@ -125,7 +137,20 @@ struct KernelSet {
 [[nodiscard]] PreparedGate prepare_gate(const Matrix& m,
                                         std::span<const unsigned> qubits);
 
-/// Apply one prepared gate with the given kernel set.
+/// Range entry: apply one prepared gate to the groups [first, last) of its
+/// kernel's group space only — the whole sweep [0, dim >> arity), run
+/// serially, or one slice (see `KernelSet`).
+void apply_prepared_range(const KernelSet& ks, cplx* amp, std::uint64_t dim,
+                          const PreparedGate& g, std::uint64_t first,
+                          std::uint64_t last);
+
+/// A full sweep splits into slices of 2^kSliceBits amplitudes (256 KiB):
+/// the ranges `ptsbe::parallel_for` hands the calling thread's team. A
+/// state of at most one slice never splits.
+inline constexpr unsigned kSliceBits = 14;
+
+/// Apply one prepared gate with the given kernel set: one full sweep, its
+/// slices split across the calling thread's team (ptsbe/common/parallel.hpp).
 void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                     const PreparedGate& g);
 
@@ -138,14 +163,14 @@ inline constexpr unsigned kTileBits = 16;
 /// call. This is the span `SimState::apply_prepared_run` forwards and the
 /// boundary a device backend would turn into a single launch.
 ///
-/// Cache blocking: each maximal group of at least two consecutive gates
-/// that stay inside a tile (identities, and gates whose qubits all lie
-/// below `kTileBits`) runs tile by tile — every tile takes the whole group
-/// before the next tile starts, and OpenMP splits the tiles. Other gates
-/// sweep the full state one at a time. Tiling needs more than one tile and
-/// at least as many tiles as the OpenMP team has threads; otherwise every
-/// gate sweeps. Each amplitude sees the same gates in the same order with
-/// the same arithmetic either way, so the bytes never depend on it.
+/// Cache blocking: on a state of more than one tile, each maximal group of
+/// at least two consecutive gates that stay inside a tile (identities, and
+/// gates whose qubits all lie below `kTileBits`) runs tile by tile — every
+/// tile takes the whole group before the next tile starts, and the tiles
+/// are the ranges the calling thread's team splits. Other gates sweep the
+/// full state one at a time, as `apply_prepared` does. Each amplitude sees
+/// the same gates in the same order with the same arithmetic either way,
+/// so the bytes never depend on the tiling or on the team.
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates);
 
@@ -170,9 +195,6 @@ void apply_gate(const KernelSet& ks, cplx* amp, std::uint64_t dim,
 
 /// The scalar reference set (always compiled, always supported).
 [[nodiscard]] const KernelSet& scalar_kernel_set();
-
-/// Every set compiled into this binary, scalar first.
-[[nodiscard]] std::span<const KernelSet* const> compiled_sets();
 
 /// Compiled sets whose ISA the running CPU supports, scalar first.
 [[nodiscard]] std::vector<const KernelSet*> available_sets();

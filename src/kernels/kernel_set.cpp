@@ -4,16 +4,14 @@
 
 #include "ptsbe/kernels/kernel_set.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "kernel_sets_isa.hpp"
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/common/parallel.hpp"
 
 namespace ptsbe::kernels {
 
@@ -136,32 +134,34 @@ PreparedGate prepare_gate(const Matrix& m, std::span<const unsigned> qubits) {
   return g;
 }
 
-void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
-                    const PreparedGate& g) {
+void apply_prepared_range(const KernelSet& ks, cplx* amp, std::uint64_t dim,
+                          const PreparedGate& g, std::uint64_t first,
+                          std::uint64_t last) {
   const cplx* m = g.m.data();
   switch (g.cls) {
     case GateClass::kIdentity:
       return;
     case GateClass::kDiag1:
-      ks.diag1(amp, dim, m, g.q[0]);
+      ks.diag1(amp, dim, m, g.q[0], first, last);
       return;
     case GateClass::kPerm1:
-      ks.perm1(amp, dim, g.src.data(), m, g.q[0]);
+      ks.perm1(amp, dim, g.src.data(), m, g.q[0], first, last);
       return;
     case GateClass::kGeneral1:
-      ks.apply1(amp, dim, m, g.q[0]);
+      ks.apply1(amp, dim, m, g.q[0], first, last);
       return;
     case GateClass::kDiag2:
-      ks.diag2(amp, dim, m, g.q[0], g.q[1]);
+      ks.diag2(amp, dim, m, g.q[0], g.q[1], first, last);
       return;
     case GateClass::kPerm2:
-      ks.perm2(amp, dim, g.src.data(), m, g.q[0], g.q[1]);
+      ks.perm2(amp, dim, g.src.data(), m, g.q[0], g.q[1], first, last);
       return;
     case GateClass::kCtrl1:
-      ks.ctrl1(amp, dim, m, /*control=*/g.q[0], /*target=*/g.q[1]);
+      ks.ctrl1(amp, dim, m, /*control=*/g.q[0], /*target=*/g.q[1], first,
+               last);
       return;
     case GateClass::kGeneral2:
-      ks.apply2(amp, dim, m, g.q[0], g.q[1]);
+      ks.apply2(amp, dim, m, g.q[0], g.q[1], first, last);
       return;
   }
 }
@@ -171,43 +171,41 @@ namespace {
 /// Does `g` only pair amplitudes inside one tile? An identity touches none.
 bool fits_in_tile(const PreparedGate& g) {
   if (g.cls == GateClass::kIdentity) return true;
-  const bool two_qubit = g.arity == 2 || g.cls == GateClass::kCtrl1;
-  return g.q[0] < kTileBits && (!two_qubit || g.q[1] < kTileBits);
-}
-
-/// Threads a parallel region started here would get.
-std::uint64_t openmp_team_size() {
-#ifdef _OPENMP
-  return static_cast<std::uint64_t>(omp_get_max_threads());
-#else
-  return 1;
-#endif
+  return g.q[0] < kTileBits && (g.arity == 1 || g.q[1] < kTileBits);
 }
 
 }  // namespace
+
+void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
+                    const PreparedGate& g) {
+  if (g.cls == GateClass::kIdentity) return;
+  const std::uint64_t groups = dim >> g.arity;
+  const std::uint64_t slice = (std::uint64_t{1} << kSliceBits) >> g.arity;
+  parallel_for((groups + slice - 1) / slice, [&](std::uint64_t s) {
+    apply_prepared_range(ks, amp, dim, g, s * slice,
+                         std::min(groups, (s + 1) * slice));
+  });
+}
 
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates) {
   constexpr std::uint64_t kTile = std::uint64_t{1} << kTileBits;
   const std::uint64_t tiles = dim >> kTileBits;
-  // Fewer tiles than threads would idle part of the team, which a full
-  // sweep's own OpenMP loop does not.
-  const bool tiled = tiles > 1 && tiles >= openmp_team_size();
   std::size_t i = 0;
   while (i < gates.size()) {
     std::size_t end = i;
-    if (tiled)
+    if (tiles > 1)
       while (end < gates.size() && fits_in_tile(gates[end])) ++end;
     if (end - i < 2) {
       apply_prepared(ks, amp, dim, gates[i++]);
       continue;
     }
     const std::span<const PreparedGate> group = gates.subspan(i, end - i);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t t = 0; t < static_cast<std::int64_t>(tiles); ++t) {
-      cplx* tile = amp + (static_cast<std::uint64_t>(t) << kTileBits);
-      for (const PreparedGate& g : group) apply_prepared(ks, tile, kTile, g);
-    }
+    parallel_for(tiles, [&](std::uint64_t t) {
+      cplx* tile = amp + (t << kTileBits);
+      for (const PreparedGate& g : group)
+        apply_prepared_range(ks, tile, kTile, g, 0, kTile >> g.arity);
+    });
     i = end;
   }
 }
@@ -287,11 +285,6 @@ const KernelSet& resolve(std::string_view name) {
 std::atomic<const KernelSet*> g_active{nullptr};
 
 }  // namespace
-
-std::span<const KernelSet* const> compiled_sets() {
-  const auto& v = compiled_vec();
-  return {v.data(), v.size()};
-}
 
 std::vector<const KernelSet*> available_sets() {
   std::vector<const KernelSet*> out;

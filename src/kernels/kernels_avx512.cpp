@@ -30,16 +30,20 @@ struct Avx512Policy {
   static void store(cplx* p, Reg v) {
     _mm512_store_pd(reinterpret_cast<double*>(p), v);
   }
+  // bcast and prep use the all-lanes masked intrinsics: the unmasked ones
+  // pass GCC's `_mm512_undefined_pd()` ("__Y = __Y"), which -Wuninitialized
+  // flags once the coefficient set-up is inlined (GCC PR105593).
   static Reg bcast(cplx v) {
-    return _mm512_broadcast_f64x2(
+    return _mm512_mask_broadcast_f64x2(
+        _mm512_setzero_pd(), 0xFF,
         _mm_loadu_pd(reinterpret_cast<const double*>(&v)));
   }
   static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
   static Coef prep(Reg c) {
     const Reg sign =
         _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
-    return {_mm512_movedup_pd(c),
-            _mm512_xor_pd(_mm512_permute_pd(c, 0xFF), sign)};
+    return {_mm512_mask_movedup_pd(c, 0xFF, c),
+            _mm512_xor_pd(_mm512_mask_permute_pd(c, 0xFF, c, 0xFF), sign)};
   }
   static Reg swapri(Reg v) { return _mm512_permute_pd(v, 0x55); }
   /// Per complex lane, with vs = swapri(v):

@@ -27,13 +27,15 @@
 /// SIMD sets only vectorise *across* amplitude groups. A stride narrower
 /// than the vector either takes a packed policy variant with the same
 /// per-lane arithmetic (dense 2x2 on qubit 0, and on qubit 1 for AVX-512)
-/// or falls back to the scalar-policy instantiation, so narrow states stay
-/// bit-identical too.
+/// or calls the scalar set, so narrow states stay bit-identical too.
 ///
-/// Loop structure: strides are hoisted into a rectangular
-/// (outer, middle, tile) nest — `insert_zero_bit` per-group bit surgery is
-/// gone from the hot loops — which is also what the OpenMP `collapse`
-/// clauses and the L1 tile size (kTileComplex per stream) hang off.
+/// Loop structure: every kernel runs the slice [first, last) of its group
+/// index space (kernel_set.hpp) as rows of contiguous columns — a 1-qubit
+/// kernel's row is one `outer` block of 2^q groups, a 2-qubit kernel's one
+/// (outer, middle) block of 2^lo groups — and each row's part of the slice
+/// is a plain inner loop (`Run`). Strides are hoisted out of the rows, so
+/// no `insert_zero_bit` bit surgery runs per group, and [0, total) is the
+/// whole serial sweep in row-major order.
 
 #include <algorithm>
 #include <cstdint>
@@ -42,13 +44,41 @@
 
 namespace ptsbe::kernels::detail {
 
-/// Below this state size the OpenMP fork/join overhead dominates any win
-/// (mirrors the historical statevector threshold).
-constexpr std::uint64_t kOmpThreshold = 1ULL << 14;
+/// The rows of a space whose rows hold 2^bits columns that the slice
+/// [first, last) covers, and the registers of `lanes` columns it covers in
+/// each, from column `lo`. A slice (kernel_set.hpp) is whole rows or lies
+/// inside one row, so every row of it runs the same plain inner loop.
+struct Run {
+  Run(std::uint64_t first, std::uint64_t last, unsigned bits, unsigned lanes) {
+    const std::uint64_t width = std::uint64_t{1} << bits;
+    const bool whole_rows = last - first >= width;
+    begin = first >> bits;
+    end = whole_rows ? last >> bits : begin + 1;
+    lo = whole_rows ? 0 : first - (begin << bits);
+    registers = static_cast<std::int64_t>(
+        (whole_rows ? width : last - first) / lanes);
+  }
+  std::uint64_t begin, end, lo;
+  std::int64_t registers;  ///< Signed, so the loop vectoriser can use it.
+};
 
-/// Tile of the innermost contiguous run, in complex amplitudes per stream:
-/// 512 cplx = 8 KiB, so the four streams of a 2q group stay L1-resident.
-constexpr std::uint64_t kTileComplex = 512;
+/// Row `index` of a two-qubit kernel on qubits lo < hi, the (outer, middle)
+/// block (index >> m, index mod 2^m) with m = hi - lo - 1, and its first
+/// amplitude `base`, which `next` steps without splitting the index again.
+struct Row2 {
+  Row2(std::uint64_t row, unsigned lo, unsigned hi)
+      : index(row),
+        mid_mask((std::uint64_t{1} << (hi - lo - 1)) - 1),
+        base(((row >> (hi - lo - 1)) << (hi + 1)) +
+             ((row & mid_mask) << (lo + 1))),
+        step(std::uint64_t{2} << lo),
+        wrap((std::uint64_t{1} << hi) + step) {}
+  void next() {
+    ++index;
+    base += (index & mid_mask) != 0 ? step : wrap;
+  }
+  std::uint64_t index, mid_mask, base, step, wrap;
+};
 
 /// The scalar reference policy: one complex per "register", arithmetic in
 /// the exact shape the vector lanes replicate.
@@ -74,92 +104,54 @@ struct ScalarPolicy {
   }
 };
 
-/// A policy may vectorise dense 2x2 gates on qubits narrower than its
-/// register: `apply1_stride1` (qubit 0) and `apply1_stride2` (qubit 1) each
-/// update 2*kWidth consecutive amplitudes with the wide path's per-lane
-/// arithmetic, only packed differently.
-template <class P>
-concept HasStride1Apply1 = requires(cplx* p, const typename P::Coef* mc) {
-  P::apply1_stride1(p, mc);
-};
-
-template <class P>
-concept HasStride2Apply1 = requires(cplx* p, const typename P::Coef* mc) {
-  P::apply1_stride2(p, mc);
-};
-
-/// Tile width in vector registers for policy P (>= 1).
-template <class P>
-constexpr std::int64_t tile_vecs(std::int64_t inner_vecs) {
-  const std::int64_t cap =
-      static_cast<std::int64_t>(std::max<std::uint64_t>(1, kTileComplex / P::kWidth));
-  return std::min<std::int64_t>(inner_vecs, cap);
-}
-
 // ---------------------------------------------------------------------------
 // Dense 2x2
 // ---------------------------------------------------------------------------
 
-/// Sweep a sub-width dense 2x2 kernel `step` over consecutive blocks of
-/// 2*kWidth amplitudes.
-template <class P, class Step>
-void apply1_packed(cplx* amp, std::uint64_t dim, const cplx* m, Step step) {
-  const typename P::Coef mc[4] = {
-      P::prep(P::bcast(m[0])), P::prep(P::bcast(m[1])),
-      P::prep(P::bcast(m[2])), P::prep(P::bcast(m[3]))};
-  const std::int64_t n = static_cast<std::int64_t>(dim / (2 * P::kWidth));
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
-  for (std::int64_t i = 0; i < n; ++i)
-    step(amp + static_cast<std::uint64_t>(i) * 2 * P::kWidth, mc);
-}
-
 template <class P>
-void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q) {
+void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q,
+            std::uint64_t first, std::uint64_t last) {
   const std::uint64_t stride = 1ULL << q;
+  typename P::Coef mc[4];
+  for (unsigned k = 0; k < 4; ++k) mc[k] = P::prep(P::bcast(m[k]));
   if (stride >= P::kWidth) {
-    const typename P::Coef m00 = P::prep(P::bcast(m[0])),
-                           m01 = P::prep(P::bcast(m[1])),
-                           m10 = P::prep(P::bcast(m[2])),
-                           m11 = P::prep(P::bcast(m[3]));
-    const std::int64_t nouter = static_cast<std::int64_t>(dim >> (q + 1));
-    const std::int64_t ninner = static_cast<std::int64_t>(stride / P::kWidth);
-    const std::int64_t tile = tile_vecs<P>(ninner);
-    const std::int64_t ntile = ninner / tile;
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (dim >= kOmpThreshold)
-    for (std::int64_t outer = 0; outer < nouter; ++outer) {
-      for (std::int64_t t = 0; t < ntile; ++t) {
-        cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (q + 1)) +
-                   static_cast<std::uint64_t>(t * tile) * P::kWidth;
-        cplx* p1 = p0 + stride;
-        for (std::int64_t j = 0; j < tile;
-             ++j, p0 += P::kWidth, p1 += P::kWidth) {
-          const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
-          const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
-          P::store(p0, P::add(P::mulc(m00, v0, v0s), P::mulc(m01, v1, v1s)));
-          P::store(p1, P::add(P::mulc(m10, v0, v0s), P::mulc(m11, v1, v1s)));
-        }
+    const Run run(first, last, q, P::kWidth);
+    for (std::uint64_t row = run.begin; row < run.end; ++row) {
+      cplx* p0 = amp + (row << (q + 1)) + run.lo;
+      cplx* p1 = p0 + stride;
+      for (std::int64_t j = 0, n = run.registers; j < n;
+           ++j, p0 += P::kWidth, p1 += P::kWidth) {
+        const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
+        const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
+        P::store(p0,
+                 P::add(P::mulc(mc[0], v0, v0s), P::mulc(mc[1], v1, v1s)));
+        P::store(p1,
+                 P::add(P::mulc(mc[2], v0, v0s), P::mulc(mc[3], v1, v1s)));
       }
     }
     return;
   }
-  if constexpr (HasStride1Apply1<P>) {
+  // Sub-width stride: a policy may vectorise qubit 0 (`apply1_stride1`)
+  // and qubit 1 (`apply1_stride2`), each step updating 2*kWidth consecutive
+  // amplitudes (kWidth groups) with the wide path's per-lane arithmetic.
+  const std::int64_t steps =
+      static_cast<std::int64_t>((last - first) / P::kWidth);
+  cplx* const base = amp + 2 * first;
+  if constexpr (requires { P::apply1_stride1(base, mc); }) {
     if (stride == 1 && dim >= 2 * P::kWidth) {
-      apply1_packed<P>(amp, dim, m, [](cplx* p, const typename P::Coef* mc) {
-        P::apply1_stride1(p, mc);
-      });
+      for (std::int64_t i = 0; i < steps; ++i)
+        P::apply1_stride1(base + 2 * P::kWidth * i, mc);
       return;
     }
   }
-  if constexpr (HasStride2Apply1<P>) {
+  if constexpr (requires { P::apply1_stride2(base, mc); }) {
     if (stride == 2 && dim >= 2 * P::kWidth) {
-      apply1_packed<P>(amp, dim, m, [](cplx* p, const typename P::Coef* mc) {
-        P::apply1_stride2(p, mc);
-      });
+      for (std::int64_t i = 0; i < steps; ++i)
+        P::apply1_stride2(base + 2 * P::kWidth * i, mc);
       return;
     }
   }
-  apply1<ScalarPolicy>(amp, dim, m, q);  // sub-width stride: bit-identical
+  scalar_kernel_set().apply1(amp, dim, m, q, first, last);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,62 +160,48 @@ void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q) {
 
 template <class P>
 void apply2(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q0,
-            unsigned q1) {
+            unsigned q1, std::uint64_t first, std::uint64_t last) {
   const std::uint64_t s0 = 1ULL << q0, s1 = 1ULL << q1;
   const unsigned lo = std::min(q0, q1), hi = std::max(q0, q1);
-  const std::uint64_t slo = 1ULL << lo;
-  if (slo < P::kWidth) {
-    apply2<ScalarPolicy>(amp, dim, m, q0, q1);
+  if ((1ULL << lo) < P::kWidth) {
+    scalar_kernel_set().apply2(amp, dim, m, q0, q1, first, last);
     return;
   }
   typename P::Coef mc[16];
   for (unsigned k = 0; k < 16; ++k) mc[k] = P::prep(P::bcast(m[k]));
-  const std::int64_t nouter = static_cast<std::int64_t>(dim >> (hi + 1));
-  const std::int64_t nmid = static_cast<std::int64_t>((1ULL << hi) >> (lo + 1));
-  const std::int64_t ninner = static_cast<std::int64_t>(slo / P::kWidth);
-  const std::int64_t tile = tile_vecs<P>(ninner);
-  const std::int64_t ntile = ninner / tile;
-#pragma omp parallel for collapse(3) schedule(static) if (dim >= kOmpThreshold)
-  for (std::int64_t outer = 0; outer < nouter; ++outer) {
-    for (std::int64_t mid = 0; mid < nmid; ++mid) {
-      for (std::int64_t t = 0; t < ntile; ++t) {
-        const std::uint64_t base =
-            (static_cast<std::uint64_t>(outer) << (hi + 1)) +
-            (static_cast<std::uint64_t>(mid) << (lo + 1)) +
-            static_cast<std::uint64_t>(t * tile) * P::kWidth;
-        cplx* p0 = amp + base;
-        cplx* p1 = p0 + s0;
-        cplx* p2 = p0 + s1;
-        cplx* p3 = p0 + s0 + s1;
-        for (std::int64_t j = 0; j < tile; ++j, p0 += P::kWidth,
-                          p1 += P::kWidth, p2 += P::kWidth, p3 += P::kWidth) {
-          const typename P::Reg v0 = P::load(p0), v1 = P::load(p1),
-                                v2 = P::load(p2), v3 = P::load(p3);
-          const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1),
-                                v2s = P::swapri(v2), v3s = P::swapri(v3);
-          const typename P::Reg o0 = P::add(
-              P::add(P::add(P::mulc(mc[0], v0, v0s), P::mulc(mc[1], v1, v1s)),
-                     P::mulc(mc[2], v2, v2s)),
-              P::mulc(mc[3], v3, v3s));
-          const typename P::Reg o1 = P::add(
-              P::add(P::add(P::mulc(mc[4], v0, v0s), P::mulc(mc[5], v1, v1s)),
-                     P::mulc(mc[6], v2, v2s)),
-              P::mulc(mc[7], v3, v3s));
-          const typename P::Reg o2 = P::add(
-              P::add(P::add(P::mulc(mc[8], v0, v0s), P::mulc(mc[9], v1, v1s)),
-                     P::mulc(mc[10], v2, v2s)),
-              P::mulc(mc[11], v3, v3s));
-          const typename P::Reg o3 = P::add(
-              P::add(
-                  P::add(P::mulc(mc[12], v0, v0s), P::mulc(mc[13], v1, v1s)),
-                  P::mulc(mc[14], v2, v2s)),
-              P::mulc(mc[15], v3, v3s));
-          P::store(p0, o0);
-          P::store(p1, o1);
-          P::store(p2, o2);
-          P::store(p3, o3);
-        }
-      }
+  const Run run(first, last, lo, P::kWidth);
+  for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
+    cplx* p0 = amp + row.base + run.lo;
+    cplx* p1 = p0 + s0;
+    cplx* p2 = p0 + s1;
+    cplx* p3 = p0 + s0 + s1;
+    for (std::int64_t j = 0, n = run.registers; j < n;
+         ++j, p0 += P::kWidth, p1 += P::kWidth, p2 += P::kWidth,
+         p3 += P::kWidth) {
+      const typename P::Reg v0 = P::load(p0), v1 = P::load(p1),
+                            v2 = P::load(p2), v3 = P::load(p3);
+      const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1),
+                            v2s = P::swapri(v2), v3s = P::swapri(v3);
+      const typename P::Reg o0 = P::add(
+          P::add(P::add(P::mulc(mc[0], v0, v0s), P::mulc(mc[1], v1, v1s)),
+                 P::mulc(mc[2], v2, v2s)),
+          P::mulc(mc[3], v3, v3s));
+      const typename P::Reg o1 = P::add(
+          P::add(P::add(P::mulc(mc[4], v0, v0s), P::mulc(mc[5], v1, v1s)),
+                 P::mulc(mc[6], v2, v2s)),
+          P::mulc(mc[7], v3, v3s));
+      const typename P::Reg o2 = P::add(
+          P::add(P::add(P::mulc(mc[8], v0, v0s), P::mulc(mc[9], v1, v1s)),
+                 P::mulc(mc[10], v2, v2s)),
+          P::mulc(mc[11], v3, v3s));
+      const typename P::Reg o3 = P::add(
+          P::add(P::add(P::mulc(mc[12], v0, v0s), P::mulc(mc[13], v1, v1s)),
+                 P::mulc(mc[14], v2, v2s)),
+          P::mulc(mc[15], v3, v3s));
+      P::store(p0, o0);
+      P::store(p1, o1);
+      P::store(p2, o2);
+      P::store(p3, o3);
     }
   }
 }
@@ -233,20 +211,18 @@ void apply2(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q0,
 // ---------------------------------------------------------------------------
 
 template <class P>
-void diag1(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q) {
+void diag1(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q,
+           std::uint64_t first, std::uint64_t last) {
   const std::uint64_t stride = 1ULL << q;
   if (stride >= P::kWidth) {
     const typename P::Coef d0 = P::prep(P::bcast(d[0])),
                            d1 = P::prep(P::bcast(d[1]));
-    const std::int64_t nouter = static_cast<std::int64_t>(dim >> (q + 1));
-    const std::int64_t ninner = static_cast<std::int64_t>(stride / P::kWidth);
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (dim >= kOmpThreshold)
-    for (std::int64_t outer = 0; outer < nouter; ++outer) {
-      for (std::int64_t inner = 0; inner < ninner; ++inner) {
-        cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (q + 1)) +
-                   static_cast<std::uint64_t>(inner) * P::kWidth;
-        cplx* p1 = p0 + stride;
+    const Run run(first, last, q, P::kWidth);
+    for (std::uint64_t row = run.begin; row < run.end; ++row) {
+      cplx* p0 = amp + (row << (q + 1)) + run.lo;
+      cplx* p1 = p0 + stride;
+      for (std::int64_t j = 0, n = run.registers; j < n;
+           ++j, p0 += P::kWidth, p1 += P::kWidth) {
         const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
         P::store(p0, P::mulc(d0, v0, P::swapri(v0)));
         P::store(p1, P::mulc(d1, v1, P::swapri(v1)));
@@ -256,25 +232,26 @@ void diag1(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q) {
   }
   if (dim >= P::kWidth) {
     // Sub-width stride: the multiplier repeats with period 2*stride <=
-    // kWidth, so one lane-patterned register covers the whole sweep.
+    // kWidth, so one lane-patterned register covers the whole sweep, which
+    // runs flat over the slice's amplitudes.
     alignas(64) cplx pat[P::kWidth];
     for (unsigned j = 0; j < P::kWidth; ++j) pat[j] = d[(j >> q) & 1u];
     const typename P::Coef dc = P::prep(P::load(pat));
-    const std::int64_t n = static_cast<std::int64_t>(dim / P::kWidth);
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
+    const std::int64_t n =
+        static_cast<std::int64_t>(2 * (last - first) / P::kWidth);
     for (std::int64_t i = 0; i < n; ++i) {
-      cplx* p = amp + static_cast<std::uint64_t>(i) * P::kWidth;
+      cplx* p = amp + 2 * first + static_cast<std::uint64_t>(i) * P::kWidth;
       const typename P::Reg v = P::load(p);
       P::store(p, P::mulc(dc, v, P::swapri(v)));
     }
     return;
   }
-  diag1<ScalarPolicy>(amp, dim, d, q);
+  scalar_kernel_set().diag1(amp, dim, d, q, first, last);
 }
 
 template <class P>
 void diag2(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
-           unsigned q1) {
+           unsigned q1, std::uint64_t first, std::uint64_t last) {
   const unsigned lo = std::min(q0, q1), hi = std::max(q0, q1);
   const std::uint64_t slo = 1ULL << lo, shi = 1ULL << hi;
   // d entry for (bit at lo, bit at hi): q0 is always the matrix LSB.
@@ -288,34 +265,29 @@ void diag2(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
                            d10 = P::prep(P::bcast(d[didx(1, 0)])),
                            d01 = P::prep(P::bcast(d[didx(0, 1)])),
                            d11 = P::prep(P::bcast(d[didx(1, 1)]));
-    const std::int64_t nouter = static_cast<std::int64_t>(dim >> (hi + 1));
-    const std::int64_t nmid = static_cast<std::int64_t>(shi >> (lo + 1));
-    const std::int64_t ninner = static_cast<std::int64_t>(slo / P::kWidth);
-#pragma omp parallel for collapse(3) schedule(static) \
-    if (dim >= kOmpThreshold)
-    for (std::int64_t outer = 0; outer < nouter; ++outer) {
-      for (std::int64_t mid = 0; mid < nmid; ++mid) {
-        for (std::int64_t inner = 0; inner < ninner; ++inner) {
-          cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (hi + 1)) +
-                     (static_cast<std::uint64_t>(mid) << (lo + 1)) +
-                     static_cast<std::uint64_t>(inner) * P::kWidth;
-          cplx* p1 = p0 + slo;
-          cplx* p2 = p0 + shi;
-          cplx* p3 = p0 + slo + shi;
-          const typename P::Reg v0 = P::load(p0), v1 = P::load(p1),
-                                v2 = P::load(p2), v3 = P::load(p3);
-          P::store(p0, P::mulc(d00, v0, P::swapri(v0)));
-          P::store(p1, P::mulc(d10, v1, P::swapri(v1)));
-          P::store(p2, P::mulc(d01, v2, P::swapri(v2)));
-          P::store(p3, P::mulc(d11, v3, P::swapri(v3)));
-        }
+    const Run run(first, last, lo, P::kWidth);
+    for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
+      cplx* p0 = amp + row.base + run.lo;
+      cplx* p1 = p0 + slo;
+      cplx* p2 = p0 + shi;
+      cplx* p3 = p0 + slo + shi;
+      for (std::int64_t j = 0, n = run.registers; j < n;
+           ++j, p0 += P::kWidth, p1 += P::kWidth, p2 += P::kWidth,
+           p3 += P::kWidth) {
+        const typename P::Reg v0 = P::load(p0), v1 = P::load(p1),
+                              v2 = P::load(p2), v3 = P::load(p3);
+        P::store(p0, P::mulc(d00, v0, P::swapri(v0)));
+        P::store(p1, P::mulc(d10, v1, P::swapri(v1)));
+        P::store(p2, P::mulc(d01, v2, P::swapri(v2)));
+        P::store(p3, P::mulc(d11, v3, P::swapri(v3)));
       }
     }
     return;
   }
   if (shi >= P::kWidth) {
     // Low stride narrower than a register, high stride wide: lane-pattern
-    // the low bit, two-pointer the high bit.
+    // the low bit, two-pointer the high bit. The space is the dim/2
+    // amplitude pairs across bit hi, two per group.
     alignas(64) cplx patA[P::kWidth], patB[P::kWidth];
     for (unsigned j = 0; j < P::kWidth; ++j) {
       const unsigned blo = (j >> lo) & 1u;
@@ -324,15 +296,12 @@ void diag2(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
     }
     const typename P::Coef dA = P::prep(P::load(patA)),
                            dB = P::prep(P::load(patB));
-    const std::int64_t nouter = static_cast<std::int64_t>(dim >> (hi + 1));
-    const std::int64_t ninner = static_cast<std::int64_t>(shi / P::kWidth);
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (dim >= kOmpThreshold)
-    for (std::int64_t outer = 0; outer < nouter; ++outer) {
-      for (std::int64_t inner = 0; inner < ninner; ++inner) {
-        cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (hi + 1)) +
-                   static_cast<std::uint64_t>(inner) * P::kWidth;
-        cplx* p1 = p0 + shi;
+    const Run run(2 * first, 2 * last, hi, P::kWidth);
+    for (std::uint64_t row = run.begin; row < run.end; ++row) {
+      cplx* p0 = amp + (row << (hi + 1)) + run.lo;
+      cplx* p1 = p0 + shi;
+      for (std::int64_t j = 0, n = run.registers; j < n;
+           ++j, p0 += P::kWidth, p1 += P::kWidth) {
         const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
         P::store(p0, P::mulc(dA, v0, P::swapri(v0)));
         P::store(p1, P::mulc(dB, v1, P::swapri(v1)));
@@ -341,21 +310,22 @@ void diag2(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
     return;
   }
   if (dim >= P::kWidth) {
-    // Both strides sub-width: the full 4-entry pattern fits in one register.
+    // Both strides sub-width: the full 4-entry pattern fits in one
+    // register, and the sweep runs flat over the slice's amplitudes.
     alignas(64) cplx pat[P::kWidth];
     for (unsigned j = 0; j < P::kWidth; ++j)
       pat[j] = d[didx((j >> lo) & 1u, (j >> hi) & 1u)];
     const typename P::Coef dc = P::prep(P::load(pat));
-    const std::int64_t n = static_cast<std::int64_t>(dim / P::kWidth);
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
+    const std::int64_t n =
+        static_cast<std::int64_t>(4 * (last - first) / P::kWidth);
     for (std::int64_t i = 0; i < n; ++i) {
-      cplx* p = amp + static_cast<std::uint64_t>(i) * P::kWidth;
+      cplx* p = amp + 4 * first + static_cast<std::uint64_t>(i) * P::kWidth;
       const typename P::Reg v = P::load(p);
       P::store(p, P::mulc(dc, v, P::swapri(v)));
     }
     return;
   }
-  diag2<ScalarPolicy>(amp, dim, d, q0, q1);
+  scalar_kernel_set().diag2(amp, dim, d, q0, q1, first, last);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,23 +334,22 @@ void diag2(cplx* amp, std::uint64_t dim, const cplx* d, unsigned q0,
 
 template <class P>
 void perm1(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
-           const cplx* ph, unsigned q) {
+           const cplx* ph, unsigned q, std::uint64_t first,
+           std::uint64_t last) {
   const std::uint64_t stride = 1ULL << q;
   if (stride < P::kWidth) {
-    perm1<ScalarPolicy>(amp, dim, src, ph, q);
+    scalar_kernel_set().perm1(amp, dim, src, ph, q, first, last);
     return;
   }
   const typename P::Coef p0c = P::prep(P::bcast(ph[0])),
                          p1c = P::prep(P::bcast(ph[1]));
   const bool swap = src[0] == 1;
-  const std::int64_t nouter = static_cast<std::int64_t>(dim >> (q + 1));
-  const std::int64_t ninner = static_cast<std::int64_t>(stride / P::kWidth);
-#pragma omp parallel for collapse(2) schedule(static) if (dim >= kOmpThreshold)
-  for (std::int64_t outer = 0; outer < nouter; ++outer) {
-    for (std::int64_t inner = 0; inner < ninner; ++inner) {
-      cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (q + 1)) +
-                 static_cast<std::uint64_t>(inner) * P::kWidth;
-      cplx* p1 = p0 + stride;
+  const Run run(first, last, q, P::kWidth);
+  for (std::uint64_t row = run.begin; row < run.end; ++row) {
+    cplx* p0 = amp + (row << (q + 1)) + run.lo;
+    cplx* p1 = p0 + stride;
+    for (std::int64_t j = 0, n = run.registers; j < n;
+         ++j, p0 += P::kWidth, p1 += P::kWidth) {
       const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
       const typename P::Reg a = swap ? v1 : v0, b = swap ? v0 : v1;
       P::store(p0, P::mulc(p0c, a, P::swapri(a)));
@@ -391,36 +360,30 @@ void perm1(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
 
 template <class P>
 void perm2(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
-           const cplx* ph, unsigned q0, unsigned q1) {
+           const cplx* ph, unsigned q0, unsigned q1, std::uint64_t first,
+           std::uint64_t last) {
   const std::uint64_t s0 = 1ULL << q0, s1 = 1ULL << q1;
   const unsigned lo = std::min(q0, q1), hi = std::max(q0, q1);
-  const std::uint64_t slo = 1ULL << lo;
-  if (slo < P::kWidth) {
-    perm2<ScalarPolicy>(amp, dim, src, ph, q0, q1);
+  if ((1ULL << lo) < P::kWidth) {
+    scalar_kernel_set().perm2(amp, dim, src, ph, q0, q1, first, last);
     return;
   }
   const typename P::Coef ph0 = P::prep(P::bcast(ph[0])),
                          ph1 = P::prep(P::bcast(ph[1])),
                          ph2 = P::prep(P::bcast(ph[2])),
                          ph3 = P::prep(P::bcast(ph[3]));
-  const std::int64_t nouter = static_cast<std::int64_t>(dim >> (hi + 1));
-  const std::int64_t nmid = static_cast<std::int64_t>((1ULL << hi) >> (lo + 1));
-  const std::int64_t ninner = static_cast<std::int64_t>(slo / P::kWidth);
-#pragma omp parallel for collapse(3) schedule(static) if (dim >= kOmpThreshold)
-  for (std::int64_t outer = 0; outer < nouter; ++outer) {
-    for (std::int64_t mid = 0; mid < nmid; ++mid) {
-      for (std::int64_t inner = 0; inner < ninner; ++inner) {
-        cplx* p0 = amp + (static_cast<std::uint64_t>(outer) << (hi + 1)) +
-                   (static_cast<std::uint64_t>(mid) << (lo + 1)) +
-                   static_cast<std::uint64_t>(inner) * P::kWidth;
-        cplx* const p[4] = {p0, p0 + s0, p0 + s1, p0 + s0 + s1};
-        const typename P::Reg v[4] = {P::load(p[0]), P::load(p[1]),
-                                      P::load(p[2]), P::load(p[3])};
-        P::store(p[0], P::mulc(ph0, v[src[0]], P::swapri(v[src[0]])));
-        P::store(p[1], P::mulc(ph1, v[src[1]], P::swapri(v[src[1]])));
-        P::store(p[2], P::mulc(ph2, v[src[2]], P::swapri(v[src[2]])));
-        P::store(p[3], P::mulc(ph3, v[src[3]], P::swapri(v[src[3]])));
-      }
+  const Run run(first, last, lo, P::kWidth);
+  for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
+    cplx* p0 = amp + row.base + run.lo;
+    for (std::int64_t j = 0, n = run.registers; j < n;
+         ++j, p0 += P::kWidth) {
+      cplx* const p[4] = {p0, p0 + s0, p0 + s1, p0 + s0 + s1};
+      const typename P::Reg v[4] = {P::load(p[0]), P::load(p[1]),
+                                    P::load(p[2]), P::load(p[3])};
+      P::store(p[0], P::mulc(ph0, v[src[0]], P::swapri(v[src[0]])));
+      P::store(p[1], P::mulc(ph1, v[src[1]], P::swapri(v[src[1]])));
+      P::store(p[2], P::mulc(ph2, v[src[2]], P::swapri(v[src[2]])));
+      P::store(p[3], P::mulc(ph3, v[src[3]], P::swapri(v[src[3]])));
     }
   }
 }
@@ -431,41 +394,28 @@ void perm2(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
 
 template <class P>
 void ctrl1(cplx* amp, std::uint64_t dim, const cplx* u, unsigned control,
-           unsigned target) {
+           unsigned target, std::uint64_t first, std::uint64_t last) {
   const std::uint64_t sc = 1ULL << control, st = 1ULL << target;
   const unsigned lo = std::min(control, target), hi = std::max(control, target);
-  const std::uint64_t slo = 1ULL << lo;
-  if (slo < P::kWidth) {
-    ctrl1<ScalarPolicy>(amp, dim, u, control, target);
+  if ((1ULL << lo) < P::kWidth) {
+    scalar_kernel_set().ctrl1(amp, dim, u, control, target, first, last);
     return;
   }
   const typename P::Coef u00 = P::prep(P::bcast(u[0])),
                          u01 = P::prep(P::bcast(u[1])),
                          u10 = P::prep(P::bcast(u[2])),
                          u11 = P::prep(P::bcast(u[3]));
-  const std::int64_t nouter = static_cast<std::int64_t>(dim >> (hi + 1));
-  const std::int64_t nmid = static_cast<std::int64_t>((1ULL << hi) >> (lo + 1));
-  const std::int64_t ninner = static_cast<std::int64_t>(slo / P::kWidth);
-  const std::int64_t tile = tile_vecs<P>(ninner);
-  const std::int64_t ntile = ninner / tile;
-#pragma omp parallel for collapse(3) schedule(static) if (dim >= kOmpThreshold)
-  for (std::int64_t outer = 0; outer < nouter; ++outer) {
-    for (std::int64_t mid = 0; mid < nmid; ++mid) {
-      for (std::int64_t t = 0; t < ntile; ++t) {
-        const std::uint64_t base =
-            (static_cast<std::uint64_t>(outer) << (hi + 1)) +
-            (static_cast<std::uint64_t>(mid) << (lo + 1)) +
-            static_cast<std::uint64_t>(t * tile) * P::kWidth + sc;
-        cplx* p0 = amp + base;       // control = 1, target = 0
-        cplx* p1 = p0 + st;          // control = 1, target = 1
-        for (std::int64_t j = 0; j < tile;
-             ++j, p0 += P::kWidth, p1 += P::kWidth) {
-          const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
-          const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
-          P::store(p0, P::add(P::mulc(u00, v0, v0s), P::mulc(u01, v1, v1s)));
-          P::store(p1, P::add(P::mulc(u10, v0, v0s), P::mulc(u11, v1, v1s)));
-        }
-      }
+  const Run run(first, last, lo, P::kWidth);
+  for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
+    // p0: control 1, target 0; p1: control 1, target 1.
+    cplx* p0 = amp + row.base + run.lo + sc;
+    cplx* p1 = p0 + st;
+    for (std::int64_t j = 0, n = run.registers; j < n;
+         ++j, p0 += P::kWidth, p1 += P::kWidth) {
+      const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
+      const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
+      P::store(p0, P::add(P::mulc(u00, v0, v0s), P::mulc(u01, v1, v1s)));
+      P::store(p1, P::add(P::mulc(u10, v0, v0s), P::mulc(u11, v1, v1s)));
     }
   }
 }

@@ -13,7 +13,8 @@
 ///    nothing in a request is code.
 ///  - **Shared worker pool.** One engine owns one fixed pool of job workers
 ///    (each job slot drives the BE trajectory executor with the job's own
-///    `threads` knob, so total thread footprint is bounded by
+///    `threads` knob; a job's preparation splits only across that
+///    executor's workers, so total thread footprint is bounded by
 ///    workers × per-job threads).
 ///  - **ExecPlan cache.** Jobs are keyed by (canonical circuit text,
 ///    backend name, BackendConfig); repeat circuits skip the fusion +
@@ -87,10 +88,11 @@ struct JobRequest {
   BackendConfig backend_config;
   /// Trajectory schedule for the BE stage.
   be::Schedule schedule = be::Schedule::kIndependent;
-  /// Worker threads *within* this job's BE stage (0 = hardware
-  /// concurrency; values above hardware concurrency are clamped at
-  /// submit — tenant input must not size OS thread pools unboundedly).
-  /// Records are bit-identical at every value.
+  /// Worker threads *within* this job's BE stage, the only threads it runs
+  /// on: they take its specs and split a preparation's sweeps while some
+  /// of them are idle (0 = hardware concurrency; values above hardware
+  /// concurrency are clamped at submit — tenant input must not size OS
+  /// thread pools unboundedly). Records are bit-identical at every value.
   std::size_t threads = 1;
   /// Master seed; with everything above it pins the job's records exactly.
   std::uint64_t seed = 0x5EEDBA5EDULL;
@@ -194,7 +196,8 @@ class JobHandle {
 };
 
 /// Engine sizing. Total worker-thread footprint is bounded by
-/// `workers` × per-job `JobRequest::threads`.
+/// `workers` × per-job `JobRequest::threads`: a job's preparation splits
+/// only across its own executor's workers.
 struct EngineConfig {
   /// Concurrent job slots (0 = hardware concurrency, at least 1).
   std::size_t workers = 1;

@@ -31,6 +31,12 @@ class StabilizerState {
   /// \throws precondition_error for any other matrix.
   void apply_gate(const Matrix& matrix, std::span<const unsigned> qubits);
 
+  /// True when `apply_gate` records `matrix` on `arity` qubits. The
+  /// stabilizer backend admits a program's gates by this test, so a gate
+  /// it cannot record is refused before any trajectory runs.
+  [[nodiscard]] static bool can_record(const Matrix& matrix,
+                                       std::size_t arity);
+
   /// \throws precondition_error always: a general Kraus branch has no
   ///         stabilizer form.
   double apply_kraus_branch(const Matrix& k, std::span<const unsigned> qubits);
@@ -52,6 +58,11 @@ class StabilizerState {
     unsigned a = 0;
     unsigned b = 0;  ///< Second qubit of a two-qubit gate.
   };
+
+  /// The one recognition behind `apply_gate` and `can_record`: append what
+  /// `matrix` on `qubits` records to `ops`, or return false.
+  static bool recognise(const Matrix& matrix, std::span<const unsigned> qubits,
+                        std::vector<Op>& ops);
 
   unsigned n_;
   std::vector<Op> ops_;

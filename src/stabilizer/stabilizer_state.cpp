@@ -33,28 +33,41 @@ constexpr std::uint8_t kX = kNamedCliffords, kY = kX + 1, kZ = kX + 2;
 
 }  // namespace
 
-void StabilizerState::apply_gate(const Matrix& matrix,
-                                 std::span<const unsigned> qubits) {
-  PTSBE_REQUIRE(!qubits.empty() && qubits.size() <= 2 &&
-                    matrix.rows() == (std::size_t{1} << qubits.size()) &&
-                    matrix.cols() == matrix.rows(),
-                "stabilizer gate must be a 2x2 or 4x4 matrix on 1 or 2 qubits");
+bool StabilizerState::recognise(const Matrix& matrix,
+                                std::span<const unsigned> qubits,
+                                std::vector<Op>& ops) {
+  if (qubits.empty() || qubits.size() > 2 ||
+      matrix.rows() != (std::size_t{1} << qubits.size()) ||
+      matrix.cols() != matrix.rows())
+    return false;
   const std::vector<NamedGate>& table = gate_table();
   for (std::uint8_t g = 0; g < kNamedCliffords; ++g) {
     if (std::ranges::equal(table[g].matrix.data(), matrix.data())) {
-      ops_.push_back({g, qubits[0], qubits.size() > 1 ? qubits[1] : 0u});
-      return;
+      ops.push_back({g, qubits[0], qubits.size() > 1 ? qubits[1] : 0u});
+      return true;
     }
   }
   std::vector<std::pair<bool, bool>> toggles;
-  PTSBE_REQUIRE(pauli_toggles(matrix, static_cast<unsigned>(qubits.size()),
-                              toggles),
-                "stabilizer state applies named Clifford gates and Pauli "
-                "tensors only");
+  if (!pauli_toggles(matrix, static_cast<unsigned>(qubits.size()), toggles))
+    return false;
   for (std::size_t k = 0; k < toggles.size(); ++k) {
     const auto [x, z] = toggles[k];
-    if (x || z) ops_.push_back({x && z ? kY : x ? kX : kZ, qubits[k], 0u});
+    if (x || z) ops.push_back({x && z ? kY : x ? kX : kZ, qubits[k], 0u});
   }
+  return true;
+}
+
+void StabilizerState::apply_gate(const Matrix& matrix,
+                                 std::span<const unsigned> qubits) {
+  PTSBE_REQUIRE(recognise(matrix, qubits, ops_),
+                "stabilizer state applies named Clifford gates and Pauli "
+                "tensors on 1 or 2 qubits only");
+}
+
+bool StabilizerState::can_record(const Matrix& matrix, std::size_t arity) {
+  static constexpr unsigned kQubits[] = {0, 1};
+  std::vector<Op> ops;
+  return arity <= 2 && recognise(matrix, std::span(kQubits, arity), ops);
 }
 
 double StabilizerState::apply_kraus_branch(const Matrix& /*k*/,

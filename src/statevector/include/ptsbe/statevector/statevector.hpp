@@ -5,10 +5,12 @@
 ///
 /// CPU stand-in for the paper's CUDA-Q `nvidia` (cuStateVec) backend. The
 /// state is a 2^n complex-double array; gate kernels stride over amplitude
-/// groups exactly like the GPU implementation slices them. Once a state has
-/// 2^14 amplitudes, OpenMP parallelises the sweeps and the reductions (the
-/// analogue of intra-trajectory multi-GPU distribution); reductions add
-/// fixed 2^14-item blocks in block order, so no bit depends on the team.
+/// groups exactly like the GPU implementation slices them. Above 2^14
+/// amplitudes the sweeps, the reductions and the k-qubit gates split into
+/// fixed 2^14-amplitude ranges across the calling executor worker's idle
+/// peers (ptsbe/common/parallel.hpp; the analogue of intra-trajectory
+/// multi-GPU distribution); reductions add fixed 2^14-item block sums in
+/// block order, so no bit depends on the thread count.
 ///
 /// The backend exposes the two cost regimes PTSBE exploits:
 ///  - `apply_gate` / `apply_kraus_branch`: O(2^n) state preparation work;
@@ -83,9 +85,6 @@ class StateVector {
   /// Squared norm of the state (should be 1 after normalised operations).
   [[nodiscard]] double norm2() const noexcept;
 
-  /// Rescale to unit norm.
-  void normalize();
-
   /// Expectation ⟨ψ|P|ψ⟩ of a Pauli string; `pauli[i]` in {I,X,Y,Z} acts on
   /// `qubits[i]`. Returns the real part (P Hermitian).
   [[nodiscard]] double expectation_pauli(const std::string& pauli,
@@ -117,10 +116,6 @@ class StateVector {
 
   unsigned n_;
   AlignedVector<cplx> amp_;
-  // Reused k-qubit gather/scatter scratch for the serial apply_matrix_k
-  // path (the parallel path keeps per-thread buffers inside the region).
-  std::vector<cplx> scratch_in_, scratch_out_;
-  std::vector<std::uint64_t> scratch_idx_;
 };
 
 }  // namespace ptsbe

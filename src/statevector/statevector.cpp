@@ -8,36 +8,35 @@
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/common/error.hpp"
 #include "ptsbe/common/inverse_cdf.hpp"
+#include "ptsbe/common/parallel.hpp"
 
 namespace ptsbe {
 
 namespace {
-// Below this state size the OpenMP fork/join overhead dominates.
-constexpr std::uint64_t kParallelThreshold = 1ULL << 14;
+// Items per reduction block, and amplitudes per range of a k-qubit gate.
+constexpr std::uint64_t kBlockItems = 1ULL << 14;
 
-// Sum of `block_sum(begin, end)` over fixed blocks of kParallelThreshold
-// items: each block is summed in index order, blocks run in parallel, and
-// the block sums are added serially in block order. The bits depend on
-// `items` only, never on the OpenMP team; a single block is the plain
-// serial sum. Rounds of kRound blocks keep the sums on the stack, so the
-// noexcept callers never allocate.
+// Sum of `block_sum(begin, end)` over fixed blocks of kBlockItems items:
+// each block is summed in index order, blocks are the ranges the calling
+// thread's team splits, and the block sums are added serially in block
+// order. The bits depend on `items` only, never on the team; a single
+// block is the plain serial sum. Rounds of kRound blocks keep the sums on
+// the stack, and a fork throws only what a block throws, so the noexcept
+// callers stay safe.
 template <typename BlockSum>
 double fixed_block_sum(std::uint64_t items,
                        const BlockSum& block_sum) noexcept {
-  constexpr std::int64_t kRound = 256;
-  const auto blocks = static_cast<std::int64_t>(
-      (items + kParallelThreshold - 1) / kParallelThreshold);
+  constexpr std::uint64_t kRound = 256;
+  const std::uint64_t blocks = (items + kBlockItems - 1) / kBlockItems;
   double total = 0.0;
-  for (std::int64_t first = 0; first < blocks; first += kRound) {
-    const std::int64_t count = std::min(kRound, blocks - first);
+  for (std::uint64_t first = 0; first < blocks; first += kRound) {
+    const std::uint64_t count = std::min(kRound, blocks - first);
     std::array<double, kRound> sums;
-#pragma omp parallel for schedule(static) if (count > 1)
-    for (std::int64_t b = 0; b < count; ++b) {
-      const std::uint64_t begin =
-          static_cast<std::uint64_t>(first + b) * kParallelThreshold;
-      sums[b] = block_sum(begin, std::min(items, begin + kParallelThreshold));
-    }
-    for (std::int64_t b = 0; b < count; ++b) total += sums[b];
+    parallel_for(count, [&](std::uint64_t b) {
+      const std::uint64_t begin = (first + b) * kBlockItems;
+      sums[b] = block_sum(begin, std::min(items, begin + kBlockItems));
+    });
+    for (std::uint64_t b = 0; b < count; ++b) total += sums[b];
   }
   return total;
 }
@@ -92,46 +91,32 @@ void StateVector::apply_matrix_k(const Matrix& m,
   const std::size_t dim = std::size_t{1} << k;
   std::vector<unsigned> sorted(qubits.begin(), qubits.end());
   std::sort(sorted.begin(), sorted.end());
-  const std::int64_t groups = static_cast<std::int64_t>(amp_.size() >> k);
+  const std::uint64_t groups = amp_.size() >> k;
+  const std::uint64_t per_range = std::max<std::uint64_t>(1, kBlockItems >> k);
   cplx* const a = amp_.data();
-  const auto process_group = [&](std::int64_t g, cplx* in, cplx* out,
-                                 std::uint64_t* idx) {
-    std::uint64_t base = static_cast<std::uint64_t>(g);
-    for (unsigned b = 0; b < k; ++b) base = insert_zero_bit(base, sorted[b]);
-    for (std::size_t local = 0; local < dim; ++local) {
-      std::uint64_t full = base;
-      for (unsigned b = 0; b < k; ++b)
-        if ((local >> b) & 1u) full |= 1ULL << qubits[b];
-      idx[local] = full;
-      in[local] = a[full];
-    }
-    for (std::size_t r = 0; r < dim; ++r) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t c = 0; c < dim; ++c) acc += m(r, c) * in[c];
-      out[r] = acc;
-    }
-    for (std::size_t local = 0; local < dim; ++local) a[idx[local]] = out[local];
-  };
-  if (amp_.size() < kParallelThreshold) {
-    // Serial path: reuse the per-instance scratch across calls instead of
-    // allocating three vectors per gate.
-    scratch_in_.resize(dim);
-    scratch_out_.resize(dim);
-    scratch_idx_.resize(dim);
-    for (std::int64_t g = 0; g < groups; ++g)
-      process_group(g, scratch_in_.data(), scratch_out_.data(),
-                    scratch_idx_.data());
-    return;
-  }
-#pragma omp parallel
-  {
-    // One allocation per thread per call, amortised over 2^n/2^k groups.
+  parallel_for((groups + per_range - 1) / per_range, [&](std::uint64_t r) {
     std::vector<cplx> in(dim), out(dim);
     std::vector<std::uint64_t> idx(dim);
-#pragma omp for schedule(static)
-    for (std::int64_t g = 0; g < groups; ++g)
-      process_group(g, in.data(), out.data(), idx.data());
-  }
+    const std::uint64_t end = std::min(groups, (r + 1) * per_range);
+    for (std::uint64_t g = r * per_range; g < end; ++g) {
+      std::uint64_t base = g;
+      for (unsigned b = 0; b < k; ++b) base = insert_zero_bit(base, sorted[b]);
+      for (std::size_t local = 0; local < dim; ++local) {
+        std::uint64_t full = base;
+        for (unsigned b = 0; b < k; ++b)
+          if ((local >> b) & 1u) full |= 1ULL << qubits[b];
+        idx[local] = full;
+        in[local] = a[full];
+      }
+      for (std::size_t row = 0; row < dim; ++row) {
+        cplx acc{0.0, 0.0};
+        for (std::size_t c = 0; c < dim; ++c) acc += m(row, c) * in[c];
+        out[row] = acc;
+      }
+      for (std::size_t local = 0; local < dim; ++local)
+        a[idx[local]] = out[local];
+    }
+  });
 }
 
 double StateVector::branch_probability(const Matrix& k,
@@ -187,13 +172,6 @@ double StateVector::norm2() const noexcept {
     for (std::uint64_t i = first; i < last; ++i) s += std::norm(a[i]);
     return s;
   });
-}
-
-void StateVector::normalize() {
-  const double s = norm2();
-  PTSBE_REQUIRE(s > 1e-300, "cannot normalise a zero state");
-  const double inv = 1.0 / std::sqrt(s);
-  for (cplx& v : amp_) v *= inv;
 }
 
 double StateVector::expectation_pauli(const std::string& pauli,

@@ -112,7 +112,7 @@ TEST(BackendRegistry, PluginRegistrationRoundTrips) {
     // Delegating keeps the every-registered-backend Bell test valid
     // regardless of the order gtest runs this suite in (registrations are
     // process-global).
-    registry.register_backend(name, [](const BackendConfig&) -> BackendPtr {
+    registry.add(name, [](const BackendConfig&) -> BackendPtr {
       struct Plugin final : Backend {
         [[nodiscard]] const std::string& name() const noexcept override {
           static const std::string kName = "test-plugin-backend";
@@ -143,7 +143,7 @@ TEST(BackendRegistry, PluginRegistrationRoundTrips) {
   EXPECT_EQ(run.batches[0].records.size(), 7u);
   // Duplicate registration is rejected.
   EXPECT_THROW(
-      registry.register_backend(name, [](const BackendConfig&) -> BackendPtr {
+      registry.add(name, [](const BackendConfig&) -> BackendPtr {
         return nullptr;
       }),
       precondition_error);

@@ -5,15 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ptsbe/common/parallel.hpp"
 #include "ptsbe/core/batched_execution.hpp"
 #include "ptsbe/core/dataset.hpp"
 #include "ptsbe/core/pts.hpp"
@@ -508,6 +515,127 @@ TEST(BatchedExecution, SpecValidationRejectsBadIndices) {
   bad.branches = {{999, 0}};
   bad.shots = 1;
   EXPECT_THROW((void)be::execute(noisy, {bad}), precondition_error);
+}
+
+// ---------------------------------------------------------------------------
+// The executor's fork-join primitive: `parallel_for` inside a task splits
+// its ranges across the executor's idle workers, and runs inline on a
+// thread that is no worker and inside a range.
+// ---------------------------------------------------------------------------
+
+/// Run `body` as the only task of a `threads`-worker executor.
+void run_as_task(std::size_t threads, const std::function<void()>& body) {
+  be::TrajectoryExecutor executor(threads);
+  executor.spawn([&body](std::size_t) { body(); });
+  executor.drain([](be::TrajectoryBatch&&) {});
+}
+
+/// A few microseconds of work the compiler cannot drop, so that a fork's
+/// ranges outlast the idle workers' wake-up.
+std::uint64_t busy_work(std::uint64_t seed) {
+  std::uint64_t x = seed | 1;
+  for (int k = 0; k < 2000; ++k)
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  return x;
+}
+
+TEST(ExecutorFork, EveryIndexRunsExactlyOnce) {
+  constexpr int kForks = 20;
+  for (const std::size_t threads : {1, 2, 4}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{threads - 1},
+          std::uint64_t{1000}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " count=" + std::to_string(count));
+      std::vector<std::atomic<int>> runs(count);
+      std::atomic<std::uint64_t> sink{0};
+      run_as_task(threads, [&] {
+        for (int fork = 0; fork < kForks; ++fork)
+          parallel_for(count, [&](std::uint64_t i) {
+            sink.fetch_add(busy_work(i), std::memory_order_relaxed);
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+          });
+      });
+      for (std::uint64_t i = 0; i < count; ++i)
+        EXPECT_EQ(runs[i].load(), kForks) << "index " << i;
+    }
+  }
+}
+
+TEST(ExecutorFork, IdleWorkersTakeRanges) {
+  std::mutex mutex;
+  std::set<std::thread::id> seen;
+  std::atomic<std::uint64_t> sink{0};
+  run_as_task(4, [&] {
+    for (int fork = 0; fork < 50; ++fork)
+      parallel_for(256, [&](std::uint64_t i) {
+        sink.fetch_add(busy_work(i), std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(mutex);
+        seen.insert(std::this_thread::get_id());
+      });
+  });
+  EXPECT_GT(seen.size(), 1u);
+}
+
+TEST(ExecutorFork, NestedAndOutsideCallsRunInline) {
+  // Not an executor worker: a plain loop, in index order.
+  std::vector<std::uint64_t> order;
+  parallel_for(100, [&](std::uint64_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::uint64_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  // Inside a range: the nested loop runs on the range's own thread, in
+  // index order.
+  std::atomic<int> inner_runs{0}, misplaced{0};
+  std::atomic<std::uint64_t> sink{0};
+  run_as_task(4, [&] {
+    parallel_for(64, [&](std::uint64_t i) {
+      sink.fetch_add(busy_work(i), std::memory_order_relaxed);
+      const std::thread::id outer = std::this_thread::get_id();
+      std::uint64_t next = 0;
+      parallel_for(16, [&](std::uint64_t j) {
+        if (std::this_thread::get_id() != outer || j != next) ++misplaced;
+        ++next;
+        ++inner_runs;
+      });
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), 64 * 16);
+  EXPECT_EQ(misplaced.load(), 0);
+}
+
+TEST(ExecutorFork, RangeExceptionReachesTheCaller) {
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string caught;
+    // An exception that escaped to a worker loop would fail the run, and
+    // drain would rethrow it.
+    EXPECT_NO_THROW(run_as_task(threads, [&] {
+      try {
+        parallel_for(1000, [](std::uint64_t i) {
+          (void)busy_work(i);
+          if (i == 500) throw std::runtime_error("range 500");
+        });
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+      }
+    }));
+    EXPECT_EQ(caught, "range 500");
+  }
+}
+
+// A caller that claims every range before a helper wakes leaves that
+// helper queued; it runs after the call returned, finds no range left and
+// touches none of the caller's memory (the ASan job runs this suite).
+TEST(ExecutorFork, HelpersThatRunAfterTheCallAreHarmless) {
+  std::uint64_t total = 0;
+  run_as_task(4, [&] {
+    for (int fork = 0; fork < 2000; ++fork) {
+      std::vector<std::uint64_t> values(2);
+      parallel_for(2, [&](std::uint64_t i) { values[i] = i + 1; });
+      total += values[0] + values[1];
+    }
+  });
+  EXPECT_EQ(total, 2000u * 3);
 }
 
 }  // namespace

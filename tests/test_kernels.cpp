@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/circuit/gates.hpp"
@@ -189,6 +190,45 @@ TEST(KernelParity, TwoQubitGatesAcrossStridesAndSets) {
       expect_parity(m, q, sizes, seed += 29);
 }
 
+/// The range entry: a sweep's slices, applied one by one in a shuffled
+/// order, give the bytes of the whole sweep on every set and class, at
+/// low, mid and high strides, where a row holds a few registers, many
+/// slices or a slice's part of one row.
+TEST(KernelRanges, SlicesInAnyOrderEqualTheWholeSweep) {
+  const unsigned n = 17;
+  const Matrix u = random_dense(1, 41);
+  const std::vector<std::pair<Matrix, std::vector<unsigned>>> gates_on = {
+      {gates::S(), {0}},            {gates::X(), {4}},
+      {random_dense(1, 42), {1}},   {random_dense(1, 43), {12}},
+      {random_dense(1, 44), {16}},  {gates::CZ(), {1, 15}},
+      {gates::CZ(), {0, 1}},        {gates::SWAP(), {3, 16}},
+      {gates::CX(), {0, 16}},       {controlled_on_msb(u), {14, 2}},
+      {random_dense(2, 45), {13, 16}}, {random_dense(2, 46), {0, 1}}};
+  RngStream rng(47);
+  for (const auto& [m, qubits] : gates_on) {
+    const PreparedGate g = kernels::prepare_gate(m, qubits);
+    const AlignedVector<cplx> init = random_state(n, 48 + qubits[0]);
+    const std::uint64_t groups = init.size() >> g.arity;
+    const std::uint64_t slice =
+        (std::uint64_t{1} << kernels::kSliceBits) >> g.arity;
+    std::vector<std::uint64_t> order(groups / slice);
+    for (std::uint64_t s = 0; s < order.size(); ++s) order[s] = s;
+    for (std::uint64_t s = order.size(); s > 1; --s)
+      std::swap(order[s - 1], order[rng.uniform_index(s)]);
+    for (const kernels::KernelSet* set : kernels::available_sets()) {
+      AlignedVector<cplx> whole = init;
+      kernels::apply_prepared_range(*set, whole.data(), whole.size(), g, 0,
+                                    groups);
+      AlignedVector<cplx> sliced = init;
+      for (const std::uint64_t s : order)
+        kernels::apply_prepared_range(*set, sliced.data(), sliced.size(), g,
+                                      s * slice, (s + 1) * slice);
+      EXPECT_TRUE(bytes_equal(whole, sliced))
+          << "set=" << set->name << " q0=" << qubits[0];
+    }
+  }
+}
+
 /// The classified fast paths (diag/perm/ctrl) must agree with the dense
 /// general kernel in value. Exact-zero matrix entries may flip the sign of
 /// a zero (0*x summed vs skipped), which `==` on doubles tolerates —
@@ -258,9 +298,9 @@ TEST(KernelBatched, StateVectorPreparedRunEqualsOpByOp) {
   EXPECT_TRUE(bytes_equal(one_by_one.amplitudes(), batched.amplitudes()));
 
   // At 18 qubits the span crosses four 2^16-amplitude tiles, so its groups
-  // of low-qubit gates run tile by tile (with at most four OpenMP threads).
-  // A dense gate on qubit 1 and a gate straddling the tile width join the
-  // mix; every set must still match its own op-by-op sweeps.
+  // of low-qubit gates run tile by tile at every thread count. A dense
+  // gate on qubit 1 and a gate straddling the tile width join the mix;
+  // every set must still match its own op-by-op sweeps.
   const unsigned wide = 18;
   auto wide_ops = mixed_program(wide);
   wide_ops.emplace_back(random_dense(1, 23), std::vector<unsigned>{1});

@@ -195,34 +195,7 @@ TEST(LintFma, RealKernelCmakeKeepsContractFlag) {
 }
 
 // ---------------------------------------------------------------------------
-// Check 4: OpenMP reduction clauses in library code.
-// ---------------------------------------------------------------------------
-
-TEST(LintOmpReduction, FixtureReductionsCaught) {
-  const std::vector<Finding> findings = ptsbe::lint::lint_source(
-      "src/fixture/omp_reduction.cpp", read_fixture("omp_reduction.cpp"),
-      LintConfig{});
-  ASSERT_EQ(count_check(findings, "omp-reduction"), 2u) << describe(findings);
-  // The pragma line itself, then the continued line carrying the clause.
-  EXPECT_EQ(findings[0].line, 8u);
-  EXPECT_EQ(findings[1].line, 16u);
-}
-
-TEST(LintOmpReduction, ParallelLoopWithoutReductionQuiet) {
-  const std::vector<Finding> findings = ptsbe::lint::lint_source(
-      "src/fixture/clean.cpp", read_fixture("clean.cpp"), LintConfig{});
-  EXPECT_TRUE(findings.empty()) << describe(findings);
-}
-
-TEST(LintOmpReduction, SameCodeOutsideLibraryQuiet) {
-  const std::vector<Finding> findings = ptsbe::lint::lint_source(
-      "bench/omp_reduction.cpp", read_fixture("omp_reduction.cpp"),
-      LintConfig{});
-  EXPECT_EQ(count_check(findings, "omp-reduction"), 0u) << describe(findings);
-}
-
-// ---------------------------------------------------------------------------
-// Check 5: self-contained public headers.
+// Check 4: self-contained public headers.
 // ---------------------------------------------------------------------------
 
 TEST(LintHeader, BadHeaderCaught) {

@@ -392,11 +392,11 @@ TEST(DeterminismMatrix, StreamingThreadsMatchMaterialisedReference) {
   }
 }
 
-// Above 2^14 amplitudes every worker's general-Kraus sites run the
-// statevector reduction (apply_kraus_branch's norm2) on a full OpenMP team.
-// Their bits, and so every realized_probability and dataset byte, must
-// still not depend on the worker count or on which team ran them.
-TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
+// Above 2^14 amplitudes a preparation's sweeps and its general-Kraus sites'
+// reduction (apply_kraus_branch's norm2) split into ranges that idle
+// workers take. Their bits, and so every realized_probability and dataset
+// byte, must still not depend on the worker count or on who ran a range.
+TEST(SplitPreparation, GeneralKrausAboveOneSliceIgnoresThreadCount) {
   Circuit c(15);
   for (unsigned layer = 0; layer < 2; ++layer) {
     for (unsigned q = 0; q < 15; ++q) c.rx(q, 0.3 + 0.1 * ((q + layer) % 7));
@@ -412,8 +412,8 @@ TEST(OpenMPDeterminism, GeneralKrausAboveThresholdIgnoresThreadCount) {
   opt.nsamples = 12;
   opt.nshots = 64;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
-  const std::string ref_path = test::temp_file("omp_ref.bin");
-  const std::string got_path = test::temp_file("omp_got.bin");
+  const std::string ref_path = test::temp_file("split_ref.bin");
+  const std::string got_path = test::temp_file("split_got.bin");
   for (const be::Schedule schedule :
        {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
     const be::Result reference =

@@ -123,6 +123,27 @@ TEST(ServeEngine, InvalidRequestsFailWithStatusNotThrow) {
   EXPECT_EQ(stats.served, 0u);
 }
 
+// The stabilizer admits gates by matrix: a `unitary` line named "h" whose
+// matrix is RZ(pi/4) fails at submit like any unsupported program, so it is
+// never planned, queued or handed to a worker.
+TEST(ServeEngine, StabilizerGateCheckedByMatrixAtSubmit) {
+  serve::Engine engine({.workers = 1, .queue_capacity = 4});
+  serve::JobRequest req = ghz_request();
+  req.backend = "stabilizer";
+  req.circuit_text =
+      "ptq 1\nqubits 2\n"
+      "unitary h 1 0 0 0.92387953251128674 -0.38268343236508978 0 0 0 0 "
+      "0.92387953251128674 0.38268343236508978\n"
+      "cx 0 1\nmeasure 0\nmeasure 1\n";
+  serve::JobHandle job = engine.submit(req);
+  EXPECT_EQ(job.status(), serve::JobStatus::kFailed);
+  EXPECT_NE(job.error().find("does not support"), std::string::npos)
+      << job.error();
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.plan_cache_misses, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control: bounded queue, reject-with-status, cancellation,
 // shutdown. A deliberately heavy job (bulk-sampling millions of shots) pins

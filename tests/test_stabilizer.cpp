@@ -430,5 +430,38 @@ TEST(StabilizerState, RecognisesCliffordsAndPaulisAndRefusesTheRest) {
   for (const std::uint64_t r : records) EXPECT_TRUE(r == 1 || r == 2) << r;
 }
 
+// Admission reads each gate's matrix, not only its name: a gate named "h"
+// whose matrix is RZ(pi/4) is outside the fragment, so supports() refuses
+// the program and execute() throws the refusal before any trajectory runs,
+// instead of the walk throwing on the gate mid-run.
+TEST(StabilizerBackend, AdmitsGatesByTheirMatrices) {
+  Circuit disguised(2);
+  disguised.gate("h", gates::RZ(0.7853981633974483), {0});
+  disguised.cx(0, 1).measure_all();
+  const NoisyCircuit noisy = NoiseModel().apply(disguised);
+  EXPECT_FALSE(make_backend("stabilizer")->supports(noisy));
+  TrajectorySpec spec;
+  spec.shots = 4;
+  be::Options options;
+  options.backend = "stabilizer";
+  try {
+    (void)be::execute(noisy, {spec}, options);
+    FAIL() << "expected precondition_error";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not support"),
+              std::string::npos)
+        << e.what();
+  }
+  // The same names with their own matrices are admitted.
+  Circuit plain(2);
+  plain.gate("h", gates::H(), {0});
+  plain.gate("x", gates::X(), {1});
+  plain.cx(0, 1).measure_all();
+  EXPECT_TRUE(make_backend("stabilizer")->supports(NoiseModel().apply(plain)));
+  EXPECT_TRUE(StabilizerState::can_record(gates::SWAP(), 2));
+  EXPECT_FALSE(StabilizerState::can_record(gates::T(), 1));
+  EXPECT_FALSE(StabilizerState::can_record(gates::H(), 2));
+}
+
 }  // namespace
 }  // namespace ptsbe

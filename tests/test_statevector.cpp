@@ -10,12 +10,9 @@
 #include <map>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ptsbe/circuit/circuit.hpp"
 #include "ptsbe/common/bits.hpp"
+#include "ptsbe/core/trajectory_executor.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 #include "ptsbe/tensornet/mps.hpp"
@@ -198,10 +195,18 @@ TEST(ForkableStates, ApplyKrausBranchContract) {
   }
 }
 
-TEST(StateVector, ReductionBitsIgnoreOpenMPTeamSize) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "built without OpenMP";
-#else
+/// `fn()` computed as the only task of a `threads`-worker executor, whose
+/// idle workers take ranges of the reductions inside it.
+template <typename Fn>
+auto on_worker(std::size_t threads, const Fn& fn) {
+  decltype(fn()) out;
+  be::TrajectoryExecutor executor(threads);
+  executor.spawn([&](std::size_t) { out = fn(); });
+  executor.drain([](be::TrajectoryBatch&&) {});
+  return out;
+}
+
+TEST(StateVector, ReductionBitsIgnoreExecutorWorkers) {
   // 2^16 amplitudes: several 2^14-item blocks for norm2, and for
   // branch_probability's 1-qubit groups. Random rotations and a CX
   // brickwork give every amplitude a different magnitude.
@@ -225,16 +230,12 @@ TEST(StateVector, ReductionBitsIgnoreOpenMPTeamSize) {
       out.push_back(sv.branch_probability(pair, std::array{q, q + 1}));
     return out;
   };
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const std::vector<double> serial = reductions();
-  omp_set_num_threads(4);
-  const std::vector<double> team = reductions();
-  omp_set_num_threads(saved);
+  const std::vector<double> serial = on_worker(1, reductions);
   EXPECT_NEAR(serial[0], 1.0, 1e-12);
-  // Exact equality: the same bits, not merely close values.
-  EXPECT_EQ(serial, team);
-#endif
+  // Exact equality: the same bits, not merely close values, whichever
+  // workers summed which blocks, and off the executor too.
+  for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(serial, on_worker(4, reductions));
+  EXPECT_EQ(serial, reductions());
 }
 
 TEST(StateVector, ProbabilityOne) {

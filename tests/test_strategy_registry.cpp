@@ -60,10 +60,10 @@ TEST(StrategyRegistry, UnknownNameErrorListsRegisteredNames) {
 TEST(StrategyRegistry, DuplicateRegistrationThrows) {
   auto& registry = pts::StrategyRegistry::instance();
   EXPECT_THROW(
-      registry.register_strategy(
+      registry.add(
           "probabilistic", []() -> pts::StrategyPtr { return nullptr; }),
       precondition_error);
-  EXPECT_THROW(registry.register_strategy(
+  EXPECT_THROW(registry.add(
                    "", []() -> pts::StrategyPtr { return nullptr; }),
                precondition_error);
 }
@@ -72,7 +72,7 @@ TEST(StrategyRegistry, PluginRegistrationRoundTrips) {
   auto& registry = pts::StrategyRegistry::instance();
   const std::string name = "test-plugin-strategy";
   if (!registry.contains(name)) {
-    registry.register_strategy(name, []() -> pts::StrategyPtr {
+    registry.add(name, []() -> pts::StrategyPtr {
       struct Plugin final : pts::Strategy {
         [[nodiscard]] const std::string& name() const noexcept override {
           static const std::string kName = "test-plugin-strategy";

@@ -1,5 +1,5 @@
 // Lint fixture: a file every check must stay quiet on, even when mapped
-// as a serialization AND kernel TU by the test config, or as library code.
+// as a serialization AND kernel TU by the test config.
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -13,9 +13,4 @@ void fixture_write_sorted(std::ostream& os,
 
 double fixture_kernel_mul_add(double a, double x, double y) {
   return a * x + y;  // two roundings: fine
-}
-
-void fixture_scale(double* a, long n, double f) {
-#pragma omp parallel for schedule(static)  // no reduction clause: fine
-  for (long i = 0; i < n; ++i) a[i] *= f;
 }

@@ -136,29 +136,7 @@ void check_fma_in_kernel(const std::string& rel_path,
            out);
 }
 
-// -- Check 4: OpenMP reduction clauses --------------------------------------
-
-void check_omp_reduction(const std::string& rel_path,
-                         const std::string& stripped,
-                         std::vector<Finding>& out) {
-  static const std::regex kPragmaOmp(R"(^\s*#\s*pragma\s+omp\b)");
-  static const std::regex kReduction(R"(\breduction\s*\()");
-  std::istringstream lines(stripped);
-  std::string line;
-  bool in_pragma = false;  // inside a pragma, continuation lines included
-  for (std::size_t number = 1; std::getline(lines, line); ++number) {
-    in_pragma = in_pragma || std::regex_search(line, kPragmaOmp);
-    if (in_pragma && std::regex_search(line, kReduction))
-      out.push_back(Finding{
-          "omp-reduction", rel_path, number,
-          "OpenMP reduction clause: partial sums combine in an order that "
-          "depends on the team size and thread timing, so the result's bits "
-          "vary between runs; sum fixed blocks in block order instead"});
-    in_pragma = in_pragma && !line.empty() && line.back() == '\\';
-  }
-}
-
-// -- Check 5: self-contained public headers ---------------------------------
+// -- Check 4: self-contained public headers ---------------------------------
 
 struct SymbolRule {
   const char* pattern;  ///< Regex over stripped header text.
@@ -336,8 +314,6 @@ std::vector<Finding> lint_source(const std::string& rel_path,
     check_unordered_iteration(rel_path, stripped, out);
   if (matches_any(rel_path, config.kernel_tus))
     check_fma_in_kernel(rel_path, stripped, out);
-  if (has_prefix(rel_path, "src/"))
-    check_omp_reduction(rel_path, stripped, out);
   if (is_public_header(rel_path))
     check_header_self_contained(rel_path, text, stripped, out);
   return out;

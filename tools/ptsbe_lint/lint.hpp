@@ -25,15 +25,7 @@
 ///     only because no TU contracts a multiply+add into one rounding
 ///     (PR 8). Kernel TUs must not call `std::fma`/FMA intrinsics and
 ///     their CMake stanza must keep `-ffp-contract=off`.
-///  4. **Reduction order** (`omp-reduction`): an OpenMP `reduction(`
-///     clause adds the per-thread partial sums in an order that depends on
-///     the team size and on which thread finishes first, so a
-///     floating-point sum (a realised branch probability, a norm) changes
-///     bits between runs and thread counts. Library code sums fixed blocks
-///     in block order instead (`fixed_block_sum` in statevector.cpp). The
-///     check covers every TU under `src/`, `\`-continued pragma lines
-///     included.
-///  5. **Self-contained headers** (`header-self-contained`,
+///  4. **Self-contained headers** (`header-self-contained`,
 ///     `header-missing-pragma-once`): a public module-boundary header must
 ///     compile on its own — it directly includes what it names instead of
 ///     leaning on another module's transitive includes.
