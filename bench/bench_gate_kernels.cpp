@@ -4,6 +4,10 @@
 // AVX-512) over the gate classes the classifier routes — dense 1q at low /
 // mid / high qubit positions (the three stride regimes), dense 2q, diagonal,
 // permutation and controlled — and reports amplitudes touched per second.
+// Its general-Kraus rows time an amplitude-damping no-decay site both
+// ways: the fused `kraus_sweep` (prescale, K and block sums in one pass)
+// and the three sweeps it replaces (K, the block sums of |a|², the
+// rescale).
 // Because every set computes bit-identical amplitudes (tests/test_kernels
 // pins this), the ratio is pure ISA throughput, not a numerics trade.
 //
@@ -18,6 +22,8 @@
 // --tiny shrinks every dimension so the ctest smoke can exercise the JSON
 // emitter in well under a second.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -79,10 +85,61 @@ double time_kernel(const kernels::KernelSet& set, AlignedVector<cplx>& amp,
   return static_cast<double>(amp.size()) * static_cast<double>(reps) / seconds;
 }
 
-void run_kernel_case(const std::string& op, const Matrix& m,
-                     std::vector<unsigned> qubits, unsigned n,
-                     std::size_t reps) {
-  const kernels::PreparedGate g = kernels::prepare_gate(m, qubits);
+/// One general-Kraus site as one `kraus_sweep` per unit, carrying the
+/// previous site's 1/√p in as its prescale.
+double fused_kraus_site(const kernels::KernelSet& set, AlignedVector<cplx>& amp,
+                        const kernels::PreparedGate& g, double prescale,
+                        std::vector<double>& sums) {
+  for (std::uint64_t u = 0; u < kernels::kraus_units(amp.size()); ++u)
+    set.kraus_sweep(amp.data(), amp.size(), g, prescale, sums.data(), u, u + 1);
+  double p = 0.0;
+  for (const double block : sums) p += block;
+  return 1.0 / std::sqrt(p);
+}
+
+/// The same site as three sweeps: K, the block sums of |a|² and the
+/// rescale.
+void three_sweep_kraus_site(const kernels::KernelSet& set,
+                            AlignedVector<cplx>& amp,
+                            const kernels::PreparedGate& g,
+                            std::vector<double>& sums) {
+  kernels::apply_prepared(set, amp.data(), amp.size(), g);
+  const std::uint64_t block = amp.size() / sums.size();
+  double p = 0.0;
+  for (std::size_t b = 0; b < sums.size(); ++b) {
+    double s = 0.0;
+    for (std::uint64_t i = b * block; i < (b + 1) * block; ++i)
+      s += std::norm(amp[i]);
+    p += s;
+  }
+  const double inv = 1.0 / std::sqrt(p);
+  for (cplx& v : amp) v *= inv;
+}
+
+/// Time `reps` general-Kraus sites with `set`, fused or as three sweeps;
+/// returns amplitudes per second (dim per site).
+double time_kraus(const kernels::KernelSet& set, AlignedVector<cplx>& amp,
+                  const kernels::PreparedGate& g, std::size_t reps,
+                  bool fused) {
+  std::vector<double> sums(
+      std::max<std::uint64_t>(amp.size() >> kernels::kSliceBits, 1));
+  double prescale = 1.0;
+  const auto site = [&] {
+    if (fused)
+      prescale = fused_kraus_site(set, amp, g, prescale, sums);
+    else
+      three_sweep_kraus_site(set, amp, g, sums);
+  };
+  site();
+  WallTimer timer;
+  for (std::size_t r = 0; r < reps; ++r) site();
+  const double seconds = timer.seconds();
+  return static_cast<double>(amp.size()) * static_cast<double>(reps) / seconds;
+}
+
+/// One row per set; `time` gives a set's amplitudes per second.
+template <typename Time>
+void add_rows(const std::string& op, unsigned n, const Time& time) {
   double scalar_rate = 0.0;
   for (const kernels::KernelSet* set : kernels::available_sets()) {
     AlignedVector<cplx> amp = random_state(n, 99);
@@ -90,7 +147,7 @@ void run_kernel_case(const std::string& op, const Matrix& m,
     row.op = op;
     row.set = set->name;
     row.qubits = n;
-    row.amps_per_second = time_kernel(*set, amp, g, reps);
+    row.amps_per_second = time(*set, amp);
     if (row.set == "scalar") scalar_rate = row.amps_per_second;
     row.speedup_vs_scalar =
         scalar_rate > 0.0 ? row.amps_per_second / scalar_rate : 1.0;
@@ -98,6 +155,27 @@ void run_kernel_case(const std::string& op, const Matrix& m,
                 row.amps_per_second / 1e6, row.speedup_vs_scalar);
     kernel_rows.push_back(std::move(row));
   }
+}
+
+void run_kernel_case(const std::string& op, const Matrix& m,
+                     std::vector<unsigned> qubits, unsigned n,
+                     std::size_t reps) {
+  const kernels::PreparedGate g = kernels::prepare_gate(m, qubits);
+  add_rows(op, n, [&](const kernels::KernelSet& set, AlignedVector<cplx>& amp) {
+    return time_kernel(set, amp, g, reps);
+  });
+}
+
+/// A general-Kraus site's K on `qubits`, fused and as three sweeps.
+void run_kraus_case(const std::string& op, const Matrix& k,
+                    std::vector<unsigned> qubits, unsigned n,
+                    std::size_t reps) {
+  const kernels::PreparedGate g = kernels::prepare_gate(k, qubits);
+  for (const bool fused : {true, false})
+    add_rows(op + (fused ? "/fused" : "/3-sweep"), n,
+             [&](const kernels::KernelSet& set, AlignedVector<cplx>& amp) {
+               return time_kraus(set, amp, g, reps, fused);
+             });
 }
 
 /// Same dressed-GHZ workloads as bench_prefix_sharing, so the two JSON
@@ -249,6 +327,11 @@ int main(int argc, char** argv) {
   run_kernel_case("diag2q(CZ)", gates::CZ(), {1, n - 1}, n, reps * 2);
   run_kernel_case("perm1q(X)", gates::X(), {n / 2}, n, reps * 2);
   run_kernel_case("ctrl1q(CX)", gates::CX(), {0, n - 1}, n, reps * 2);
+  // Amplitude damping's no-decay branch: a diagonal K, and nearly every
+  // readout site.
+  run_kraus_case("kraus(AD no-decay)",
+                 channels::amplitude_damping(0.002)->kraus(0), {n / 2}, n,
+                 reps);
 
   const std::uint64_t shots = tiny ? 8 : 64;
   const std::size_t trajectories = tiny ? 20 : 500;

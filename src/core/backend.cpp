@@ -75,9 +75,20 @@ class SimStateAdapter final : public SimState {
       SimState::apply_prepared_run(gates);
   }
 
-  double apply_kraus_branch(const Matrix& k,
-                            std::span<const unsigned> qubits) override {
-    return state_.apply_kraus_branch(k, qubits);
+  std::size_t apply_kraus_branches(std::span<const KrausBranch> sites,
+                                   double cut,
+                                   std::span<double> p) override {
+    if constexpr (requires { state_.apply_kraus_branches(sites, cut, p); }) {
+      return state_.apply_kraus_branches(sites, cut, p);
+    } else {
+      PTSBE_REQUIRE(p.size() >= sites.size(),
+                    "apply_kraus_branches needs one probability slot per site");
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        p[i] = state_.apply_kraus_branch(*sites[i].k, sites[i].qubits);
+        if (p[i] < cut || p[i] <= 1e-300) return i + 1;
+      }
+      return sites.size();
+    }
   }
 
   [[nodiscard]] bool samples_in_place() const override {

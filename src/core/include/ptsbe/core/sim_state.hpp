@@ -36,6 +36,7 @@
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/linalg/matrix.hpp"
+#include "ptsbe/noise/kraus.hpp"
 
 namespace ptsbe {
 
@@ -70,12 +71,18 @@ class SimState {
         "apply_prepared_run on a state without prepared-run support");
   }
 
-  /// Apply Kraus operator `k` and return ‖K|ψ⟩‖², the branch's realised
-  /// probability. Renormalises when that exceeds 1e-300; otherwise the
-  /// state is left unnormalised and the caller must discard it.
-  /// \throws precondition_error when the norm is not finite.
-  virtual double apply_kraus_branch(const Matrix& k,
-                                    std::span<const unsigned> qubits) = 0;
+  /// Apply the chosen Kraus operators of a run of general-Kraus sites in
+  /// order, renormalising after each: p[i] = ‖K_i|ψ⟩‖², site i's realised
+  /// probability at the state the earlier sites left (p.size() ≥
+  /// sites.size()). Stops after the first p[i] below `cut` or at most
+  /// 1e-300 and returns the number of sites applied. When the last p is at
+  /// most 1e-300 the state is left unnormalised and the caller must discard
+  /// it. The statevector runs a diagonal K's site as one fused sweep; the
+  /// other representations apply their one-site `apply_kraus_branch` in
+  /// turn. \throws precondition_error when a norm is not finite.
+  virtual std::size_t apply_kraus_branches(std::span<const KrausBranch> sites,
+                                           double cut,
+                                           std::span<double> p) = 0;
 
   /// True when this state samples through the splittable in-place sampler
   /// (`records_from_exponentials`) — the dense representations.

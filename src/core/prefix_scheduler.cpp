@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -49,13 +50,32 @@ void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
 /// before a fork's first snapshot, a general-Kraus site, a gate no run
 /// covers, and the leaf sampler. The gate sequence is the same as applying
 /// each one at its step.
+///
+/// A general-Kraus site and each general-Kraus site step right after it on
+/// which the range agrees go to the state in one `apply_kraus_branches`
+/// call. A site where the range disagrees ends the run, so the fork there
+/// still snapshots a renormalised state.
 void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
                  double realized, std::size_t step, std::size_t first,
                  std::size_t last) {
   if (walk->executor.cancelled()) return;
   WallTimer timer;
   const bool batched = state->supports_prepared_runs();
+  const std::vector<PlanStep>& steps = walk->plan.steps;
   std::vector<kernels::PreparedGate> span;
+  std::vector<KrausBranch> kraus;
+  std::vector<double> probs;
+  // The general-Kraus branch at site step `at` when the range agrees on it.
+  const auto agreed_kraus = [&](std::size_t at) -> std::optional<KrausBranch> {
+    if (at >= steps.size() || steps[at].is_gate) return std::nullopt;
+    const std::size_t id = steps[at].site;
+    const NoiseSite& site = walk->noisy.sites()[id];
+    const std::size_t branch = walk->rows[first][id];
+    if (site.channel->is_unitary_mixture()) return std::nullopt;
+    for (std::size_t i = first + 1; i < last; ++i)
+      if (walk->rows[i][id] != branch) return std::nullopt;
+    return KrausBranch{&site.channel->kraus(branch), site.qubits};
+  };
   // Bring the state up to date; false when the walk was cancelled instead,
   // so a cancelled walk never starts a long span.
   const auto flush = [&] {
@@ -70,8 +90,8 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
     walk->leaves.accum(worker).prepare_seconds += timer.seconds();
   };
   std::size_t s = step;
-  while (s < walk->plan.steps.size()) {
-    const PlanStep& plan_step = walk->plan.steps[s];
+  while (s < steps.size()) {
+    const PlanStep& plan_step = steps[s];
     if (plan_step.is_gate) {
       // Subtrees enter the plan at step 0 or just after a site step, which
       // is exactly where prepared runs begin.
@@ -116,8 +136,14 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
       }
     } else {
       if (!flush()) return stop();
-      const double p = state->apply_kraus_branch(ch.kraus(branch), site.qubits);
-      if (p < kUnrealizableCut) {
+      kraus.assign(1, KrausBranch{&ch.kraus(branch), site.qubits});
+      while (const auto next = agreed_kraus(s + kraus.size()))
+        kraus.push_back(*next);
+      probs.resize(kraus.size());
+      const std::size_t count =
+          state->apply_kraus_branches(kraus, kUnrealizableCut, probs);
+      for (std::size_t i = 0; i < count; ++i) realized *= probs[i];
+      if (probs[count - 1] < kUnrealizableCut) {
         // A branch of norm ‖Kψ‖² under the cut: every spec of the range is
         // unrealizable.
         stop();
@@ -125,7 +151,7 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
             worker, std::span(walk->order).subspan(first, last - first));
         return;
       }
-      realized *= p;
+      s += count - 1;
     }
     ++s;
   }

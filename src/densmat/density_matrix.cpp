@@ -177,8 +177,9 @@ double DensityMatrix::apply_kraus_branch(const Matrix& k,
   const double p = trace_real();
   PTSBE_REQUIRE(std::isfinite(p), "Kraus branch probability is not finite");
   if (p > 1e-300) {
-    const double inv = 1.0 / p;
-    for (cplx& v : rho_) v *= inv;
+    // Elementwise, so the slices the calling thread's team splits cannot
+    // change a bit; trace_real stays serial, since its bits are p.
+    kernels::scale(rho_.data(), rho_.size(), 1.0 / p);
   }
   return p;
 }

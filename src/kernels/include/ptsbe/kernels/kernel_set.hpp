@@ -93,10 +93,10 @@ struct PreparedGate {
 /// `dim` complex entries (dim a power of two, 64-byte aligned); qubit
 /// indices address bits of the amplitude index (qubit 0 = LSB).
 ///
-/// Range entry: every kernel updates only the groups [first, last) of its
-/// group index space. A group is the 2^k amplitudes a k-qubit kernel mixes
-/// (k = 2 for `ctrl1`, whose control-0 half is left alone), numbered by its
-/// first amplitude's index with the gate's k bits removed, so
+/// Range entry: every gate kernel updates only the groups [first, last) of
+/// its group index space. A group is the 2^k amplitudes a k-qubit kernel
+/// mixes (k = 2 for `ctrl1`, whose control-0 half is left alone), numbered
+/// by its first amplitude's index with the gate's k bits removed, so
 /// [0, dim >> k) is the whole sweep. A range is that whole sweep or one
 /// slice: `first` a multiple of 2^(kSliceBits − k) and `last` the next one
 /// or the end.
@@ -126,6 +126,16 @@ struct KernelSet {
   /// control=0 half of the state is untouched.
   void (*ctrl1)(cplx* amp, std::uint64_t dim, const cplx* u, unsigned control,
                 unsigned target, std::uint64_t first, std::uint64_t last);
+  /// One general-Kraus site with a diagonal K `g` (`is_diagonal`) over the
+  /// units [first, last) of `kraus_units(dim)`, in one pass: every
+  /// amplitude of the units' blocks is multiplied by `prescale` (re·s,
+  /// im·s — the previous site's pending 1/√p, or 1), then by K with the
+  /// gate kernels' arithmetic, and each block's Σ re·re + im·im, added in
+  /// index order from 0.0, is written to `sums[block]`. The four blocks of
+  /// a unit keep their add chains side by side.
+  void (*kraus_sweep)(cplx* amp, std::uint64_t dim, const PreparedGate& g,
+                      double prescale, double* sums, std::uint64_t first,
+                      std::uint64_t last);
 };
 
 // ---------------------------------------------------------------------------
@@ -148,6 +158,27 @@ void apply_prepared_range(const KernelSet& ks, cplx* amp, std::uint64_t dim,
 /// the ranges `ptsbe::parallel_for` hands the calling thread's team. A
 /// state of at most one slice never splits.
 inline constexpr unsigned kSliceBits = 14;
+
+/// Does `kraus_sweep` take K of class `c`: a diagonal, the identity
+/// included?
+[[nodiscard]] constexpr bool is_diagonal(GateClass c) {
+  return c == GateClass::kIdentity || c == GateClass::kDiag1 ||
+         c == GateClass::kDiag2;
+}
+
+/// Units of one `kraus_sweep` over `dim` amplitudes. Block b is the
+/// 2^kSliceBits amplitudes from b·2^kSliceBits (a state of at most one
+/// slice is one block), and unit u is blocks [4u, 4u + 4), or every block
+/// of a state with fewer than four. Units are position-addressed, so a
+/// team may run them in any order.
+[[nodiscard]] constexpr std::uint64_t kraus_units(std::uint64_t dim) {
+  const std::uint64_t units = dim >> (kSliceBits + 2);
+  return units > 0 ? units : 1;
+}
+
+/// amp[i] *= s (re·s, im·s) for i < n, in 2^kSliceBits-entry slices split
+/// across the calling thread's team; nothing when s is 1, which is exact.
+void scale(cplx* amp, std::uint64_t n, double s);
 
 /// Apply one prepared gate with the given kernel set: one full sweep, its
 /// slices split across the calling thread's team (ptsbe/common/parallel.hpp).

@@ -187,6 +187,15 @@ void apply_prepared(const KernelSet& ks, cplx* amp, std::uint64_t dim,
   });
 }
 
+void scale(cplx* amp, std::uint64_t n, double s) {
+  if (s == 1.0) return;
+  const std::uint64_t slice = std::uint64_t{1} << kSliceBits;
+  parallel_for((n + slice - 1) / slice, [&](std::uint64_t r) {
+    const std::uint64_t end = std::min(n, (r + 1) * slice);
+    for (std::uint64_t i = r * slice; i < end; ++i) amp[i] *= s;
+  });
+}
+
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates) {
   constexpr std::uint64_t kTile = std::uint64_t{1} << kTileBits;

@@ -49,6 +49,20 @@ struct Avx2Policy {
   static Reg mulc(Coef c, Reg v, Reg vs) {
     return _mm256_add_pd(_mm256_mul_pd(v, c.re), _mm256_mul_pd(vs, c.im));
   }
+  static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  /// Four blocks' running Σ|a|², block l in lane l.
+  using Sums = __m256d;
+  /// Squares, then unpack pairs block 2m's and 2m+1's re² and im² of
+  /// amplitude k in 128-bit lane k, whose sum is their |a|²; the lane
+  /// permutes gather amplitude k of the four blocks, added in index order.
+  static void add_norms(Sums& acc, const Reg (&v)[4]) {
+    const Reg s0 = mul(v[0], v[0]), s1 = mul(v[1], v[1]),
+              s2 = mul(v[2], v[2]), s3 = mul(v[3], v[3]);
+    const Reg n01 = add(_mm256_unpacklo_pd(s0, s1), _mm256_unpackhi_pd(s0, s1));
+    const Reg n23 = add(_mm256_unpacklo_pd(s2, s3), _mm256_unpackhi_pd(s2, s3));
+    acc = add(acc, _mm256_permute2f128_pd(n01, n23, 0x20));
+    acc = add(acc, _mm256_permute2f128_pd(n01, n23, 0x31));
+  }
   /// Dense 2x2 on qubit 0: deinterleave four consecutive amplitudes into
   /// (even, odd) group registers, run the exact dense math, re-interleave.
   /// Value-identical to the scalar loop — only the lane packing differs.

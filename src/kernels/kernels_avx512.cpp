@@ -53,6 +53,27 @@ struct Avx512Policy {
   static Reg mulc(Coef c, Reg v, Reg vs) {
     return _mm512_add_pd(_mm512_mul_pd(v, c.re), _mm512_mul_pd(vs, c.im));
   }
+  static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
+  /// Four blocks' running Σ|a|², block l in lane l.
+  using Sums = __m256d;
+  /// Squares, then unpack pairs block 2m's and 2m+1's re² and im² of
+  /// amplitude k in 128-bit lane k, whose sum is their |a|²; permutex2var
+  /// gathers amplitudes 0 and 1 (then 2 and 3) of the four blocks into the
+  /// two halves of a register, added half by half in index order.
+  static void add_norms(Sums& acc, const Reg (&v)[4]) {
+    const Reg s0 = mul(v[0], v[0]), s1 = mul(v[1], v[1]),
+              s2 = mul(v[2], v[2]), s3 = mul(v[3], v[3]);
+    const Reg n01 = add(_mm512_unpacklo_pd(s0, s1), _mm512_unpackhi_pd(s0, s1));
+    const Reg n23 = add(_mm512_unpacklo_pd(s2, s3), _mm512_unpackhi_pd(s2, s3));
+    const __m512i first = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    const __m512i second = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    const Reg k01 = _mm512_permutex2var_pd(n01, first, n23);
+    const Reg k23 = _mm512_permutex2var_pd(n01, second, n23);
+    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(k01));
+    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(k01, 1));
+    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(k23));
+    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(k23, 1));
+  }
   /// Dense 2x2 on qubit 0 over eight consecutive amplitudes: gather the
   /// even/odd amplitudes of four (v0, v1) pairs into two registers with
   /// permutex2var, run the dense math, scatter back.

@@ -38,7 +38,9 @@
 /// whole serial sweep in row-major order.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "ptsbe/kernels/kernel_set.hpp"
 
@@ -101,6 +103,19 @@ struct ScalarPolicy {
   static Reg mulc(Coef c, Reg v, Reg /*vs*/) {
     return Reg{c.real() * v.real() - c.imag() * v.imag(),
                c.imag() * v.real() + c.real() * v.imag()};
+  }
+  /// Lane-wise product: (a.re*b.re, a.im*b.im).
+  static Reg mul(Reg a, Reg b) {
+    return Reg{a.real() * b.real(), a.imag() * b.imag()};
+  }
+  /// Four blocks' running Σ|a|², block l in lane l.
+  using Sums = std::array<double, 4>;
+  /// Add the |a|² = re*re + im*im of v[l] to block l's sum, for the four
+  /// blocks of a unit; each register holds kWidth consecutive amplitudes
+  /// of its block, added in index order.
+  static void add_norms(Sums& acc, const Reg (&v)[4]) {
+    for (unsigned l = 0; l < 4; ++l)
+      acc[l] += v[l].real() * v[l].real() + v[l].imag() * v[l].imag();
   }
 };
 
@@ -420,6 +435,91 @@ void ctrl1(cplx* amp, std::uint64_t dim, const cplx* u, unsigned control,
   }
 }
 
+// ---------------------------------------------------------------------------
+// General-Kraus sweep
+// ---------------------------------------------------------------------------
+
+/// Write the Σ|a|² of each block of unit `u` (kernel_set.hpp
+/// `kraus_units`) to `sums`, taken in index order from 0.0 over the
+/// registers `step(a, i)` returns: `step` updates the register at `a`,
+/// amplitude index i, and is called once per register. A unit of four
+/// blocks runs them side by side, one add chain per block.
+template <class P, class Step>
+void sum_unit(cplx* amp, std::uint64_t dim, std::uint64_t u, double* sums,
+              const Step& step) {
+  using Reg = typename P::Reg;
+  const std::uint64_t amps = std::min(dim, std::uint64_t{1} << kSliceBits);
+  const std::uint64_t blocks = dim / amps;
+  if (blocks >= 4) {
+    const std::uint64_t b = 4 * u;
+    const std::uint64_t base[4] = {b * amps, (b + 1) * amps, (b + 2) * amps,
+                                   (b + 3) * amps};
+    typename P::Sums acc{};
+    for (std::uint64_t j = 0; j < amps; j += P::kWidth) {
+      const Reg v[4] = {step(amp + base[0] + j, base[0] + j),
+                        step(amp + base[1] + j, base[1] + j),
+                        step(amp + base[2] + j, base[2] + j),
+                        step(amp + base[3] + j, base[3] + j)};
+      P::add_norms(acc, v);
+    }
+    static_assert(sizeof acc == 4 * sizeof(double));
+    std::memcpy(sums + b, &acc, sizeof acc);
+    return;
+  }
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    double acc = 0.0;
+    for (std::uint64_t i = b * amps; i < (b + 1) * amps; i += P::kWidth) {
+      alignas(64) cplx lanes[P::kWidth];
+      P::store(lanes, step(amp + i, i));
+      for (const cplx& a : lanes)
+        acc += a.real() * a.real() + a.imag() * a.imag();
+    }
+    sums[b] = acc;
+  }
+}
+
+template <class P>
+void kraus_sweep(cplx* amp, std::uint64_t dim, const PreparedGate& g,
+                 double prescale, double* sums, std::uint64_t first,
+                 std::uint64_t last) {
+  using Reg = typename P::Reg;
+  if (dim < P::kWidth) {
+    scalar_kernel_set().kraus_sweep(amp, dim, g, prescale, sums, first, last);
+    return;
+  }
+  // The multiplier of the register at amplitude index i is
+  // coef[bit qa of i | bit qb of i << 1]; a qubit below the register width
+  // reads 0 there and sets the lanes' pattern instead. Bit 63 of an index
+  // is 0, which makes a one-qubit diagonal a two-qubit one.
+  const bool identity = g.cls == GateClass::kIdentity;
+  const unsigned qa = g.q[0];
+  const unsigned qb = g.cls == GateClass::kDiag2 ? g.q[1] : 63;
+  const auto in_lanes = [](unsigned q) {
+    return (std::uint64_t{1} << q) < P::kWidth;
+  };
+  typename P::Coef coef[4]{};
+  for (unsigned t = 0; !identity && t < 4; ++t) {
+    alignas(64) cplx pat[P::kWidth];
+    for (unsigned j = 0; j < P::kWidth; ++j) {
+      const unsigned ba = in_lanes(qa) ? (j >> qa) & 1u : t & 1u;
+      const unsigned bb = in_lanes(qb) ? (j >> qb) & 1u : t >> 1;
+      pat[j] = g.m[g.cls == GateClass::kDiag2 ? (bb << 1) | ba : ba];
+    }
+    coef[t] = P::prep(P::load(pat));
+  }
+  const Reg scale = P::bcast(cplx{prescale, prescale});
+  const auto step = [&](cplx* a, std::uint64_t i) {
+    Reg v = P::mul(P::load(a), scale);
+    if (!identity)
+      v = P::mulc(coef[((i >> qa) & 1u) | (((i >> qb) & 1u) << 1)], v,
+                  P::swapri(v));
+    P::store(a, v);
+    return v;
+  };
+  for (std::uint64_t u = first; u < last; ++u)
+    sum_unit<P>(amp, dim, u, sums, step);
+}
+
 /// Bind every template instantiation for policy P into one KernelSet.
 template <class P>
 KernelSet make_set(const char* name) {
@@ -432,6 +532,7 @@ KernelSet make_set(const char* name) {
   ks.perm1 = &perm1<P>;
   ks.perm2 = &perm2<P>;
   ks.ctrl1 = &ctrl1<P>;
+  ks.kraus_sweep = &kraus_sweep<P>;
   return ks;
 }
 

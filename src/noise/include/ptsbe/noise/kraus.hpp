@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,5 +96,13 @@ class KrausChannel {
 
 /// Shared immutable channel handle (channels are referenced by many sites).
 using ChannelPtr = std::shared_ptr<const KrausChannel>;
+
+/// One general-Kraus site's chosen branch, borrowed: operator `k` on
+/// `qubits` (first listed = LSB of the matrix). A run of these is what a
+/// state's `apply_kraus_branches` applies in one call.
+struct KrausBranch {
+  const Matrix* k = nullptr;
+  std::span<const unsigned> qubits;
+};
 
 }  // namespace ptsbe

@@ -6,14 +6,15 @@
 /// CPU stand-in for the paper's CUDA-Q `nvidia` (cuStateVec) backend. The
 /// state is a 2^n complex-double array; gate kernels stride over amplitude
 /// groups exactly like the GPU implementation slices them. Above 2^14
-/// amplitudes the sweeps, the reductions and the k-qubit gates split into
-/// fixed 2^14-amplitude ranges across the calling executor worker's idle
-/// peers (ptsbe/common/parallel.hpp; the analogue of intra-trajectory
+/// amplitudes the sweeps, the reductions, the rescales and the k-qubit
+/// gates split into fixed 2^14-amplitude ranges, and a general-Kraus sweep
+/// into units of four such blocks, across the calling executor worker's
+/// idle peers (ptsbe/common/parallel.hpp; the analogue of intra-trajectory
 /// multi-GPU distribution); reductions add fixed 2^14-item block sums in
 /// block order, so no bit depends on the thread count.
 ///
 /// The backend exposes the two cost regimes PTSBE exploits:
-///  - `apply_gate` / `apply_kraus_branch`: O(2^n) state preparation work;
+///  - `apply_gate` / `apply_kraus_branches`: O(2^n) state preparation work;
 ///  - `sample_shots`: O(2^n + m) *bulk* measurement sampling — linear in
 ///    the shot count m and a single pass over the state, which is why
 ///    batching m shots per prepared trajectory is the paper's win.
@@ -29,6 +30,7 @@
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/linalg/matrix.hpp"
+#include "ptsbe/noise/kraus.hpp"
 
 namespace ptsbe {
 
@@ -76,10 +78,26 @@ class StateVector {
   [[nodiscard]] double branch_probability(const Matrix& k,
                                           std::span<const unsigned> qubits) const;
 
-  /// Apply Kraus operator K on `qubits` and renormalise: |ψ⟩ ← K|ψ⟩/‖K|ψ⟩‖.
-  /// Returns the pre-normalisation probability ‖K|ψ⟩‖². At or below 1e-300
-  /// the state is left as K|ψ⟩, unnormalised, and the caller must discard
-  /// it. \throws precondition_error when the norm is not finite.
+  /// Apply the Kraus operators of a run of general-Kraus sites in order,
+  /// |ψ⟩ ← K_i|ψ⟩/‖K_i|ψ⟩‖, writing p[i] = ‖K_i|ψ⟩‖² (p.size() ≥
+  /// sites.size()). Stops after the first p[i] below `cut` or at most
+  /// 1e-300 and returns the number of sites applied. A site whose K is
+  /// diagonal (amplitude and phase damping's no-decay branch) is one
+  /// `kraus_sweep` (kernel_set.hpp), its units split across the calling
+  /// thread's team: the sweep multiplies by the previous site's 1/√p,
+  /// applies K and sums each 2^14-amplitude block's |a|², and the block
+  /// sums are added in block order — `norm2`'s bits. Any other site takes
+  /// the pending rescale, K and `norm2` as three sweeps. Only the last
+  /// site's rescale is a pass of its own, skipped when its p is at most
+  /// 1e-300: the state is then K|ψ⟩, unnormalised, and the caller must
+  /// discard it. \throws precondition_error when a site's operator does
+  /// not fit the state, before any site is applied, or when a norm is not
+  /// finite.
+  std::size_t apply_kraus_branches(std::span<const KrausBranch> sites,
+                                   double cut, std::span<double> p);
+
+  /// One site of `apply_kraus_branches`: apply K on `qubits`, renormalise,
+  /// and return the pre-normalisation probability ‖K|ψ⟩‖².
   double apply_kraus_branch(const Matrix& k, std::span<const unsigned> qubits);
 
   /// Squared norm of the state (should be 1 after normalised operations).
@@ -112,6 +130,7 @@ class StateVector {
                                  std::span<const unsigned> measured) const;
 
  private:
+  void check_operator(const Matrix& m, std::span<const unsigned> qubits) const;
   void apply_matrix_k(const Matrix& m, std::span<const unsigned> qubits);
 
   unsigned n_;

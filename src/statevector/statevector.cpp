@@ -13,8 +13,9 @@
 namespace ptsbe {
 
 namespace {
-// Items per reduction block, and amplitudes per range of a k-qubit gate.
-constexpr std::uint64_t kBlockItems = 1ULL << 14;
+// Items per reduction block, and amplitudes per range of a k-qubit gate:
+// the kernels' slices and general-Kraus blocks.
+constexpr std::uint64_t kBlockItems = std::uint64_t{1} << kernels::kSliceBits;
 
 // Sum of `block_sum(begin, end)` over fixed blocks of kBlockItems items:
 // each block is summed in index order, blocks are the ranges the calling
@@ -54,14 +55,19 @@ void StateVector::reset() {
   amp_[0] = cplx{1.0, 0.0};
 }
 
-void StateVector::apply_gate(const Matrix& matrix,
-                             std::span<const unsigned> qubits) {
+void StateVector::check_operator(const Matrix& matrix,
+                                 std::span<const unsigned> qubits) const {
   PTSBE_REQUIRE(!qubits.empty() && qubits.size() <= n_,
                 "gate arity out of range");
   const std::size_t dim = std::size_t{1} << qubits.size();
   PTSBE_REQUIRE(matrix.rows() == dim && matrix.cols() == dim,
                 "gate matrix dimension mismatch");
   for (unsigned q : qubits) PTSBE_REQUIRE(q < n_, "gate qubit out of range");
+}
+
+void StateVector::apply_gate(const Matrix& matrix,
+                             std::span<const unsigned> qubits) {
+  check_operator(matrix, qubits);
   if (qubits.size() <= 2) {
     kernels::apply_gate(kernels::active(), amp_.data(), amp_.size(), matrix,
                         qubits);
@@ -152,15 +158,52 @@ double StateVector::branch_probability(const Matrix& k,
   });
 }
 
+std::size_t StateVector::apply_kraus_branches(
+    std::span<const KrausBranch> sites, double cut, std::span<double> p) {
+  PTSBE_REQUIRE(p.size() >= sites.size(),
+                "apply_kraus_branches needs one probability slot per site");
+  for (const KrausBranch& site : sites) check_operator(*site.k, site.qubits);
+  const kernels::KernelSet& ks = kernels::active();
+  cplx* const a = amp_.data();
+  const std::uint64_t dim = amp_.size();
+  std::vector<double> sums((dim + kBlockItems - 1) / kBlockItems);
+  double scale = 1.0;  // the previous site's pending 1/√p
+  std::size_t count = 0;
+  while (count < sites.size()) {
+    const KrausBranch& site = sites[count];
+    const bool small = site.qubits.size() <= 2;
+    const kernels::PreparedGate g =
+        small ? kernels::prepare_gate(*site.k, site.qubits)
+              : kernels::PreparedGate{};
+    double total = 0.0;
+    if (small && kernels::is_diagonal(g.cls)) {
+      parallel_for(kernels::kraus_units(dim), [&](std::uint64_t u) {
+        ks.kraus_sweep(a, dim, g, scale, sums.data(), u, u + 1);
+      });
+      for (const double block : sums) total += block;
+    } else {
+      kernels::scale(a, dim, scale);
+      if (small)
+        kernels::apply_prepared(ks, a, dim, g);
+      else
+        apply_matrix_k(*site.k, site.qubits);
+      total = norm2();
+    }
+    p[count++] = total;
+    PTSBE_REQUIRE(std::isfinite(total),
+                  "Kraus branch probability is not finite");
+    scale = total > 1e-300 ? 1.0 / std::sqrt(total) : 1.0;
+    if (total < cut || total <= 1e-300) break;
+  }
+  kernels::scale(a, dim, scale);
+  return count;
+}
+
 double StateVector::apply_kraus_branch(const Matrix& k,
                                        std::span<const unsigned> qubits) {
-  apply_gate(k, qubits);
-  const double p = norm2();
-  PTSBE_REQUIRE(std::isfinite(p), "Kraus branch probability is not finite");
-  if (p > 1e-300) {
-    const double inv = 1.0 / std::sqrt(p);
-    for (cplx& v : amp_) v *= inv;
-  }
+  const KrausBranch site{&k, qubits};
+  double p = 0.0;
+  apply_kraus_branches(std::span(&site, 1), 0.0, std::span(&p, 1));
   return p;
 }
 

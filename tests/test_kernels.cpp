@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
@@ -225,6 +227,75 @@ TEST(KernelRanges, SlicesInAnyOrderEqualTheWholeSweep) {
                                       s * slice, (s + 1) * slice);
       EXPECT_TRUE(bytes_equal(whole, sliced))
           << "set=" << set->name << " q0=" << qubits[0];
+    }
+  }
+}
+
+/// The general-Kraus sweep against its three sweeps written out: the
+/// prescale as (re·s, im·s), the scalar set's gate kernel, and each
+/// 2^14-amplitude block's Σ re·re + im·im in index order from 0.0. Every
+/// set — the scalar one included, so every set also equals the scalar
+/// set — must give the same amplitude and sum bytes, its units run in a
+/// shuffled order. One-qubit diagonals on low, tile-edge, block-edge and
+/// top qubits; two-qubit diagonals; the identity; prescale 1 and not 1;
+/// states narrower than an AVX-512 register, of one block, and of two,
+/// four, eight and sixteen blocks.
+TEST(KernelKraus, SweepEqualsPrescaleKernelAndBlockSumsOnEverySet) {
+  const Matrix damped(2, 2, {1.0, 0.0, 0.0, std::sqrt(0.8)});
+  const Matrix phased(2, 2, {cplx(0.6, 0.3), 0.0, 0.0, cplx(-0.2, 0.9)});
+  const Matrix diag2(4, 4, {cplx(0.9, 0.1), 0, 0, 0,
+                            0, cplx(0.3, -0.7), 0, 0,
+                            0, 0, cplx(-0.5, 0.2), 0,
+                            0, 0, 0, cplx(0.1, 0.8)});
+  RngStream rng(63);
+  for (const unsigned n : {1u, 2u, 10u, 14u, 15u, 16u, 17u, 18u}) {
+    const unsigned top = n - 1;
+    const std::vector<std::pair<Matrix, std::vector<unsigned>>> sites = {
+        {damped, {0}},        {damped, {1}},    {phased, {2}},
+        {damped, {13}},       {phased, {14}},   {damped, {top}},
+        {diag2, {0, top}},    {diag2, {13, 1}}, {diag2, {top, n / 2}},
+        {diag2, {16, 14}},    {gates::I(), {4}}};
+    const AlignedVector<cplx> init = random_state(n, 64 + n);
+    const std::uint64_t dim = init.size();
+    const std::uint64_t block =
+        std::min(dim, std::uint64_t{1} << kernels::kSliceBits);
+    for (const auto& [k, qubits] : sites) {
+      if (std::max(qubits.front(), qubits.back()) >= n ||
+          (qubits.size() == 2 && qubits[0] == qubits[1]))
+        continue;
+      const PreparedGate g = kernels::prepare_gate(k, qubits);
+      ASSERT_TRUE(kernels::is_diagonal(g.cls));
+      for (const double prescale : {1.0, 1.0 / std::sqrt(0.37)}) {
+        AlignedVector<cplx> ref = init;
+        for (cplx& a : ref)
+          a = cplx(a.real() * prescale, a.imag() * prescale);
+        kernels::apply_prepared(kernels::scalar_kernel_set(), ref.data(), dim,
+                                g);
+        std::vector<double> ref_sums(dim / block);
+        for (std::uint64_t b = 0; b < ref_sums.size(); ++b) {
+          double s = 0.0;
+          for (std::uint64_t i = b * block; i < (b + 1) * block; ++i)
+            s += ref[i].real() * ref[i].real() + ref[i].imag() * ref[i].imag();
+          ref_sums[b] = s;
+        }
+        std::vector<std::uint64_t> order(kernels::kraus_units(dim));
+        for (std::uint64_t u = 0; u < order.size(); ++u) order[u] = u;
+        for (std::uint64_t u = order.size(); u > 1; --u)
+          std::swap(order[u - 1], order[rng.uniform_index(u)]);
+        for (const kernels::KernelSet* set : kernels::available_sets()) {
+          AlignedVector<cplx> got = init;
+          std::vector<double> sums(ref_sums.size(), -1.0);
+          for (const std::uint64_t u : order)
+            set->kraus_sweep(got.data(), dim, g, prescale, sums.data(), u,
+                             u + 1);
+          EXPECT_TRUE(bytes_equal(ref, got) &&
+                      std::memcmp(ref_sums.data(), sums.data(),
+                                  sums.size() * sizeof(double)) == 0)
+              << "set=" << set->name << " n=" << n << " q0=" << qubits[0]
+              << (qubits.size() > 1 ? " q1=" + std::to_string(qubits[1]) : "")
+              << " prescale=" << prescale;
+        }
+      }
     }
   }
 }

@@ -12,17 +12,20 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "ptsbe/common/aligned.hpp"
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/core/dataset.hpp"
 #include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/core/prefix_scheduler.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
+#include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 #include "temp_file.hpp"
@@ -392,20 +395,9 @@ TEST(DeterminismMatrix, StreamingThreadsMatchMaterialisedReference) {
   }
 }
 
-// Above 2^14 amplitudes a preparation's sweeps and its general-Kraus sites'
-// reduction (apply_kraus_branch's norm2) split into ranges that idle
-// workers take. Their bits, and so every realized_probability and dataset
-// byte, must still not depend on the worker count or on who ran a range.
-TEST(SplitPreparation, GeneralKrausAboveOneSliceIgnoresThreadCount) {
-  Circuit c(15);
-  for (unsigned layer = 0; layer < 2; ++layer) {
-    for (unsigned q = 0; q < 15; ++q) c.rx(q, 0.3 + 0.1 * ((q + layer) % 7));
-    for (unsigned q = layer % 2; q + 1 < 15; q += 2) c.cx(q, q + 1);
-  }
-  c.measure_all();
-  NoiseModel noise;
-  noise.add_all_gate_noise(channels::amplitude_damping(0.05));
-  const NoisyCircuit noisy = noise.apply(c);
+/// `noisy`'s records, realised probabilities and dataset bytes at threads
+/// {1, 2, hw} equal the one-worker run's, under both schedules.
+void expect_split_preparation_ignores_threads(const NoisyCircuit& noisy) {
   ASSERT_FALSE(noisy.all_unitary_mixture());
   RngStream rng(61);
   pts::Options opt;
@@ -431,6 +423,33 @@ TEST(SplitPreparation, GeneralKrausAboveOneSliceIgnoresThreadCount) {
       dataset::write_binary(got_path, result);
       EXPECT_EQ(ref_bytes, slurp(got_path));
     }
+  }
+}
+
+// Above 2^14 amplitudes a preparation's sweeps and its general-Kraus sites
+// (their fused sweeps and rescales) split into ranges that idle workers
+// take. Their bits, and so every realized_probability and dataset byte,
+// must still not depend on the worker count or on who ran a range. At 15
+// qubits with damping after every gate, runs are a gate's one or two sites
+// and the sweep is one unit; at 17 qubits with damping on every readout,
+// the readout sites are one run and each sweep is two units.
+TEST(SplitPreparation, GeneralKrausAboveOneSliceIgnoresThreadCount) {
+  for (const unsigned n : {15u, 17u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Circuit c(n);
+    for (unsigned layer = 0; layer < 2; ++layer) {
+      for (unsigned q = 0; q < n; ++q) c.rx(q, 0.3 + 0.1 * ((q + layer) % 7));
+      for (unsigned q = layer % 2; q + 1 < n; q += 2) c.cx(q, q + 1);
+    }
+    c.measure_all();
+    NoiseModel noise;
+    if (n == 15) {
+      noise.add_all_gate_noise(channels::amplitude_damping(0.05));
+    } else {
+      noise.add_all_gate_noise(channels::depolarizing(0.02));
+      noise.add_measurement_noise(channels::amplitude_damping(0.1));
+    }
+    expect_split_preparation_ignores_threads(noise.apply(c));
   }
 }
 
@@ -490,16 +509,79 @@ NoisyCircuit tiled_program() {
   return noise.apply(c);
 }
 
+/// 18 qubits measured in order with amplitude damping on every readout, so
+/// the readout sites are one run of general-Kraus sites; qubit 7 has no
+/// gate and stays |0⟩, so its decay is exactly zero. Dense rotations and
+/// cx bricks on the other qubits, depolarizing after every gate.
+NoisyCircuit readout_run_program() {
+  const unsigned n = 18, idle = 7;
+  Circuit c(n);
+  for (unsigned layer = 0; layer < 2; ++layer) {
+    for (unsigned q = 0; q < n; ++q)
+      if (q != idle) c.ry(q, 0.4 + 0.15 * ((q + 2 * layer) % 9));
+    for (unsigned q = layer % 2; q + 1 < n; q += 2)
+      if (q != idle && q + 1 != idle) c.cx(q, q + 1);
+  }
+  c.measure_all();
+  NoiseModel noise;
+  noise.add_all_gate_noise(channels::depolarizing(0.01));
+  noise.add_measurement_noise(channels::amplitude_damping(0.05));
+  return noise.apply(c);
+}
+
 /// The trajectory `assignment` selects, prepared gate by gate and branch by
-/// branch on the concrete dense state: its basis masses — the masses the
-/// sequential sampler walks (|a_i|², max(0, Re ρ_ii)) — and its realised
-/// probability, multiplied in program order. A general-Kraus branch whose
-/// `branch_probability` falls under `be::kUnrealizableCut` makes the
-/// trajectory unrealizable (probability 0) — decided independently of the
-/// walk, which cuts on `apply_kraus_branch`'s norm.
+/// branch: its basis masses — the masses the sequential sampler walks
+/// (|a_i|², max(0, Re ρ_ii)) — and its realised probability, multiplied in
+/// program order. A general-Kraus branch whose norm ‖Kψ‖² falls under
+/// `be::kUnrealizableCut` makes the trajectory unrealizable (probability 0).
 struct ReferenceLeaf {
   std::vector<double> mass;
   double realized = 1.0;
+};
+
+/// The statevector leg: amplitudes prepared with the kernels' gate apply,
+/// and each general-Kraus site as three sweeps written out — K, the |a|² of
+/// each 2^14-amplitude block in index order with the block sums added in
+/// block order, then v *= 1/√p — whose bits the walk must reproduce, a
+/// diagonal K's site in one fused sweep.
+struct ReferenceAmplitudes {
+  explicit ReferenceAmplitudes(unsigned n) : amp(std::uint64_t{1} << n) {
+    amp[0] = 1.0;
+  }
+  void apply_gate(const Matrix& m, std::span<const unsigned> qubits) {
+    kernels::apply_gate(kernels::active(), amp.data(), amp.size(), m, qubits);
+  }
+  /// ‖Kψ‖², or 0 under the cut, when the state is left to be discarded.
+  double kraus_branch(const Matrix& k, std::span<const unsigned> qubits) {
+    apply_gate(k, qubits);
+    const std::uint64_t block = std::min<std::uint64_t>(amp.size(), 1 << 14);
+    double p = 0.0;
+    for (std::uint64_t first = 0; first < amp.size(); first += block) {
+      double sum = 0.0;
+      for (std::uint64_t i = first; i < first + block; ++i)
+        sum += std::norm(amp[i]);
+      p += sum;
+    }
+    if (p < be::kUnrealizableCut) return 0.0;
+    const double inv = 1.0 / std::sqrt(p);
+    for (cplx& v : amp) v *= inv;
+    return p;
+  }
+  AlignedVector<cplx> amp;
+};
+
+/// The density-matrix leg: its own Kraus op, with the cut taken on
+/// `branch_probability`.
+struct ReferenceDensity {
+  explicit ReferenceDensity(unsigned n) : dm(n) {}
+  void apply_gate(const Matrix& m, std::span<const unsigned> qubits) {
+    dm.apply_gate(m, qubits);
+  }
+  double kraus_branch(const Matrix& k, std::span<const unsigned> qubits) {
+    if (dm.branch_probability(k, qubits) < be::kUnrealizableCut) return 0.0;
+    return dm.apply_kraus_branch(k, qubits);
+  }
+  DensityMatrix dm;
 };
 
 ReferenceLeaf reference_leaf(const NoisyCircuit& noisy,
@@ -516,12 +598,8 @@ ReferenceLeaf reference_leaf(const NoisyCircuit& noisy,
         if (ch.is_unitary_mixture()) {
           state.apply_gate(ch.unitary(branch), site.qubits);
           leaf.realized *= ch.nominal_probabilities()[branch];
-        } else if (state.branch_probability(ch.kraus(branch), site.qubits) <
-                   be::kUnrealizableCut) {
-          leaf.realized = 0.0;
         } else {
-          leaf.realized *=
-              state.apply_kraus_branch(ch.kraus(branch), site.qubits);
+          leaf.realized *= state.kraus_branch(ch.kraus(branch), site.qubits);
         }
       }
     };
@@ -534,14 +612,14 @@ ReferenceLeaf reference_leaf(const NoisyCircuit& noisy,
     }
   };
   if (backend == "densmat") {
-    DensityMatrix dm(noisy.num_qubits());
-    drive(dm);
-    for (std::uint64_t i = 0; i < dm.dim(); ++i)
-      leaf.mass.push_back(std::max(0.0, dm.element(i, i).real()));
+    ReferenceDensity ref(noisy.num_qubits());
+    drive(ref);
+    for (std::uint64_t i = 0; i < ref.dm.dim(); ++i)
+      leaf.mass.push_back(std::max(0.0, ref.dm.element(i, i).real()));
   } else {
-    StateVector sv(noisy.num_qubits());
-    drive(sv);
-    for (const cplx& a : sv.amplitudes()) leaf.mass.push_back(std::norm(a));
+    ReferenceAmplitudes ref(noisy.num_qubits());
+    drive(ref);
+    for (const cplx& a : ref.amp) leaf.mass.push_back(std::norm(a));
   }
   return leaf;
 }
@@ -700,6 +778,27 @@ TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
     specs.push_back(spec({{readout, 1}}, 60));
     specs.push_back(spec({}, 3000));
     expect_matches_reference(noisy, std::move(specs), 0, {"statevector"});
+  }
+  {
+    // Statevector only. The shared-prefix walk forks at the first readout
+    // where the specs differ, inside the run of readout sites, and the
+    // decay of idle qubit 7 is zero mid-run, at threads {1, 2, hw}.
+    SCOPED_TRACE("18 qubits with a run of readout sites");
+    const NoisyCircuit noisy = readout_run_program();
+    std::vector<std::size_t> readout(noisy.num_qubits());
+    for (const NoiseSite& site : noisy.sites())
+      if (!site.channel->is_unitary_mixture())
+        readout[site.qubits[0]] = site.index;
+    const std::size_t decay =
+        noisy.sites()[readout[0]].channel->default_branch() == 0 ? 1 : 0;
+    std::vector<TrajectorySpec> specs;
+    for (unsigned q : {0u, 3u, 9u, 16u, 17u})
+      specs.push_back(spec({{readout[q], decay}}, 30 + specs.size()));
+    specs.push_back(spec({{readout[3], decay}, {readout[12], decay}}, 45));
+    specs.push_back(spec({{readout[2], decay}, {readout[5], decay}}, 47));
+    specs.push_back(spec({}, 500));
+    specs.push_back(spec({{readout[2], decay}, {readout[7], decay}}, 20));
+    expect_matches_reference(noisy, std::move(specs), 1, {"statevector"});
   }
 }
 

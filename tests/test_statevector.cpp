@@ -1,17 +1,21 @@
 // Unit + property tests for the statevector backend: gate kernels against
-// dense matrix algebra, Kraus branches (and the apply_kraus_branch contract
-// every forkable state shares), bulk sampling statistics.
+// dense matrix algebra, Kraus branches (and the apply_kraus_branch and
+// apply_kraus_branches contracts every forkable state shares), bulk
+// sampling statistics.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
 
 #include "ptsbe/circuit/circuit.hpp"
 #include "ptsbe/common/bits.hpp"
+#include "ptsbe/core/backend.hpp"
 #include "ptsbe/core/trajectory_executor.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/statevector/statevector.hpp"
@@ -180,19 +184,102 @@ void expect_kraus_branch_contract() {
   EXPECT_NEAR(norm_of(bell), 1.0, 1e-12);
 }
 
+/// The run call every forkable state shares, through the backend's
+/// `SimState`: a run's probabilities are the one-site calls' bits, a zero
+/// branch mid-run stops the run there and reports its count, and a NaN
+/// state throws.
+template <typename State>
+void expect_kraus_run_contract(const std::string& backend) {
+  const std::array q0{0u}, q1{1u};
+  const Matrix decay(2, 2, {0.0, std::sqrt(0.4), 0.0, 0.0});
+  const Matrix keep(2, 2, {1.0, 0.0, 0.0, std::sqrt(0.6)});
+  const auto prepare = [&](auto& state) {
+    state.apply_gate(gates::H(), q0);
+    state.apply_gate(gates::CX(), std::array{0u, 1u});
+    state.apply_gate(gates::RY(0.7), q1);
+  };
+  State one_by_one(2);
+  prepare(one_by_one);
+  const std::vector<double> expected = {
+      one_by_one.apply_kraus_branch(keep, q0),
+      one_by_one.apply_kraus_branch(decay, q1),
+      one_by_one.apply_kraus_branch(keep, q1)};
+  const BackendPtr factory = make_backend(backend);
+  const std::vector<KrausBranch> run = {
+      {&keep, q0}, {&decay, q1}, {&keep, q1}};
+  std::vector<double> p(run.size(), -1.0);
+  SimStatePtr state = factory->make_state(2);
+  prepare(*state);
+  EXPECT_EQ(state->apply_kraus_branches(run, 1e-14, p), run.size());
+  EXPECT_EQ(p, expected);
+
+  // q0 decays to |0⟩, so a second decay is exactly zero: the run stops
+  // there, and the site after it is not applied.
+  const std::vector<KrausBranch> dead = {
+      {&decay, q0}, {&decay, q0}, {&keep, q1}};
+  std::fill(p.begin(), p.end(), -1.0);
+  SimStatePtr dying = factory->make_state(2);
+  prepare(*dying);
+  EXPECT_EQ(dying->apply_kraus_branches(dead, 1e-14, p), 2u);
+  EXPECT_GT(p[0], 0.0);
+  EXPECT_EQ(p[1], 0.0);
+  EXPECT_EQ(p[2], -1.0);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SimStatePtr poisoned = factory->make_state(2);
+  poisoned->apply_gate(Matrix(2, 2, {nan, nan, nan, nan}), q0);
+  EXPECT_THROW((void)poisoned->apply_kraus_branches(run, 1e-14, p),
+               precondition_error);
+}
+
 TEST(ForkableStates, ApplyKrausBranchContract) {
   {
     SCOPED_TRACE("statevector");
     expect_kraus_branch_contract<StateVector>();
+    expect_kraus_run_contract<StateVector>("statevector");
   }
   {
     SCOPED_TRACE("densmat");
     expect_kraus_branch_contract<DensityMatrix>();
+    expect_kraus_run_contract<DensityMatrix>("densmat");
   }
   {
     SCOPED_TRACE("mps");
     expect_kraus_branch_contract<MpsState>();
+    expect_kraus_run_contract<MpsState>("mps");
   }
+}
+
+/// A run of sites on a state of several general-Kraus units — diagonal,
+/// dense and two-qubit K, below and above the block width, so fused sweeps
+/// and three-sweep sites hand the pending rescale to each other — leaves
+/// the amplitude bytes and probability bits of the same sites applied one
+/// call at a time, each renormalising before the next.
+TEST(StateVector, KrausRunEqualsOneSiteCalls) {
+  const unsigned n = 17;
+  StateVector one_by_one(n);
+  for (unsigned q = 0; q < n; ++q)
+    one_by_one.apply_gate(gates::RY(0.3 + 0.1 * q), std::array{q});
+  for (unsigned q = 0; q + 1 < n; q += 2)
+    one_by_one.apply_gate(gates::CX(), std::array{q, q + 1});
+  StateVector batched = one_by_one;
+  const Matrix keep(2, 2, {1.0, 0.0, 0.0, std::sqrt(0.7)});
+  const Matrix decay(2, 2, {0.0, std::sqrt(0.3), 0.0, 0.0});
+  const Matrix pair = kron(decay, keep);
+  const std::array<unsigned, 1> q[] = {{0}, {15}, {7}, {16}};
+  const std::array<unsigned, 2> q2{14, 3};
+  const std::vector<KrausBranch> run = {
+      {&keep, q[0]}, {&decay, q[1]}, {&pair, q2}, {&keep, q[2]},
+      {&decay, q[3]}};
+  std::vector<double> expected;
+  for (const KrausBranch& site : run)
+    expected.push_back(one_by_one.apply_kraus_branch(*site.k, site.qubits));
+  std::vector<double> p(run.size());
+  EXPECT_EQ(batched.apply_kraus_branches(run, 1e-14, p), run.size());
+  EXPECT_EQ(p, expected);
+  const auto a = one_by_one.amplitudes(), b = batched.amplitudes();
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
+  EXPECT_NEAR(batched.norm2(), 1.0, 1e-12);
 }
 
 /// `fn()` computed as the only task of a `threads`-worker executor, whose
@@ -236,6 +323,31 @@ TEST(StateVector, ReductionBitsIgnoreExecutorWorkers) {
   // workers summed which blocks, and off the executor too.
   for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(serial, on_worker(4, reductions));
   EXPECT_EQ(serial, reductions());
+}
+
+TEST(DensityMatrix, KrausBitsIgnoreExecutorWorkers) {
+  // 8 qubits: 4^8 entries, four 2^14-entry slices of the rescale.
+  DensityMatrix dm(8);
+  for (unsigned q = 0; q < dm.num_qubits(); ++q)
+    dm.apply_gate(gates::RY(0.4 + 0.3 * q), std::array{q});
+  for (unsigned q = 0; q + 1 < dm.num_qubits(); ++q)
+    dm.apply_gate(gates::CX(), std::array{q, q + 1});
+  const Matrix decay(2, 2, {0.0, std::sqrt(0.3), 0.0, 0.0});
+  const auto branch = [&] {
+    DensityMatrix out = dm;
+    const double p = out.apply_kraus_branch(decay, std::array{5u});
+    std::vector<double> bits = {p};
+    for (std::uint64_t r = 0; r < out.dim(); ++r)
+      for (std::uint64_t c = 0; c < out.dim(); ++c) {
+        bits.push_back(out.element(r, c).real());
+        bits.push_back(out.element(r, c).imag());
+      }
+    return bits;
+  };
+  const std::vector<double> serial = on_worker(1, branch);
+  EXPECT_GT(serial[0], 0.0);
+  for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(serial, on_worker(4, branch));
+  EXPECT_EQ(serial, branch());
 }
 
 TEST(StateVector, ProbabilityOne) {
