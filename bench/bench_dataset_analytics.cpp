@@ -20,7 +20,6 @@
 //   bench_dataset_analytics [output.json] [--tiny]   (JSON only to a given path)
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -37,6 +36,7 @@
 #include "ptsbe/stats/compare.hpp"
 #include "ptsbe/stats/merge.hpp"
 #include "ptsbe/stats/shot_table.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -49,10 +49,6 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-std::string tmp_path(const char* tag) {
-  return std::string("/tmp/ptsbe_bench_dataset_analytics_") + tag + ".bin";
-}
-
 /// Round-robin partition of a spec-ordered result into `count` shard
 /// files. Each shard stays spec-ordered (ascending subsequence), which is
 /// the k-way merge's input contract.
@@ -61,7 +57,8 @@ std::vector<std::string> write_shards(const RunResult& run,
   std::vector<std::unique_ptr<dataset::StreamWriter>> writers;
   std::vector<std::string> paths;
   for (std::size_t s = 0; s < count; ++s) {
-    paths.push_back(tmp_path(("qec_shard_" + std::to_string(s)).c_str()));
+    paths.push_back(
+        bench::temp_path("qec_shard_" + std::to_string(s) + ".bin"));
     writers.push_back(std::make_unique<dataset::StreamWriter>(paths.back()));
   }
   for (std::size_t i = 0; i < run.result.batches.size(); ++i)
@@ -90,14 +87,8 @@ Throughput rate(double seconds, std::uint64_t records, std::uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out = nullptr;  // JSON only to a path given on the command line
-  bool tiny = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0)
-      tiny = true;
-    else
-      out = argv[i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool tiny = args.tiny;
 
   const std::size_t shard_count = tiny ? 3 : 4;
   const std::size_t merge_reps = tiny ? 1 : 5;
@@ -123,7 +114,7 @@ int main(int argc, char** argv) {
                               .backend("stabilizer", {})
                               .seed(seed)
                               .run();
-  const std::string local_path = tmp_path("qec_local");
+  const std::string local_path = bench::temp_path("qec_local.bin");
   local.to_binary(local_path);
   const std::string local_bytes = slurp(local_path);
   const std::vector<std::string> shards = write_shards(local, shard_count);
@@ -135,7 +126,7 @@ int main(int argc, char** argv) {
       shard_count, static_cast<unsigned long long>(memory_budget));
 
   // Timed merge: k-way under the fixed budget, repeated for a stable rate.
-  const std::string merged_path = tmp_path("qec_merged");
+  const std::string merged_path = bench::temp_path("qec_merged.bin");
   stats::MergeOptions mopts;
   mopts.memory_budget_bytes = memory_budget;
   stats::MergeReport report;
@@ -185,8 +176,8 @@ int main(int argc, char** argv) {
   daemon_a.stop();
   daemon_b.stop();
 
-  const std::string wire_even = tmp_path("wire_even");
-  const std::string wire_odd = tmp_path("wire_odd");
+  const std::string wire_even = bench::temp_path("wire_even.bin");
+  const std::string wire_odd = bench::temp_path("wire_odd.bin");
   {
     dataset::StreamWriter even(wire_even);
     dataset::StreamWriter odd(wire_odd);
@@ -197,7 +188,7 @@ int main(int argc, char** argv) {
     even.close();
     odd.close();
   }
-  const std::string wire_merged = tmp_path("wire_merged");
+  const std::string wire_merged = bench::temp_path("wire_merged.bin");
   (void)stats::merge_datasets(wire_merged, {wire_even, wire_odd}, mopts);
   const bool wire_identical = slurp(wire_merged) == local_bytes;
   std::printf("2-daemon wire shards merged vs local dataset bytes: %s\n",
@@ -210,48 +201,47 @@ int main(int argc, char** argv) {
 
   const int status =
       (merge_identical && comparison.exact_match() && wire_identical) ? 0 : 1;
-  if (out == nullptr) return status;
-  std::FILE* os = std::fopen(out, "w");
-  if (os == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out);
-    return 1;
-  }
-  std::fprintf(
-      os,
-      "{\n  \"bench\": \"dataset_analytics\",\n"
-      "  \"workload\": {\"code\": \"%s\", \"distance\": %u, \"rounds\": %u, "
-      "\"nsamples\": %zu, \"nshots\": %llu, \"specs\": %zu},\n"
-      "  \"shards\": %zu,\n"
-      "  \"memory_budget_bytes\": %llu,\n"
-      "  \"merge\": {\"batches\": %llu, \"records\": %llu, \"bytes_out\": "
-      "%llu, \"peak_buffered_bytes\": %llu, \"seconds\": %.4f, "
-      "\"records_per_sec\": %.0f, \"mib_per_sec\": %.2f, "
-      "\"byte_identical_to_local\": %s},\n"
-      "  \"compare\": {\"seconds\": %.4f, \"records_per_sec\": %.0f, "
-      "\"mib_per_sec\": %.2f, \"kl_divergence\": %.17g, "
-      "\"chi_squared_cost\": %.17g, \"poisson_log_cost\": %.17g, "
-      "\"total_variation\": %.17g, \"exact_match\": %s},\n"
-      "  \"wire_shards\": {\"daemons\": 2, \"merge_byte_identical_to_local\": "
-      "%s},\n"
-      "  \"note\": \"merge is the out-of-core k-way merge over spec-ordered "
-      "shards under the fixed budget; compare tabulates both files via the "
-      "seekable reader and evaluates all four BranchTab-style distances; "
-      "exact_match means every distance is exactly 0\"\n}\n",
-      qcfg.code.c_str(), qcfg.distance, qcfg.rounds, nsamples,
-      static_cast<unsigned long long>(nshots), local.num_specs, shard_count,
-      static_cast<unsigned long long>(memory_budget),
-      static_cast<unsigned long long>(report.batches),
-      static_cast<unsigned long long>(report.records),
-      static_cast<unsigned long long>(report.bytes_out),
-      static_cast<unsigned long long>(report.peak_buffered_bytes),
-      merge_rate.seconds, merge_rate.records_per_sec, merge_rate.mib_per_sec,
-      merge_identical ? "true" : "false", compare_rate.seconds,
-      compare_rate.records_per_sec, compare_rate.mib_per_sec,
-      comparison.kl_divergence, comparison.chi_squared_cost,
-      comparison.poisson_log_cost, comparison.total_variation,
-      comparison.exact_match() ? "true" : "false",
-      wire_identical ? "true" : "false");
-  std::fclose(os);
-  std::printf("wrote %s\n", out);
-  return status;
+  const bool written =
+      bench::report("dataset_analytics", 1)
+          .add("workload", bench::Object()
+                               .add("code", qcfg.code)
+                               .add("distance", qcfg.distance)
+                               .add("rounds", qcfg.rounds)
+                               .add("nsamples", nsamples)
+                               .add("nshots", nshots)
+                               .add("specs", local.num_specs))
+          .add("shards", shard_count)
+          .add("memory_budget_bytes", memory_budget)
+          .add("merge",
+               bench::Object()
+                   .add("batches", report.batches)
+                   .add("records", report.records)
+                   .add("bytes_out", report.bytes_out)
+                   .add("peak_buffered_bytes", report.peak_buffered_bytes)
+                   .add("seconds", merge_rate.seconds)
+                   .add("records_per_sec", merge_rate.records_per_sec)
+                   .add("mib_per_sec", merge_rate.mib_per_sec)
+                   .add("byte_identical_to_local", merge_identical))
+          .add("compare",
+               bench::Object()
+                   .add("seconds", compare_rate.seconds)
+                   .add("records_per_sec", compare_rate.records_per_sec)
+                   .add("mib_per_sec", compare_rate.mib_per_sec)
+                   .add("kl_divergence", comparison.kl_divergence)
+                   .add("chi_squared_cost", comparison.chi_squared_cost)
+                   .add("poisson_log_cost", comparison.poisson_log_cost)
+                   .add("total_variation", comparison.total_variation)
+                   .add("exact_match", comparison.exact_match()))
+          .add("wire_shards", bench::Object()
+                                  .add("daemons", 2)
+                                  .add("merge_byte_identical_to_local",
+                                       wire_identical))
+          .add("note",
+               "merge is the out-of-core k-way merge over spec-ordered "
+               "shards under the fixed budget; compare tabulates both files "
+               "via the seekable reader and evaluates all four "
+               "BranchTab-style distances; exact_match means every distance "
+               "is exactly 0")
+          .write(args.out);
+  return written ? status : 1;
 }

@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,30 +36,15 @@
 #include "ptsbe/core/pts.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/noise/channels.hpp"
+#include "report.hpp"
+#include "workloads.hpp"
 
 namespace {
 
 using namespace ptsbe;
 
-struct KernelRow {
-  std::string op;
-  std::string set;
-  unsigned qubits = 0;
-  double amps_per_second = 0.0;
-  double speedup_vs_scalar = 1.0;
-};
-
-struct WorkloadRow {
-  std::string workload;
-  unsigned qubits = 0;
-  std::size_t trajectories = 0;
-  double scalar_seconds = 0.0;
-  double dispatched_seconds = 0.0;
-  double speedup = 0.0;
-};
-
-std::vector<KernelRow> kernel_rows;
-std::vector<WorkloadRow> workload_rows;
+std::vector<bench::Object> kernel_rows;
+std::vector<bench::Object> workload_rows;
 
 AlignedVector<cplx> random_state(unsigned n, std::uint64_t seed) {
   RngStream rng(seed);
@@ -143,17 +127,18 @@ void add_rows(const std::string& op, unsigned n, const Time& time) {
   double scalar_rate = 0.0;
   for (const kernels::KernelSet* set : kernels::available_sets()) {
     AlignedVector<cplx> amp = random_state(n, 99);
-    KernelRow row;
-    row.op = op;
-    row.set = set->name;
-    row.qubits = n;
-    row.amps_per_second = time(*set, amp);
-    if (row.set == "scalar") scalar_rate = row.amps_per_second;
-    row.speedup_vs_scalar =
-        scalar_rate > 0.0 ? row.amps_per_second / scalar_rate : 1.0;
-    std::printf("%-22s %-8s %8.1f Mamps/s  %5.2fx\n", op.c_str(), row.set.c_str(),
-                row.amps_per_second / 1e6, row.speedup_vs_scalar);
-    kernel_rows.push_back(std::move(row));
+    const std::string name = set->name;
+    const double rate = time(*set, amp);
+    if (name == "scalar") scalar_rate = rate;
+    const double speedup = scalar_rate > 0.0 ? rate / scalar_rate : 1.0;
+    std::printf("%-22s %-8s %8.1f Mamps/s  %5.2fx\n", op.c_str(), name.c_str(),
+                rate / 1e6, speedup);
+    kernel_rows.push_back(bench::Object()
+                              .add("op", op)
+                              .add("set", name)
+                              .add("qubits", n)
+                              .add("amps_per_second", rate)
+                              .add("speedup_vs_scalar", speedup));
   }
 }
 
@@ -176,32 +161,6 @@ void run_kraus_case(const std::string& op, const Matrix& k,
              [&](const kernels::KernelSet& set, AlignedVector<cplx>& amp) {
                return time_kraus(set, amp, g, reps, fused);
              });
-}
-
-/// Same dressed-GHZ workloads as bench_prefix_sharing, so the two JSON
-/// artifacts describe the same programs.
-NoisyCircuit ghz_workload(unsigned n, const std::string& overlap,
-                          unsigned late_cx) {
-  Circuit c(n);
-  for (unsigned q = 0; q < n; ++q)
-    c.ry(q, 0.11 * (q + 1)).rz(q, 0.07 * (q + 1));
-  c.h(0);
-  for (unsigned q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
-  for (unsigned q = 0; q < n; ++q)
-    c.rz(q, 0.05 * (q + 1)).ry(q, 0.13 * (q + 1));
-  c.measure_all();
-  NoiseModel noise;
-  if (overlap == "readout") {
-    noise.add_measurement_noise(channels::bit_flip(0.15));
-  } else if (overlap == "late") {
-    const unsigned first = n - 1 > late_cx ? n - 1 - late_cx : 0;
-    for (unsigned q = first; q + 1 < n; ++q)
-      noise.add_gate_noise_on("cx", {q, q + 1}, channels::depolarizing2(0.12));
-    noise.add_measurement_noise(channels::bit_flip(0.02));
-  } else {
-    noise.add_all_gate_noise(channels::depolarizing(0.01));
-  }
-  return noise.apply(c);
 }
 
 /// Best-of-`repeats` wall clock: one trajectory sweep is seconds-long, so a
@@ -236,73 +195,28 @@ void run_workload_case(const std::string& label, const NoisyCircuit& noisy,
   const std::vector<TrajectorySpec> specs =
       pts::sample_probabilistic(noisy, opt, rng);
 
-  WorkloadRow row;
-  row.workload = label;
-  row.qubits = noisy.num_qubits();
-  row.trajectories = specs.size();
-  row.scalar_seconds = time_pinned(noisy, specs, "scalar", repeats);
-  row.dispatched_seconds = time_pinned(
+  const double scalar = time_pinned(noisy, specs, "scalar", repeats);
+  const double dispatched = time_pinned(
       noisy, specs, kernels::best_available_set().name, repeats);
   kernels::set_active("auto");
-  row.speedup = row.scalar_seconds / row.dispatched_seconds;
   std::printf("%-40s traj=%5zu  scalar %8.3fs  %s %8.3fs  %5.2fx\n",
-              label.c_str(), row.trajectories, row.scalar_seconds,
-              kernels::best_available_set().name, row.dispatched_seconds,
-              row.speedup);
-  workload_rows.push_back(std::move(row));
-}
-
-void write_json(const char* path) {
-  std::FILE* os = std::fopen(path, "w");
-  if (os == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(os,
-               "{\n  \"bench\": \"gate_kernels\",\n  \"dispatch\": \"%s\",\n"
-               "  \"kernel_rows\": [\n",
-               kernels::describe_dispatch().c_str());
-  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-    const KernelRow& r = kernel_rows[i];
-    std::fprintf(os,
-                 "    {\"op\": \"%s\", \"set\": \"%s\", \"qubits\": %u, "
-                 "\"amps_per_second\": %.3e, \"speedup_vs_scalar\": %.3f}%s\n",
-                 r.op.c_str(), r.set.c_str(), r.qubits, r.amps_per_second,
-                 r.speedup_vs_scalar, i + 1 < kernel_rows.size() ? "," : "");
-  }
-  std::fprintf(os, "  ],\n  \"workload_rows\": [\n");
-  for (std::size_t i = 0; i < workload_rows.size(); ++i) {
-    const WorkloadRow& r = workload_rows[i];
-    std::fprintf(
-        os,
-        "    {\"workload\": \"%s\", \"qubits\": %u, \"trajectories\": %zu, "
-        "\"scalar_seconds\": %.4f, \"dispatched_seconds\": %.4f, "
-        "\"speedup\": %.3f}%s\n",
-        r.workload.c_str(), r.qubits, r.trajectories, r.scalar_seconds,
-        r.dispatched_seconds, r.speedup,
-        i + 1 < workload_rows.size() ? "," : "");
-  }
-  std::fprintf(os, "  ]\n}\n");
-  const bool ok = std::ferror(os) == 0;
-  if (std::fclose(os) != 0 || !ok) {
-    std::fprintf(stderr, "error while writing %s\n", path);
-    return;
-  }
-  std::printf("\nwrote %s (%zu kernel rows, %zu workload rows)\n", path,
-              kernel_rows.size(), workload_rows.size());
+              label.c_str(), specs.size(), scalar,
+              kernels::best_available_set().name, dispatched,
+              scalar / dispatched);
+  workload_rows.push_back(bench::Object()
+                              .add("workload", label)
+                              .add("qubits", noisy.num_qubits())
+                              .add("trajectories", specs.size())
+                              .add("scalar_seconds", scalar)
+                              .add("dispatched_seconds", dispatched)
+                              .add("speedup", scalar / dispatched));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out = nullptr;  // JSON only to a path given on the command line
-  bool tiny = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0)
-      tiny = true;
-    else
-      out = argv[i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool tiny = args.tiny;
 
   std::printf("kernel dispatch: %s\n\n", kernels::describe_dispatch().c_str());
 
@@ -338,13 +252,22 @@ int main(int argc, char** argv) {
   const std::size_t repeats = tiny ? 1 : 3;
   std::printf("\nend-to-end (shared-prefix + fusion, statevector backend, "
               "best of %zu)\n\n", repeats);
-  run_workload_case("ghz" + std::to_string(n) + "/high-overlap(readout-noise)",
-                    ghz_workload(n, "readout", 0), trajectories, shots, repeats);
-  run_workload_case("ghz" + std::to_string(n) + "/high-overlap(late-noise)",
-                    ghz_workload(n, "late", 4), trajectories, shots, repeats);
-  run_workload_case("ghz" + std::to_string(n) + "/moderate-overlap(gate-noise)",
-                    ghz_workload(n, "all", 0), trajectories, shots, repeats);
+  const std::string ghz = "ghz" + std::to_string(n);
+  run_workload_case(ghz + "/high-overlap(readout-noise)",
+                    bench::ghz_workload(n, "readout", 0), trajectories, shots,
+                    repeats);
+  run_workload_case(ghz + "/high-overlap(late-noise)",
+                    bench::ghz_workload(n, "late", 4), trajectories, shots,
+                    repeats);
+  run_workload_case(ghz + "/moderate-overlap(gate-noise)",
+                    bench::ghz_workload(n, "all", 0), trajectories, shots,
+                    repeats);
 
-  if (out != nullptr) write_json(out);
-  return 0;
+  return bench::report("gate_kernels", 1)
+                 .add("dispatch", kernels::describe_dispatch())
+                 .add("kernel_rows", kernel_rows)
+                 .add("workload_rows", workload_rows)
+                 .write(args.out)
+             ? 0
+             : 1;
 }

@@ -22,13 +22,13 @@
 //   bench_qec_threshold [output.json] [--tiny]   (JSON only to a given path)
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ptsbe/common/timer.hpp"
 #include "ptsbe/qec/metrics.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -65,14 +65,8 @@ qec::LogicalErrorPoint sweep_point(const char* code, unsigned distance,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out = nullptr;  // JSON only to a path given on the command line
-  bool tiny = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0)
-      tiny = true;
-    else
-      out = argv[i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool tiny = args.tiny;
 
   std::size_t hardware = std::thread::hardware_concurrency();
   if (hardware == 0) hardware = 1;
@@ -158,49 +152,40 @@ int main(int argc, char** argv) {
   if (status != 0)
     std::fprintf(stderr,
                  "FAIL: sub-threshold suppression crossing not visible\n");
-  if (out == nullptr) return status;
-  std::FILE* os = std::fopen(out, "w");
-  if (os == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out);
-    return 1;
-  }
-  std::fprintf(
-      os,
-      "{\n  \"bench\": \"qec_threshold\",\n"
-      "  \"hardware_concurrency\": %zu,\n"
-      "  \"decoder\": \"st-union-find\",\n"
-      "  \"backend\": \"stabilizer\",\n"
-      "  \"strategy\": \"probabilistic\",\n"
-      "  \"rounds\": %u,\n"
-      "  \"shots_per_point\": %llu,\n"
-      "  \"seconds_total\": %.3f,\n"
-      "  \"note\": \"circuit-level depolarizing noise after every gate, "
-      "readout bit-flips at half strength; logical error rate of the "
-      "transversal Z readout decoded by space-time union-find over the "
-      "detector graph; below threshold the d=5 curve sits under d=3, "
-      "above it the ordering flips\",\n"
-      "  \"points\": [\n",
-      hardware, rounds,
-      static_cast<unsigned long long>(nsamples * nshots), seconds);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const qec::LogicalErrorPoint& p = points[i];
-    std::fprintf(
-        os,
-        "    {\"code\": \"%s\", \"distance\": %u, \"rounds\": %u, "
-        "\"noise\": %g, \"readout_noise\": %g, \"shots\": %llu, "
-        "\"failures\": %llu, \"logical_error_rate\": %.6e, "
-        "\"wilson_lower\": %.6e, \"wilson_upper\": %.6e}%s\n",
-        p.code.c_str(), p.distance, p.rounds, p.noise, p.readout_noise,
-        static_cast<unsigned long long>(p.shots),
-        static_cast<unsigned long long>(p.failures), p.logical_error_rate,
-        p.ci.lower, p.ci.upper, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(os,
-               "  ],\n  \"repetition_d3_d5_crossing\": {\"found\": %s, "
-               "\"noise_low\": %g, \"noise_high\": %g}\n}\n",
-               crossing_found ? "true" : "false", crossing_low,
-               crossing_high);
-  std::fclose(os);
-  std::printf("wrote %s\n", out);
-  return status;
+  std::vector<bench::Object> rows;
+  for (const qec::LogicalErrorPoint& p : points)
+    rows.push_back(bench::Object()
+                       .add("code", p.code)
+                       .add("distance", p.distance)
+                       .add("rounds", p.rounds)
+                       .add("noise", p.noise)
+                       .add("readout_noise", p.readout_noise)
+                       .add("shots", p.shots)
+                       .add("failures", p.failures)
+                       .add("logical_error_rate", p.logical_error_rate)
+                       .add("wilson_lower", p.ci.lower)
+                       .add("wilson_upper", p.ci.upper));
+  const bool written =
+      bench::report("qec_threshold", hardware)
+          .add("hardware_concurrency", hardware)
+          .add("decoder", "st-union-find")
+          .add("backend", "stabilizer")
+          .add("strategy", "probabilistic")
+          .add("rounds", rounds)
+          .add("shots_per_point", nsamples * nshots)
+          .add("seconds_total", seconds)
+          .add("note",
+               "circuit-level depolarizing noise after every gate, readout "
+               "bit-flips at half strength; logical error rate of the "
+               "transversal Z readout decoded by space-time union-find over "
+               "the detector graph; below threshold the d=5 curve sits under "
+               "d=3, above it the ordering flips")
+          .add("points", rows)
+          .add("repetition_d3_d5_crossing",
+               bench::Object()
+                   .add("found", crossing_found)
+                   .add("noise_low", crossing_low)
+                   .add("noise_high", crossing_high))
+          .write(args.out);
+  return written ? status : 1;
 }

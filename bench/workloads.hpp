@@ -12,6 +12,8 @@
 /// benches run the paper's actual encoded workloads (35 and 125 physical
 /// qubits) on the MPS backend.
 
+#include <string>
+
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/noise/noise_model.hpp"
 #include "ptsbe/qec/codes.hpp"
@@ -69,6 +71,42 @@ inline NoisyCircuit noisy_encoded_msd(const qec::CssCode& code, double p) {
   NoiseModel nm;
   nm.add_all_gate_noise(channels::depolarizing(p));
   return nm.apply(c);
+}
+
+/// Dressed GHZ chain whose noise placement sets how much of the program
+/// trajectories share (the workloads of bench_prefix_sharing and
+/// bench_gate_kernels):
+///  - "readout": bit flips on measurement only — every trajectory shares
+///               the *entire* gate sweep (readout-error-dominated regime).
+///  - "late":    two-qubit depolarizing on the last `late_cx` entanglers
+///               (plus light readout flips) — long shared prefixes.
+///  - "all":     one-qubit depolarizing after every gate — prefixes can
+///               diverge anywhere in the program.
+inline NoisyCircuit ghz_workload(unsigned n, const std::string& overlap,
+                                 unsigned late_cx) {
+  // The local-rotation layers before and after the entangling chain are
+  // what gate fusion feeds on: each ry·rz pair collapses to one sweep and
+  // then folds into the neighbouring cx.
+  Circuit c(n);
+  for (unsigned q = 0; q < n; ++q)
+    c.ry(q, 0.11 * (q + 1)).rz(q, 0.07 * (q + 1));
+  c.h(0);
+  for (unsigned q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
+  for (unsigned q = 0; q < n; ++q)
+    c.rz(q, 0.05 * (q + 1)).ry(q, 0.13 * (q + 1));
+  c.measure_all();
+  NoiseModel noise;
+  if (overlap == "readout") {
+    noise.add_measurement_noise(channels::bit_flip(0.15));
+  } else if (overlap == "late") {
+    const unsigned first = n - 1 > late_cx ? n - 1 - late_cx : 0;
+    for (unsigned q = first; q + 1 < n; ++q)
+      noise.add_gate_noise_on("cx", {q, q + 1}, channels::depolarizing2(0.12));
+    noise.add_measurement_noise(channels::bit_flip(0.02));
+  } else {
+    noise.add_all_gate_noise(channels::depolarizing(0.01));
+  }
+  return noise.apply(c);
 }
 
 }  // namespace ptsbe::bench

@@ -27,10 +27,6 @@ namespace ptsbe::traj {
 struct Options {
   /// Use exact state-independent probabilities for unitary-mixture channels.
   bool unitary_mixture_fast_path = true;
-  /// Shots sampled per prepared trajectory. The conventional workflow the
-  /// paper describes uses 1 (single-shot data collection); larger values
-  /// let benches isolate how much of PTSBE's win is shot batching alone.
-  std::size_t shots_per_trajectory = 1;
 };
 
 /// Work counters for cost accounting in tests and benches.
@@ -52,8 +48,7 @@ struct Result {
 };
 
 /// Run `num_trajectories` independent trajectories on the statevector
-/// backend (Algorithm 1). Total shots = num_trajectories ×
-/// options.shots_per_trajectory.
+/// backend (Algorithm 1), one shot each.
 Result run_statevector(const NoisyCircuit& noisy, std::size_t num_trajectories,
                        RngStream& rng, const Options& options = {});
 

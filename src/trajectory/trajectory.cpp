@@ -59,10 +59,8 @@ template <typename State, typename MakeState>
 Result run_impl(const NoisyCircuit& noisy, std::size_t num_trajectories,
                 RngStream& rng, const Options& options,
                 const MakeState& make_state) {
-  PTSBE_REQUIRE(options.shots_per_trajectory >= 1,
-                "shots_per_trajectory must be at least 1");
   Result result;
-  result.records.reserve(num_trajectories * options.shots_per_trajectory);
+  result.records.reserve(num_trajectories);
   const std::vector<unsigned> measured = noisy.circuit().measured_qubits();
   const auto& ops = noisy.circuit().ops();
 
@@ -85,15 +83,13 @@ Result run_impl(const NoisyCircuit& noisy, std::size_t num_trajectories,
 
     // The MPS sampler packs the measured qubits itself, so its chain may be
     // wider than a 64-bit basis-state index.
-    std::vector<std::uint64_t> shots;
     if constexpr (std::is_same_v<State, MpsState>) {
-      shots = state.sample_records(options.shots_per_trajectory, rng, measured);
+      result.records.push_back(state.sample_records(1, rng, measured)[0]);
     } else {
-      shots = state.sample_shots(options.shots_per_trajectory, rng);
-      if (!measured.empty())
-        for (std::uint64_t& shot : shots) shot = extract_bits(shot, measured);
+      const std::uint64_t shot = state.sample_shots(1, rng)[0];
+      result.records.push_back(measured.empty() ? shot
+                                                : extract_bits(shot, measured));
     }
-    result.records.insert(result.records.end(), shots.begin(), shots.end());
   }
   return result;
 }

@@ -97,16 +97,6 @@ TEST(Trajectory, StatePreparationCountMatchesTrajectories) {
   EXPECT_EQ(result.records.size(), 500u);
 }
 
-TEST(Trajectory, ShotsPerTrajectoryMultipliesRecords) {
-  const NoisyCircuit noisy = noisy_bell(0.1, 0.0);
-  RngStream rng(7);
-  traj::Options opt;
-  opt.shots_per_trajectory = 16;
-  const auto result = traj::run_statevector(noisy, 100, rng, opt);
-  EXPECT_EQ(result.stats.state_preparations, 100u);
-  EXPECT_EQ(result.records.size(), 1600u);
-}
-
 TEST(Trajectory, MpsBackendMatchesDensityMatrix) {
   const NoisyCircuit noisy = noisy_bell(0.15, 0.0);
   DensityMatrix dm(2);
@@ -132,15 +122,6 @@ TEST(Trajectory, MeasuredSubsetExtraction) {
   RngStream rng(10);
   const auto result = traj::run_statevector(noisy, 50, rng);
   for (auto r : result.records) EXPECT_EQ(r, 1u);  // only the measured bit
-}
-
-TEST(Trajectory, RejectsZeroShotsPerTrajectory) {
-  const NoisyCircuit noisy = noisy_bell(0.1, 0.0);
-  RngStream rng(11);
-  traj::Options opt;
-  opt.shots_per_trajectory = 0;
-  EXPECT_THROW((void)traj::run_statevector(noisy, 1, rng, opt),
-               precondition_error);
 }
 
 }  // namespace
