@@ -15,7 +15,10 @@
 /// as 1, 2, 3" (SC'11).
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace ptsbe {
 
@@ -28,6 +31,18 @@ namespace ptsbe {
 class Philox4x32 {
  public:
   using result_type = std::uint32_t;
+  using Key = std::array<std::uint32_t, 2>;
+  /// A 128-bit counter, word 0 least significant.
+  using Counter = std::array<std::uint32_t, 4>;
+
+  /// A block fill: for the `blocks` counter blocks from `ctr` on (the
+  /// counter carrying through all four words, as the generator's own
+  /// increment does), write the bits of each block's two `next_double()`
+  /// values to `out[2j]` and `out[2j + 1]`. `block_doubles` is the
+  /// reference; the kernel sets carry SIMD fills that equal it bit for bit
+  /// (ptsbe/kernels/kernel_set.hpp).
+  using BlockFill = void (*)(Key key, Counter ctr, std::uint64_t blocks,
+                             std::uint64_t* out);
 
   /// Construct from a 64-bit seed (becomes the Philox key) and an optional
   /// 64-bit subsequence id placed into the high counter words, giving 2^64
@@ -62,8 +77,37 @@ class Philox4x32 {
   }
 
   /// Uniform double in [0, 1) with full 53-bit mantissa resolution.
-  double next_double() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  double next_double() noexcept { return to_double(next_u64()); }
+
+  /// Write the bits of the next `out.size()` `next_double()` values to
+  /// `out`, leaving the generator exactly where that many calls would.
+  /// Whole counter blocks go through `fill`; buffered outputs and an odd
+  /// tail are drawn one at a time.
+  void fill_doubles(std::span<std::uint64_t> out, BlockFill fill) noexcept {
+    std::size_t i = 0;
+    // From an odd 32-bit position (reached only through single operator()
+    // draws) the buffer never runs out at the end of a double, so every
+    // draw takes this loop.
+    for (; i < out.size() && buf_pos_ != 4; ++i)
+      out[i] = std::bit_cast<std::uint64_t>(next_double());
+    const std::uint64_t blocks = (out.size() - i) / 2;
+    fill(key_, ctr_, blocks, out.data() + i);
+    add_to_counter(blocks);
+    for (i += 2 * blocks; i < out.size(); ++i)
+      out[i] = std::bit_cast<std::uint64_t>(next_double());
+  }
+
+  /// The reference `BlockFill`: one `bijection` per block.
+  static void block_doubles(Key key, Counter ctr, std::uint64_t blocks,
+                            std::uint64_t* out) noexcept {
+    for (std::uint64_t j = 0; j < blocks; ++j, out += 2) {
+      const Counter r = bijection(ctr, key);
+      out[0] = std::bit_cast<std::uint64_t>(
+          to_double((static_cast<std::uint64_t>(r[1]) << 32) | r[0]));
+      out[1] = std::bit_cast<std::uint64_t>(
+          to_double((static_cast<std::uint64_t>(r[3]) << 32) | r[2]));
+      increment(ctr);
+    }
   }
 
   /// Uniform value in [0, bound) without modulo bias (Lemire reduction with
@@ -118,8 +162,7 @@ class Philox4x32 {
 
   /// The raw 10-round Philox4x32 keyed bijection (stateless; exposed for
   /// testing against reference vectors).
-  static std::array<std::uint32_t, 4> bijection(
-      std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key) noexcept {
+  static Counter bijection(Counter ctr, Key key) noexcept {
     for (int round = 0; round < 10; ++round) {
       ctr = single_round(ctr, key);
       key[0] += kWeyl0;
@@ -128,15 +171,14 @@ class Philox4x32 {
     return ctr;
   }
 
- private:
+  /// The round multipliers and the key's per-round increments.
   static constexpr std::uint32_t kMul0 = 0xD2511F53u;
   static constexpr std::uint32_t kMul1 = 0xCD9E8D57u;
   static constexpr std::uint32_t kWeyl0 = 0x9E3779B9u;
   static constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;
 
-  static std::array<std::uint32_t, 4> single_round(
-      const std::array<std::uint32_t, 4>& c,
-      const std::array<std::uint32_t, 2>& k) noexcept {
+ private:
+  static Counter single_round(const Counter& c, const Key& k) noexcept {
     const std::uint64_t p0 = static_cast<std::uint64_t>(kMul0) * c[0];
     const std::uint64_t p1 = static_cast<std::uint64_t>(kMul1) * c[2];
     return {static_cast<std::uint32_t>(p1 >> 32) ^ c[1] ^ k[0],
@@ -145,11 +187,18 @@ class Philox4x32 {
             static_cast<std::uint32_t>(p0)};
   }
 
-  void advance_counter() noexcept {
-    if (++ctr_[0] == 0)
-      if (++ctr_[1] == 0)
-        if (++ctr_[2] == 0) ++ctr_[3];
+  /// The top 53 of 64 bits as a double in [0, 1).
+  static double to_double(std::uint64_t bits) noexcept {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
+
+  static void increment(Counter& ctr) noexcept {
+    if (++ctr[0] == 0)
+      if (++ctr[1] == 0)
+        if (++ctr[2] == 0) ++ctr[3];
+  }
+
+  void advance_counter() noexcept { increment(ctr_); }
 
   /// `n` applications of advance_counter() at once.
   void add_to_counter(std::uint64_t n) noexcept {
@@ -162,9 +211,9 @@ class Philox4x32 {
       if (++ctr_[2] == 0) ++ctr_[3];
   }
 
-  std::array<std::uint32_t, 2> key_{};
-  std::array<std::uint32_t, 4> ctr_{};
-  std::array<std::uint32_t, 4> buf_{};
+  Key key_{};
+  Counter ctr_{};
+  Counter buf_{};
   int buf_pos_ = 4;
 };
 

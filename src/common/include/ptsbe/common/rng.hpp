@@ -102,10 +102,11 @@ class RngStream {
   }
 
   /// Standard exponential variate (rate 1).
-  double exponential() noexcept {
-    // -log(1 - u) with u in [0,1); 1-u in (0,1] avoids log(0).
-    return -std::log(1.0 - gen_.next_double());
-  }
+  double exponential() noexcept { return exponential_of(gen_.next_double()); }
+
+  /// The exponential variate `exponential()` makes of the uniform u in
+  /// [0, 1): -log(1 - u), where 1 - u in (0, 1] avoids log(0).
+  static double exponential_of(double u) noexcept { return -std::log(1.0 - u); }
 
   /// UniformRandomBitGenerator access for std:: distributions.
   Philox4x32& raw() noexcept { return gen_; }

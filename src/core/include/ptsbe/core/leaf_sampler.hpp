@@ -15,17 +15,23 @@
 /// `kSampleChunk` draws. The chunks jointly own a leaf context (the
 /// prepared state, the records buffer and a countdown); each seeks its copy
 /// of the spec's substream to its first draw and writes its exponentials
-/// straight into the records buffer (ptsbe/common/inverse_cdf.hpp). The
-/// preparing worker runs the first chunk itself and pushes the rest onto
-/// its own deque, where idle workers steal them; with one worker they run
-/// LIFO before the next spec, so delivery order is unchanged. The chunk
-/// that finishes last runs the prefix sum, the division and the bin walk in
-/// the sequential order and emits the batch. No chunk waits on another.
+/// straight into the records buffer (`kernels::draw_exponentials`, whose
+/// Philox blocks come from the active kernel set's SIMD fill). The records
+/// buffer is advised as transparent huge pages before its one zero-fill,
+/// so the fill takes a few hundred page faults instead of one per 4 KiB.
+/// The preparing worker runs the first chunk itself and pushes the rest
+/// onto its own deque, where idle workers steal them; with one worker they
+/// run LIFO before the next spec, so delivery order is unchanged. The chunk
+/// that finishes last runs `exponentials_to_records`
+/// (ptsbe/common/inverse_cdf.hpp): the prefix sum, the one sequential
+/// step, then the division and the bin walk in ranges its idle peers take
+/// through `parallel_for`. It emits the batch. No chunk waits on another.
 /// A cancelled run leaves the countdown short, so its leaves never emit.
 ///
-/// Records are therefore bit-identical at every thread count and chunk
-/// placement: draw i of a spec depends only on (substream, i), and the
-/// order-dependent floating-point work runs once, sequentially.
+/// Records are therefore bit-identical at every thread count, chunk
+/// placement and kernel set: draw i of a spec depends only on (substream,
+/// i), the prefix sum runs once, sequentially, and each range of the walk
+/// starts from the state the sequential walk would reach.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,12 +46,6 @@
 #include "ptsbe/core/trajectory_spec.hpp"
 
 namespace ptsbe::be {
-
-/// Draws per leaf-sampling chunk. One draw (Philox + log) costs ~25 ns, so
-/// a chunk is ~6 ms of work: task overhead stays under 0.1 %, and a 32M-shot
-/// leaf still yields ~120 pieces for idle workers to steal. Budgets up to
-/// one chunk never split.
-inline constexpr std::uint64_t kSampleChunk = std::uint64_t{1} << 18;
 
 /// One worker's accounting slot: single writer (its worker), read after
 /// the executor drains. Cache-line sized so workers don't false-share.

@@ -97,7 +97,7 @@ class SimState {
       std::size_t count, RngStream& rng, std::span<const unsigned> measured) {
     std::vector<std::uint64_t> records(count);
     if (count == 0) return records;
-    draw_exponentials(rng, records);
+    kernels::draw_exponentials(rng, records);
     records_from_exponentials(records, rng.exponential(), measured);
     return records;
   }

@@ -19,8 +19,9 @@
 /// A spec's preparation may split into position-addressed ranges
 /// (ptsbe/common/parallel.hpp), and so may its bulk draw: each sampling
 /// chunk regenerates a fixed, position-addressed slice of the spec's
-/// substream, and the order-dependent work (prefix sum, division, bin
-/// walk) runs once, sequentially, in whichever chunk finishes last
+/// substream, and in whichever chunk finishes last the prefix sum runs
+/// once, sequentially, before the division and the bin walk split into
+/// ranges that each resume the sequential walk's state
 /// (ptsbe/core/leaf_sampler.hpp). Only completion *order* depends on
 /// scheduling.
 ///

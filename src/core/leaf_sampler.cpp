@@ -1,13 +1,40 @@
 #include "ptsbe/core/leaf_sampler.hpp"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/common/timer.hpp"
+#include "ptsbe/kernels/kernel_set.hpp"
 
 namespace ptsbe::be {
+
+namespace {
+
+/// Advise the 2 MiB-aligned interior of `records`' capacity as transparent
+/// huge pages, so that its first touch faults 2 MiB at a time. Advice only:
+/// other systems, and THP set to `never`, see no change.
+void advise_huge_pages([[maybe_unused]] std::vector<std::uint64_t>& records) {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;
+  const auto begin = reinterpret_cast<std::uintptr_t>(records.data());
+  const std::uintptr_t end = begin + records.capacity() * sizeof(std::uint64_t);
+  const std::uintptr_t first = (begin + kHuge - 1) & ~(kHuge - 1);
+  const std::uintptr_t last = end & ~(kHuge - 1);
+  if (first < last)
+    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                    MADV_HUGEPAGE);
+#endif
+}
+
+}  // namespace
 
 /// The context a split leaf's chunk tasks jointly own; the last task to
 /// drop it frees the records buffer and its reference to the state.
@@ -72,6 +99,8 @@ void LeafSampler::spawn_chunks(std::size_t worker,
   auto leaf = std::make_shared<SplitLeaf>();
   leaf->state = std::move(state);
   leaf->rng = master_.substream(t);
+  leaf->records.reserve(shots);
+  advise_huge_pages(leaf->records);
   leaf->records.resize(shots);
   leaf->chunks_left.store(chunks, std::memory_order_relaxed);
   leaf->realized = realized;
@@ -95,7 +124,8 @@ void LeafSampler::run_chunk(std::size_t worker, SplitLeaf& leaf,
       std::min<std::uint64_t>(kSampleChunk, leaf.records.size() - first);
   RngStream rng = leaf.rng;
   rng.skip_doubles(first);
-  draw_exponentials(rng, std::span(leaf.records).subspan(first, count));
+  kernels::draw_exponentials(rng,
+                             std::span(leaf.records).subspan(first, count));
   // acq_rel: the last chunk sees every other chunk's words.
   if (leaf.chunks_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   if (executor_.cancelled()) return;

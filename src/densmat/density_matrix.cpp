@@ -281,7 +281,7 @@ std::vector<std::uint64_t> DensityMatrix::sample_shots(std::size_t count,
                                                        RngStream& rng) const {
   std::vector<std::uint64_t> shots(count);
   if (count == 0) return shots;
-  draw_exponentials(rng, shots);
+  kernels::draw_exponentials(rng, shots);
   records_from_exponentials(shots, rng.exponential(), {});
   return shots;
 }

@@ -1,21 +1,25 @@
 #pragma once
 
 /// \file kernel_set.hpp
-/// \brief Runtime-dispatched SIMD amplitude kernels for the gate-apply loop.
+/// \brief Runtime-dispatched SIMD kernels: the gate-apply loop and the bulk
+/// sampler's random fill.
 ///
 /// Every amplitude backend ultimately spends its time in the same inner
 /// loop: stride over 2^n (or 4^n) complex amplitudes and hit each group
-/// with a small matrix. This header is the single seam between that loop
-/// and the code that implements it. A `KernelSet` is a vtable of
-/// amplitude-apply kernels; the registry compiles one scalar reference set
-/// plus AVX2 / AVX-512 variants (each translation unit built with its own
-/// `-m` flags) and selects among them by runtime CPUID detection, the
-/// `PTSBE_KERNEL` environment variable, or `set_active()` (the CLI's
-/// `--kernel` flag).
+/// with a small matrix. A dense trajectory's bulk draw spends its time
+/// generating Philox blocks. This header is the single seam between those
+/// loops and the code that implements them. A `KernelSet` is a vtable of
+/// amplitude-apply kernels plus one Philox block fill; the registry
+/// compiles one scalar reference set plus AVX2 / AVX-512 variants (each
+/// translation unit built with its own `-m` flags) and selects among them
+/// by runtime CPUID detection, the `PTSBE_KERNEL` environment variable, or
+/// `set_active()` (the CLI's `--kernel` flag). `draw_exponentials` reaches
+/// the active set's fill the same way the gate kernels do.
 ///
 /// **Determinism contract.** All kernel sets produce *bit-identical*
-/// amplitudes for the same prepared gate. SIMD variants vectorise across
-/// amplitude groups only — the per-amplitude arithmetic (which products are
+/// amplitudes for the same prepared gate, and bit-identical draws for the
+/// same stream. SIMD variants vectorise across amplitude groups (counter
+/// blocks) only — the per-amplitude arithmetic (which products are
 /// formed, in which order they are summed) is exactly the scalar
 /// reference's. Every kernel TU is compiled with `-ffp-contract=off` so no
 /// variant fuses a multiply-add the others do not, and no kernel uses FMA
@@ -47,6 +51,8 @@
 #include <string_view>
 #include <vector>
 
+#include "ptsbe/common/philox.hpp"
+#include "ptsbe/common/rng.hpp"
 #include "ptsbe/linalg/matrix.hpp"
 
 namespace ptsbe::kernels {
@@ -136,6 +142,12 @@ struct KernelSet {
   void (*kraus_sweep)(cplx* amp, std::uint64_t dim, const PreparedGate& g,
                       double prescale, double* sums, std::uint64_t first,
                       std::uint64_t last);
+  /// Philox4x32-10 block fill (`Philox4x32::BlockFill`): the bits of the
+  /// two `next_double()` values of every counter block in [ctr, ctr +
+  /// blocks), block j's at out[2j] and out[2j + 1]. The scalar set is
+  /// `Philox4x32::block_doubles`; the SIMD sets run four (AVX2) or eight
+  /// (AVX-512) blocks per step, one block per 64-bit lane.
+  Philox4x32::BlockFill philox_doubles;
 };
 
 // ---------------------------------------------------------------------------
@@ -204,6 +216,15 @@ inline constexpr unsigned kTileBits = 16;
 /// so the bytes never depend on the tiling or on the team.
 void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
                          std::span<const PreparedGate> gates);
+
+/// Fill `words` with the next `words.size()` Exp(1) draws of `rng`, each
+/// stored as the bits of its double, leaving `rng` where as many
+/// `exponential()` calls would: the uniforms come from the active set's
+/// `philox_doubles`, then one scalar pass applies `RngStream::exponential_of`.
+/// Draw i depends only on (stream, i), so a worker that seeks its copy of
+/// the stream to draw `first` (`RngStream::skip_doubles`) writes exactly
+/// the words a sequential pass would.
+void draw_exponentials(RngStream& rng, std::span<std::uint64_t> words);
 
 /// Classify-and-apply convenience for un-prepared call sites (classification
 /// is ~16 comparisons — negligible against the 2^n sweep it steers).

@@ -1,11 +1,13 @@
 /// \file kernel_set.cpp
-/// \brief Gate classification, prepared-gate application, and the runtime
-/// dispatch registry (CPUID detection + PTSBE_KERNEL / set_active override).
+/// \brief Gate classification, prepared-gate application, the bulk draw's
+/// exponentials, and the runtime dispatch registry (CPUID detection +
+/// PTSBE_KERNEL / set_active override).
 
 #include "ptsbe/kernels/kernel_set.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <sstream>
 
@@ -217,6 +219,13 @@ void apply_prepared_span(const KernelSet& ks, cplx* amp, std::uint64_t dim,
     });
     i = end;
   }
+}
+
+void draw_exponentials(RngStream& rng, std::span<std::uint64_t> words) {
+  rng.raw().fill_doubles(words, active().philox_doubles);
+  for (std::uint64_t& word : words)
+    word = std::bit_cast<std::uint64_t>(
+        RngStream::exponential_of(std::bit_cast<double>(word)));
 }
 
 void apply_gate(const KernelSet& ks, cplx* amp, std::uint64_t dim,

@@ -1,6 +1,6 @@
 /// \file kernels_avx2.cpp
-/// \brief AVX2 kernel set: 256-bit registers, two complex amplitudes per
-/// lane-pair. Compiled with -mavx2 -ffp-contract=off.
+/// \brief AVX2 kernel set: 256-bit registers, two complex amplitudes or
+/// four Philox blocks per register. Compiled with -mavx2 -ffp-contract=off.
 ///
 /// The complex multiply mirrors the scalar reference per lane — four
 /// multiplies, the subtraction realised as multiply-by-sign-flipped
@@ -76,6 +76,49 @@ struct Avx2Policy {
     const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
     store(p, _mm256_permute2f128_pd(o0, o1, 0x20));
     store(p + 2, _mm256_permute2f128_pd(o0, o1, 0x31));
+  }
+
+  /// Philox lanes (kernels_impl.hpp `philox_doubles`): four counter blocks
+  /// per step, one per 64-bit lane.
+  using Words = __m256i;
+  static constexpr unsigned kBlocks = 4;
+  static Words splat(std::uint64_t v) {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  }
+  static Words lane_index() { return _mm256_set_epi64x(3, 2, 1, 0); }
+  static Words add64(Words a, Words b) { return _mm256_add_epi64(a, b); }
+  static Words mul32(Words a, Words b) { return _mm256_mul_epu32(a, b); }
+  static Words shr32(Words a) { return _mm256_srli_epi64(a, 32); }
+  static Words xor64(Words a, Words b) { return _mm256_xor_si256(a, b); }
+  /// Each block's two doubles, (w1:w0 >> 11)·2^-53 and (w3:w2 >> 11)·2^-53,
+  /// interleaved. AVX2 has no 64-bit integer conversion, so each is
+  /// w_hi·2^-32 + (w_lo >> 11)·2^-53, both parts converted by the 2^52
+  /// exponent trick: every step is exact, so the sum equals the reference.
+  static void store_uniforms(std::uint64_t* out, Words c0, Words c1, Words c2,
+                             Words c3) {
+    const Words low = _mm256_set1_epi64x(0xFFFFFFFF);
+    const Words exponent = _mm256_set1_epi64x(0x4330000000000000);
+    const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+    const auto to_double = [&](Words small) {  // exact below 2^52
+      return _mm256_sub_pd(
+          _mm256_castsi256_pd(_mm256_or_si256(small, exponent)), two52);
+    };
+    const auto uniform = [&](Words w_lo, Words w_hi) {
+      const __m256d top = to_double(_mm256_and_si256(w_hi, low));
+      const __m256d rest =
+          to_double(_mm256_srli_epi64(_mm256_and_si256(w_lo, low), 11));
+      return _mm256_add_pd(_mm256_mul_pd(top, _mm256_set1_pd(0x1.0p-32)),
+                           _mm256_mul_pd(rest, _mm256_set1_pd(0x1.0p-53)));
+    };
+    const __m256d d0 = uniform(c0, c1), d1 = uniform(c2, c3);
+    const __m256d even = _mm256_unpacklo_pd(d0, d1);  // [a0 b0 a2 b2]
+    const __m256d odd = _mm256_unpackhi_pd(d0, d1);   // [a1 b1 a3 b3]
+    const auto store = [](std::uint64_t* p, __m256d v) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
+                          _mm256_castpd_si256(v));
+    };
+    store(out, _mm256_permute2f128_pd(even, odd, 0x20));
+    store(out + 4, _mm256_permute2f128_pd(even, odd, 0x31));
   }
 };
 

@@ -1,8 +1,9 @@
 /// \file kernels_avx512.cpp
 /// \brief AVX-512 kernel set: 512-bit registers, four complex amplitudes
-/// per register. Compiled with -mavx512f -mavx512dq -ffp-contract=off
-/// (DQ supplies _mm512_xor_pd and _mm512_broadcast_f64x2); dispatched only
-/// when the CPU reports both avx512f and avx512dq.
+/// or eight Philox blocks per register. Compiled with -mavx512f -mavx512dq
+/// -ffp-contract=off (DQ supplies _mm512_xor_pd, _mm512_broadcast_f64x2 and
+/// _mm512_cvtepu64_pd); dispatched only when the CPU reports both avx512f
+/// and avx512dq.
 ///
 /// Same arithmetic-shape rules as the AVX2 set: no FMA, subtraction as
 /// multiply-by-sign-flipped coefficient, scalar summation order per lane,
@@ -105,6 +106,39 @@ struct Avx512Policy {
     const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
     store(p, _mm512_shuffle_f64x2(o0, o1, 0x44));      // [c0' c1' c2' c3']
     store(p + 4, _mm512_shuffle_f64x2(o0, o1, 0xEE));  // [c4' .. c7']
+  }
+
+  /// Philox lanes (kernels_impl.hpp `philox_doubles`): eight counter
+  /// blocks per step, one per 64-bit lane.
+  using Words = __m512i;
+  static constexpr unsigned kBlocks = 8;
+  static Words splat(std::uint64_t v) {
+    return _mm512_set1_epi64(static_cast<long long>(v));
+  }
+  static Words lane_index() { return _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0); }
+  static Words add64(Words a, Words b) { return _mm512_add_epi64(a, b); }
+  static Words mul32(Words a, Words b) { return _mm512_mul_epu32(a, b); }
+  static Words shr32(Words a) { return _mm512_srli_epi64(a, 32); }
+  static Words xor64(Words a, Words b) { return _mm512_xor_si512(a, b); }
+  /// Each block's two doubles, (w1:w0 >> 11)·2^-53 and (w3:w2 >> 11)·2^-53,
+  /// converted exactly (the values are below 2^53) and interleaved.
+  static void store_uniforms(std::uint64_t* out, Words c0, Words c1, Words c2,
+                             Words c3) {
+    const Words low = _mm512_set1_epi64(0xFFFFFFFF);
+    const __m512d scale = _mm512_set1_pd(0x1.0p-53);
+    const auto uniform = [&](Words w_lo, Words w_hi) {
+      const Words bits = _mm512_or_si512(_mm512_slli_epi64(w_hi, 32),
+                                         _mm512_and_si512(w_lo, low));
+      return _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(bits, 11)),
+                           scale);
+    };
+    const __m512d d0 = uniform(c0, c1), d1 = uniform(c2, c3);
+    const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    _mm512_storeu_si512(out, _mm512_castpd_si512(
+                                 _mm512_permutex2var_pd(d0, first, d1)));
+    _mm512_storeu_si512(out + 8, _mm512_castpd_si512(
+                                     _mm512_permutex2var_pd(d0, second, d1)));
   }
 };
 

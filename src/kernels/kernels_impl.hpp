@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "ptsbe/common/philox.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
 
 namespace ptsbe::kernels::detail {
@@ -520,7 +521,63 @@ void kraus_sweep(cplx* amp, std::uint64_t dim, const PreparedGate& g,
     sum_unit<P>(amp, dim, u, sums, step);
 }
 
-/// Bind every template instantiation for policy P into one KernelSet.
+// ---------------------------------------------------------------------------
+// Philox4x32-10 block fill
+// ---------------------------------------------------------------------------
+
+/// `KernelSet::philox_doubles` for a policy with 64-bit integer lanes
+/// (`Words`, `kBlocks` of them): block l of a step runs in lane l, each
+/// Philox word in the low 32 bits of its lane. Bits above are don't-care:
+/// `mul32` (vpmuludq) reads only the low half and `store_uniforms` masks.
+/// The round is `Philox4x32::bijection`'s, p0 = M0·c0, p1 = M1·c2, then
+/// (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)), so every lane
+/// equals the reference bit for bit. A step across the wrap of the
+/// counter's low 64 bits, and the blocks past the last whole step, take
+/// the reference fill.
+template <class P>
+void philox_doubles(Philox4x32::Key key, Philox4x32::Counter ctr,
+                    std::uint64_t blocks, std::uint64_t* out) {
+  using W = typename P::Words;
+  constexpr unsigned kRounds = 10;
+  W k0[kRounds], k1[kRounds];
+  for (unsigned r = 0; r < kRounds; ++r) {
+    k0[r] = P::splat(std::uint32_t{key[0] + r * Philox4x32::kWeyl0});
+    k1[r] = P::splat(std::uint32_t{key[1] + r * Philox4x32::kWeyl1});
+  }
+  const W m0 = P::splat(Philox4x32::kMul0), m1 = P::splat(Philox4x32::kMul1);
+  std::uint64_t lo = (std::uint64_t{ctr[1]} << 32) | ctr[0];
+  std::uint64_t hi = (std::uint64_t{ctr[3]} << 32) | ctr[2];
+  const auto counter = [&] {
+    return Philox4x32::Counter{
+        static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(lo >> 32),
+        static_cast<std::uint32_t>(hi), static_cast<std::uint32_t>(hi >> 32)};
+  };
+  for (std::uint64_t s = blocks / P::kBlocks; s > 0; --s) {
+    if (lo > ~std::uint64_t{0} - (P::kBlocks - 1)) {
+      Philox4x32::block_doubles(key, counter(), P::kBlocks, out);
+    } else {
+      // Lane l's counter is (hi, lo + l).
+      W c0 = P::add64(P::splat(lo), P::lane_index()), c2 = P::splat(hi);
+      W c1 = P::shr32(c0), c3 = P::shr32(c2);
+      for (unsigned r = 0; r < kRounds; ++r) {
+        const W p0 = P::mul32(c0, m0), p1 = P::mul32(c2, m1);
+        c0 = P::xor64(P::xor64(P::shr32(p1), c1), k0[r]);
+        c2 = P::xor64(P::xor64(P::shr32(p0), c3), k1[r]);
+        c1 = p1;
+        c3 = p0;
+      }
+      P::store_uniforms(out, c0, c1, c2, c3);
+    }
+    out += 2 * P::kBlocks;
+    lo += P::kBlocks;
+    if (lo < P::kBlocks) ++hi;
+  }
+  Philox4x32::block_doubles(key, counter(), blocks % P::kBlocks, out);
+}
+
+/// Bind every template instantiation for policy P into one KernelSet. A
+/// policy without integer lanes (the scalar reference) fills Philox blocks
+/// with `Philox4x32::block_doubles`.
 template <class P>
 KernelSet make_set(const char* name) {
   KernelSet ks;
@@ -533,6 +590,10 @@ KernelSet make_set(const char* name) {
   ks.perm2 = &perm2<P>;
   ks.ctrl1 = &ctrl1<P>;
   ks.kraus_sweep = &kraus_sweep<P>;
+  if constexpr (requires { typename P::Words; })
+    ks.philox_doubles = &philox_doubles<P>;
+  else
+    ks.philox_doubles = &Philox4x32::block_doubles;
   return ks;
 }
 

@@ -263,7 +263,7 @@ std::vector<std::uint64_t> StateVector::sample_shots(std::size_t count,
   // because the draws are exchangeable.
   std::vector<std::uint64_t> shots(count);
   if (count == 0) return shots;
-  draw_exponentials(rng, shots);
+  kernels::draw_exponentials(rng, shots);
   records_from_exponentials(shots, rng.exponential(), {});
   return shots;
 }

@@ -224,7 +224,7 @@ TEST(Dataset, BinaryRoundTrip) {
   opt.nshots = 25;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
   const auto result = be::execute(noisy, specs);
-  const std::string path = test::temp_file("dataset.bin");
+  const auto path = test::temp_file("dataset.bin");
   dataset::write_binary(path, result);
   const auto loaded = dataset::read_binary(path);
   ASSERT_EQ(loaded.batches.size(), result.batches.size());
@@ -234,14 +234,13 @@ TEST(Dataset, BinaryRoundTrip) {
     EXPECT_DOUBLE_EQ(loaded.batches[i].realized_probability,
                      result.batches[i].realized_probability);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Dataset, CsvContainsProvenance) {
   const NoisyCircuit noisy = noisy_ghz(2, 0.4);
   const auto specs = pts::enumerate_most_likely(noisy, 0.01, 5);
   const auto result = be::execute(noisy, specs);
-  const std::string path = test::temp_file("dataset.csv");
+  const auto path = test::temp_file("dataset.csv");
   dataset::write_csv(path, result);
   std::ifstream is(path);
   ASSERT_TRUE(is);
@@ -251,11 +250,10 @@ TEST(Dataset, CsvContainsProvenance) {
   std::size_t rows = 0;
   for (std::string line; std::getline(is, line);) ++rows;
   EXPECT_EQ(rows, result.total_shots());
-  std::remove(path.c_str());
 }
 
 TEST(Dataset, ReadRejectsGarbage) {
-  const std::string path = test::temp_file("garbage.bin");
+  const auto path = test::temp_file("garbage.bin");
   std::ofstream(path) << "not a dataset";
   EXPECT_THROW((void)dataset::read_binary(path), runtime_failure);
 
@@ -278,7 +276,6 @@ TEST(Dataset, ReadRejectsGarbage) {
   EXPECT_THROW((void)dataset::read_binary(path), invariant_error);
   write_v2(std::uint64_t{1} << 40, {});  // batch count over an empty body
   EXPECT_THROW((void)dataset::read_binary(path), invariant_error);
-  std::remove(path.c_str());
   EXPECT_THROW((void)dataset::read_binary("/nonexistent/nope.bin"),
                runtime_failure);
 }
@@ -311,7 +308,7 @@ TEST(BatchedExecution, InjectedPlanIsFingerprintChecked) {
 // reading them with the v2 layout would silently shear every field after
 // it. Same contract for versions newer than the reader.
 TEST(Dataset, ReadRejectsVersion1Header) {
-  const std::string path = test::temp_file("v1_header.bin");
+  const auto path = test::temp_file("v1_header.bin");
   const auto write_version = [&path](std::uint32_t version) {
     std::ofstream os(path, std::ios::binary);
     os.write("PTSB", 4);
@@ -355,7 +352,6 @@ TEST(Dataset, ReadRejectsVersion1Header) {
               std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -493,7 +489,7 @@ TEST(DatasetBlock, VersionTwoFilesReadAsBefore) {
     result.batches.push_back(block_batch(records));
     result.batches.back().spec_index = i;
   }
-  const std::string path = test::temp_file("v2_file.bin");
+  const auto path = test::temp_file("v2_file.bin");
   dataset::write_binary(path, result);
   {
     std::fstream fs(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -505,7 +501,6 @@ TEST(DatasetBlock, VersionTwoFilesReadAsBefore) {
   ASSERT_EQ(back.batches.size(), result.batches.size());
   for (std::size_t i = 0; i < back.batches.size(); ++i)
     EXPECT_EQ(back.batches[i].records, result.batches[i].records);
-  std::remove(path.c_str());
 }
 
 

@@ -1,15 +1,18 @@
-// Unit tests for ptsbe/common: Philox RNG, RngStream, the bulk inverse-CDF
-// sampler, bit utilities.
+// Unit tests for ptsbe/common: Philox RNG and every kernel set's Philox
+// block fill, RngStream, the bulk inverse-CDF sampler, bit utilities.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/common/bits.hpp"
@@ -17,6 +20,8 @@
 #include "ptsbe/common/philox.hpp"
 #include "ptsbe/common/rng.hpp"
 #include "ptsbe/common/version.hpp"
+#include "ptsbe/kernels/kernel_set.hpp"
+#include "on_worker.hpp"
 
 namespace ptsbe {
 namespace {
@@ -89,6 +94,53 @@ TEST(Philox, DiscardCarriesIntoTheSubsequenceWords) {
   for (int i = 0; i < 13; ++i) (void)sequential();
   seeked.discard(13);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(seeked(), sequential());
+}
+
+TEST(Philox, BlockFillMatchesNextDoubleOnEverySet) {
+  // Every compiled block fill, through `fill_doubles`, writes the bits of
+  // exactly the doubles that sequential `next_double()` calls return, and
+  // leaves the generator where they leave it. Starts: after 0–3 buffered
+  // 32-bit outputs, after a seek, and just below the 2^32 carry of counter
+  // word 0 and the 2^64 carry into the subsequence words (with word 2
+  // carrying into word 3), where a vector step crosses the wrap.
+  struct Start {
+    const char* name;
+    void (*position)(Philox4x32&);
+  };
+  const Start starts[] = {
+      {"fresh", [](Philox4x32&) {}},
+      {"1 output", [](Philox4x32& g) { (void)g(); }},
+      {"2 outputs", [](Philox4x32& g) { (void)g(), (void)g(); }},
+      {"3 outputs", [](Philox4x32& g) { (void)g(), (void)g(), (void)g(); }},
+      {"skip_doubles", [](Philox4x32& g) { g.discard(2 * 1001); }},
+      {"word 0 carry",
+       [](Philox4x32& g) { g.set_counter(0xFFFFFFFFull - 2, 9); }},
+      {"subsequence carry", [](Philox4x32& g) {
+         g.set_counter(~std::uint64_t{0} - 5, 0xFFFFFFFFull);
+       }}};
+  std::vector<std::pair<const char*, Philox4x32::BlockFill>> fills = {
+      {"reference", &Philox4x32::block_doubles}};
+  for (const kernels::KernelSet* ks : kernels::available_sets())
+    fills.emplace_back(ks->name, ks->philox_doubles);
+  for (const auto& [set, fill] : fills) {
+    for (const Start& start : starts) {
+      for (const std::size_t n :
+           {0u, 1u, 15u, 16u, 17u, (1u << 18) + 3}) {
+        Philox4x32 sequential(0x5eed, 3);
+        start.position(sequential);
+        Philox4x32 filled = sequential;
+        std::vector<std::uint64_t> expected(n), words(n);
+        for (std::uint64_t& e : expected)
+          e = std::bit_cast<std::uint64_t>(sequential.next_double());
+        filled.fill_doubles(words, fill);
+        ASSERT_EQ(words, expected)
+            << set << ", " << start.name << ", n " << n;
+        for (int i = 0; i < 9; ++i)
+          ASSERT_EQ(filled(), sequential())
+              << set << ", " << start.name << ", n " << n;
+      }
+    }
+  }
 }
 
 TEST(Philox, NextBelowIsUnbiasedEnough) {
@@ -183,14 +235,20 @@ TEST(RngStream, SkipDoublesMatchesSequentialDraws) {
 }
 
 TEST(InverseCdf, ChunkedDrawsMatchSortedUniformsReference) {
-  // Exponentials drawn in seeked chunks (out of order), then the in-place
-  // scan + division + bin walk, must reproduce the sequential reference:
-  // sorted_uniforms, one cumulative pass, per-shot extract_bits. The masses
-  // sum to just under 1, so the numeric tail lands on the last bin.
+  // Exponentials drawn in seeked chunks (out of order) through the active
+  // kernel set's fill, then the in-place scan + division + bin walk on a
+  // worker of a 4-worker executor, so the walk's ranges split, must
+  // reproduce the sequential reference: sorted_uniforms, one cumulative
+  // pass, per-shot extract_bits. Counts cover one walk range, one range
+  // + 1 and three ranges + 5. The masses sum to just under 1, so the
+  // numeric tail lands on the last bin, and the later ranges start there.
+  // The walk reads each bin's mass at most twice plus once per range.
   const std::array<double, 8> mass{0.25, 0.0, 0.125, 0.3, 0.0, 0.2, 0.1, 0.0};
   const std::array<unsigned, 2> measured = {2, 0};
   const RngStream master(2024);
-  for (const std::size_t count : {0u, 1u, 5u, 1001u}) {
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{1001},
+        kSampleChunk, kSampleChunk + 1, 3 * kSampleChunk + 5}) {
     RngStream ref_rng = master.substream(1);
     const std::vector<double> u = ref_rng.sorted_uniforms(count);
     std::vector<std::uint64_t> expected(count);
@@ -204,20 +262,33 @@ TEST(InverseCdf, ChunkedDrawsMatchSortedUniformsReference) {
     for (std::uint64_t& e : expected) e = extract_bits(e, measured);
 
     std::vector<std::uint64_t> words(count);
-    constexpr std::size_t kChunk = 100;
-    for (std::size_t first = (count / kChunk) * kChunk;; first -= kChunk) {
+    // Draw chunks whose edges fall inside the walk's ranges.
+    const std::size_t chunk = count > 5000 ? 100003 : 100;
+    for (std::size_t first = (count / chunk) * chunk;; first -= chunk) {
       RngStream rng = master.substream(1);
       rng.skip_doubles(first);
-      const std::size_t n = std::min(kChunk, count - first);
-      draw_exponentials(rng, std::span(words).subspan(first, n));
+      const std::size_t n = std::min(chunk, count - first);
+      kernels::draw_exponentials(rng, std::span(words).subspan(first, n));
       if (first == 0) break;
     }
     RngStream tail = master.substream(1);
     tail.skip_doubles(count);
-    exponentials_to_records(
-        words, tail.exponential(), mass.size(),
-        [&](std::uint64_t i) { return mass[i]; }, measured);
+    const double last = tail.exponential();
+    std::atomic<std::uint64_t> mass_reads{0};
+    (void)test::on_worker(4, [&] {
+      exponentials_to_records(
+          words, last, mass.size(),
+          [&](std::uint64_t i) {
+            mass_reads.fetch_add(1, std::memory_order_relaxed);
+            return mass[i];
+          },
+          measured);
+      return true;
+    });
+    const std::uint64_t ranges = (count + kSampleChunk - 1) / kSampleChunk;
     EXPECT_EQ(words, expected) << "count " << count;
+    EXPECT_LE(mass_reads.load(), 2 * mass.size() + ranges)
+        << "count " << count;
   }
 }
 

@@ -199,13 +199,12 @@ TEST(Integration, DatasetRoundTripAtScale) {
   exec.backend = "mps";
   exec.config.mps.max_bond = 32;
   const auto result = be::execute(noisy, specs, exec);
-  const std::string path = test::temp_file("integration_dataset.bin");
+  const auto path = test::temp_file("integration_dataset.bin");
   dataset::write_binary(path, result);
   const auto loaded = dataset::read_binary(path);
   EXPECT_EQ(loaded.total_shots(), result.total_shots());
   for (std::size_t i = 0; i < loaded.batches.size(); ++i)
     EXPECT_TRUE(loaded.batches[i].spec.same_assignment(result.batches[i].spec));
-  std::remove(path.c_str());
 }
 
 TEST(Integration, TrajectoryBaselineAgreesWithPtsbeOnMsd) {

@@ -285,14 +285,13 @@ measure 0
 }
 
 TEST(PtqParse, FileHelperAndMissingFile) {
-  const std::string path = test::temp_file("ptq_io_test.ptq");
+  const auto path = test::temp_file("ptq_io_test.ptq");
   {
     std::ofstream os(path);
     os << "ptq 1\nqubits 1\nh 0\nmeasure 0\n";
   }
   const NoisyCircuit noisy = io::parse_circuit_file(path);
   EXPECT_EQ(noisy.circuit().size(), 2u);
-  std::remove(path.c_str());
   EXPECT_THROW((void)io::parse_circuit_file("/nonexistent/nope.ptq"),
                runtime_failure);
 }

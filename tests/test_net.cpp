@@ -506,15 +506,13 @@ TEST(NetLoopback, DeterminismMatrixAcrossLanesAndShards) {
 
     // Dataset bytes, not just records: the full export path agrees even
     // after a TCP round trip.
-    const std::string path_a =
+    const auto path_a =
         test::temp_file("net_det_a_" + std::to_string(i) + ".bin");
-    const std::string path_b =
+    const auto path_b =
         test::temp_file("net_det_b_" + std::to_string(i) + ".bin");
     standalone.to_binary(path_a);
     remote.run.to_binary(path_b);
     EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
   }
   EXPECT_TRUE(lanes[0]);
   EXPECT_TRUE(lanes[1]);
@@ -557,13 +555,11 @@ TEST(NetLoopback, MultiMillionShotSpecFitsTheDefaultFrameCap) {
   EXPECT_GE(largest, std::size_t{1} << 21);
   EXPECT_GT(8 * largest, net::kDefaultMaxPayload);
 
-  const std::string path_a = test::temp_file("net_big_a.bin");
-  const std::string path_b = test::temp_file("net_big_b.bin");
+  const auto path_a = test::temp_file("net_big_a.bin");
+  const auto path_b = test::temp_file("net_big_b.bin");
   standalone.to_binary(path_a);
   remote.run.to_binary(path_b);
   EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
   server.stop();
 }
 

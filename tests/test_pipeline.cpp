@@ -182,14 +182,14 @@ TEST(Pipeline, ExportRoundTripsThroughDataset) {
                             .strategy("probabilistic", config)
                             .seed(kSeed)
                             .run();
-  const std::string path = test::temp_file("pipeline_export.bin");
+  const auto path = test::temp_file("pipeline_export.bin");
   run.to_binary(path);
   const be::Result loaded = dataset::read_binary(path);
   ASSERT_EQ(loaded.batches.size(), run.result.batches.size());
   for (std::size_t i = 0; i < loaded.batches.size(); ++i)
     EXPECT_EQ(loaded.batches[i].records, run.result.batches[i].records) << i;
 
-  const std::string csv = test::temp_file("pipeline_export.csv");
+  const auto csv = test::temp_file("pipeline_export.csv");
   run.to_csv(csv);  // existence/format is covered by the dataset suite
 }
 

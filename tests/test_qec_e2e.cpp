@@ -85,8 +85,8 @@ TEST(QecDeterminismMatrix, ThreadsScheduleFusionPinRecordsAndBytes) {
   const auto decoder =
       qec::make_shot_decoder("union-find", workload.experiment);
   const std::vector<std::size_t> thread_counts = matrix_thread_counts();
-  const std::string ref_path = test::temp_file("qec_matrix_ref.bin");
-  const std::string got_path = test::temp_file("qec_matrix_got.bin");
+  const auto ref_path = test::temp_file("qec_matrix_ref.bin");
+  const auto got_path = test::temp_file("qec_matrix_got.bin");
 
   pts::StrategyConfig cfg;
   cfg.nsamples = 200;
@@ -211,8 +211,8 @@ TEST(QecDeterminismMatrix, ServedJobsBitIdenticalToStandalone) {
     handles.push_back(engine.submit(std::move(req)));
   }
 
-  const std::string served_path = test::temp_file("qec_served.bin");
-  const std::string standalone_path = test::temp_file("qec_standalone.bin");
+  const auto served_path = test::temp_file("qec_served.bin");
+  const auto standalone_path = test::temp_file("qec_standalone.bin");
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     SCOPED_TRACE("job=" + std::to_string(i) + " schedule=" +

@@ -20,8 +20,8 @@
 
 #include "ptsbe/common/aligned.hpp"
 #include "ptsbe/common/bits.hpp"
+#include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/core/dataset.hpp"
-#include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/core/prefix_scheduler.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
@@ -203,8 +203,8 @@ TEST(SharedPrefixScheduler, StreamWriterBytesMatchIndependentSchedule) {
     for (const be::TrajectoryBatch& batch : batches) writer.append(batch);
     writer.close();
   };
-  const std::string independent_path = test::temp_file("sched_indep.bin");
-  const std::string shared_path = test::temp_file("sched_shared.bin");
+  const auto independent_path = test::temp_file("sched_indep.bin");
+  const auto shared_path = test::temp_file("sched_shared.bin");
   stream_to(be::Schedule::kIndependent, independent_path);
   stream_to(be::Schedule::kSharedPrefix, shared_path);
   const std::string independent_bytes = slurp(independent_path);
@@ -319,8 +319,8 @@ std::vector<std::size_t> matrix_thread_counts() {
 TEST(DeterminismMatrix, ThreadCountNeverChangesRecordsOrBytes) {
   const NoisyCircuit noisy = ghz_program(5, 0.03);
   const std::vector<std::size_t> thread_counts = matrix_thread_counts();
-  const std::string ref_path = test::temp_file("matrix_ref.bin");
-  const std::string got_path = test::temp_file("matrix_got.bin");
+  const auto ref_path = test::temp_file("matrix_ref.bin");
+  const auto got_path = test::temp_file("matrix_got.bin");
   for (const std::string& backend : BackendRegistry::instance().names()) {
     if (backend == "tensornet") continue;  // alias of "mps"
     for (const std::string& strategy :
@@ -404,8 +404,8 @@ void expect_split_preparation_ignores_threads(const NoisyCircuit& noisy) {
   opt.nsamples = 12;
   opt.nshots = 64;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
-  const std::string ref_path = test::temp_file("split_ref.bin");
-  const std::string got_path = test::temp_file("split_got.bin");
+  const auto ref_path = test::temp_file("split_ref.bin");
+  const auto got_path = test::temp_file("split_got.bin");
   for (const be::Schedule schedule :
        {be::Schedule::kIndependent, be::Schedule::kSharedPrefix}) {
     const be::Result reference =
@@ -658,8 +658,8 @@ void expect_matches_reference(
   std::vector<std::size_t> thread_counts = {1, 2};
   const std::size_t hw = std::max(std::thread::hardware_concurrency(), 1u);
   if (hw > 2) thread_counts.push_back(hw);
-  const std::string ref_path = test::temp_file("split_ref.bin");
-  const std::string got_path = test::temp_file("split_got.bin");
+  const auto ref_path = test::temp_file("split_ref.bin");
+  const auto got_path = test::temp_file("split_got.bin");
   for (const std::string& backend : backends) {
     be::Options options;
     options.backend = backend;
@@ -703,7 +703,7 @@ void expect_matches_reference(
 }
 
 TEST(SplitLeafSampling, RecordsMatchSequentialReferenceAtEveryThreadCount) {
-  const std::uint64_t chunk = be::kSampleChunk;
+  const std::uint64_t chunk = kSampleChunk;
   const auto spec = [](std::vector<BranchChoice> branches,
                        std::uint64_t shots) {
     TrajectorySpec s;

@@ -559,15 +559,13 @@ TEST(ServeDeterminism, MatrixMatchesStandalonePipeline) {
     expect_same_result(standalone, served);
 
     // Dataset bytes, not just records: the full export path agrees.
-    const std::string path_a =
+    const auto path_a =
         test::temp_file("serve_det_a_" + std::to_string(i) + ".bin");
-    const std::string path_b =
+    const auto path_b =
         test::temp_file("serve_det_b_" + std::to_string(i) + ".bin");
     standalone.to_binary(path_a);
     served.to_binary(path_b);
     EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
   }
 
   const serve::EngineStats stats = engine.stats();

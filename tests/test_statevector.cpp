@@ -16,10 +16,10 @@
 #include "ptsbe/circuit/circuit.hpp"
 #include "ptsbe/common/bits.hpp"
 #include "ptsbe/core/backend.hpp"
-#include "ptsbe/core/trajectory_executor.hpp"
 #include "ptsbe/densmat/density_matrix.hpp"
 #include "ptsbe/statevector/statevector.hpp"
 #include "ptsbe/tensornet/mps.hpp"
+#include "on_worker.hpp"
 
 namespace ptsbe {
 namespace {
@@ -282,17 +282,6 @@ TEST(StateVector, KrausRunEqualsOneSiteCalls) {
   EXPECT_NEAR(batched.norm2(), 1.0, 1e-12);
 }
 
-/// `fn()` computed as the only task of a `threads`-worker executor, whose
-/// idle workers take ranges of the reductions inside it.
-template <typename Fn>
-auto on_worker(std::size_t threads, const Fn& fn) {
-  decltype(fn()) out;
-  be::TrajectoryExecutor executor(threads);
-  executor.spawn([&](std::size_t) { out = fn(); });
-  executor.drain([](be::TrajectoryBatch&&) {});
-  return out;
-}
-
 TEST(StateVector, ReductionBitsIgnoreExecutorWorkers) {
   // 2^16 amplitudes: several 2^14-item blocks for norm2, and for
   // branch_probability's 1-qubit groups. Random rotations and a CX
@@ -317,11 +306,12 @@ TEST(StateVector, ReductionBitsIgnoreExecutorWorkers) {
       out.push_back(sv.branch_probability(pair, std::array{q, q + 1}));
     return out;
   };
-  const std::vector<double> serial = on_worker(1, reductions);
+  const std::vector<double> serial = test::on_worker(1, reductions);
   EXPECT_NEAR(serial[0], 1.0, 1e-12);
   // Exact equality: the same bits, not merely close values, whichever
   // workers summed which blocks, and off the executor too.
-  for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(serial, on_worker(4, reductions));
+  for (int rep = 0; rep < 4; ++rep)
+    EXPECT_EQ(serial, test::on_worker(4, reductions));
   EXPECT_EQ(serial, reductions());
 }
 
@@ -344,9 +334,10 @@ TEST(DensityMatrix, KrausBitsIgnoreExecutorWorkers) {
       }
     return bits;
   };
-  const std::vector<double> serial = on_worker(1, branch);
+  const std::vector<double> serial = test::on_worker(1, branch);
   EXPECT_GT(serial[0], 0.0);
-  for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(serial, on_worker(4, branch));
+  for (int rep = 0; rep < 4; ++rep)
+    EXPECT_EQ(serial, test::on_worker(4, branch));
   EXPECT_EQ(serial, branch());
 }
 

@@ -37,7 +37,7 @@
 namespace ptsbe {
 namespace {
 
-std::string temp_path(const std::string& name) {
+test::TempFile temp_path(const std::string& name) {
   return test::temp_file("stats_" + name + ".bin");
 }
 
@@ -107,7 +107,7 @@ std::string ghz_ptq(unsigned qubits) {
 // ---------------------------------------------------------------------------
 
 TEST(StatsReader, MatchesReadBinaryUnderBothByteSources) {
-  const std::string path = temp_path("roundtrip");
+  const auto path = temp_path("roundtrip");
   const be::Result original = make_result();
   dataset::write_binary(path, original);
   const be::Result bulk = dataset::read_binary(path);
@@ -129,22 +129,20 @@ TEST(StatsReader, MatchesReadBinaryUnderBothByteSources) {
     EXPECT_EQ(n, bulk.batches.size());
     EXPECT_FALSE(reader.next(batch));  // stays exhausted
   }
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, AutoModeFallsSomewhereValid) {
-  const std::string path = temp_path("auto");
+  const auto path = temp_path("auto");
   dataset::write_binary(path, make_result());
   dataset::Reader reader(path);
   be::TrajectoryBatch batch;
   std::size_t n = 0;
   while (reader.next(batch)) ++n;
   EXPECT_EQ(n, 4u);
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, SeekIsExactInBothDirections) {
-  const std::string path = temp_path("seek");
+  const auto path = temp_path("seek");
   const be::Result original = make_result();
   dataset::write_binary(path, original);
   dataset::Reader reader(path);
@@ -164,11 +162,10 @@ TEST(StatsReader, SeekIsExactInBothDirections) {
 
   EXPECT_THROW(reader.seek_batch(reader.num_batches() + 1),
                precondition_error);
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, RejectsForeignAndVersionedHeaders) {
-  const std::string path = temp_path("badheader");
+  const auto path = temp_path("badheader");
 
   spit(path, "not a dataset at all");
   EXPECT_THROW(dataset::Reader{path}, runtime_failure);
@@ -193,11 +190,10 @@ TEST(StatsReader, RejectsForeignAndVersionedHeaders) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("regenerate"), std::string::npos);
   }
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, HostileLengthFieldsFailBeforeAllocation) {
-  const std::string path = temp_path("hostile");
+  const auto path = temp_path("hostile");
   const auto v2_file = [](std::uint64_t count,
                           std::vector<std::uint64_t> body) {
     std::string bytes("PTSB", 4);
@@ -228,7 +224,6 @@ TEST(StatsReader, HostileLengthFieldsFailBeforeAllocation) {
       EXPECT_THROW(reader.seek_batch(1), invariant_error);
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, HostileRunBlocksFailBeforeAllocation) {
@@ -267,7 +262,7 @@ TEST(StatsReader, HostileRunBlocksFailBeforeAllocation) {
       {"sum above kMaxBlockRecords",
        block({kRuns | 3, 1, kMax / 2, 2, kMax / 2, 3, 1}), true},
   };
-  const std::string path = temp_path("hostile_runs");
+  const auto path = temp_path("hostile_runs");
   for (const Case& c : hostile) {
     SCOPED_TRACE(c.name);
     spit(path, v3_file(c.body));
@@ -295,11 +290,10 @@ TEST(StatsReader, HostileRunBlocksFailBeforeAllocation) {
       EXPECT_EQ(e.code(), net::errc::kProtocol);
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(StatsReader, TruncatedTailIsReportedNotSilentlyDropped) {
-  const std::string path = temp_path("truncated");
+  const auto path = temp_path("truncated");
   dataset::write_binary(path, make_result());
   const std::string bytes = slurp(path);
   spit(path, bytes.substr(0, bytes.size() - 3));  // mid-record cut
@@ -310,7 +304,6 @@ TEST(StatsReader, TruncatedTailIsReportedNotSilentlyDropped) {
     while (reader.next(batch)) {
     }
   }, invariant_error);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +311,7 @@ TEST(StatsReader, TruncatedTailIsReportedNotSilentlyDropped) {
 // ---------------------------------------------------------------------------
 
 TEST(StatsStreamWriter, AccessorsTrackAppends) {
-  const std::string path = temp_path("accessors");
+  const auto path = temp_path("accessors");
   const be::Result original = make_result();
   {
     dataset::StreamWriter writer(path);
@@ -333,13 +326,12 @@ TEST(StatsStreamWriter, AccessorsTrackAppends) {
     // After close the byte count is exactly the file size.
     EXPECT_EQ(writer.bytes_written(), slurp(path).size());
   }
-  std::remove(path.c_str());
 }
 
 TEST(StatsStreamWriter, NetBatchPayloadIsTheAppendedBlock) {
   // The wire and the disk share one block layout: a BATCH payload is
   // exactly the bytes StreamWriter appends for the same batch.
-  const std::string path = temp_path("wire_block");
+  const auto path = temp_path("wire_block");
   std::vector<be::TrajectoryBatch> batches = make_result().batches;
   // An unrealizable batch: no records, zero probabilities.
   batches.push_back(make_batch(4, {{3, 2}}, {}, 0.0));
@@ -361,15 +353,14 @@ TEST(StatsStreamWriter, NetBatchPayloadIsTheAppendedBlock) {
     begin = ends[i];
   }
   EXPECT_EQ(begin, file.size());
-  std::remove(path.c_str());
 }
 
 TEST(StatsStreamWriter, FlushedPrefixReadsAsCompleteDataset) {
   // Regression for the out-of-core contract: a file whose final chunk was
   // flushed but where later appends never reached a close (an aborted
   // streaming run) must read back as exactly the flushed prefix.
-  const std::string path = temp_path("flush_prefix");
-  const std::string crashed = temp_path("flush_prefix_crashed");
+  const auto path = temp_path("flush_prefix");
+  const auto crashed = temp_path("flush_prefix_crashed");
   const be::Result original = make_result();
 
   dataset::StreamWriter writer(path);
@@ -408,16 +399,13 @@ TEST(StatsStreamWriter, FlushedPrefixReadsAsCompleteDataset) {
 
   // The fully-closed file still reads in full.
   EXPECT_EQ(dataset::Reader(path).num_batches(), 4u);
-  std::remove(path.c_str());
-  std::remove(crashed.c_str());
 }
 
 TEST(StatsStreamWriter, FlushAfterCloseIsRejected) {
-  const std::string path = temp_path("flush_closed");
+  const auto path = temp_path("flush_closed");
   dataset::StreamWriter writer(path);
   writer.close();
   EXPECT_THROW(writer.flush(), precondition_error);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -492,14 +480,13 @@ TEST(StatsShotTable, DeserializeRejectsCorruptBytes) {
 }
 
 TEST(StatsShotTable, TableOfFileMatchesTableOfResult) {
-  const std::string path = temp_path("table_of_file");
+  const auto path = temp_path("table_of_file");
   const be::Result original = make_result();
   dataset::write_binary(path, original);
   const stats::ShotTable from_file = stats::table_of_file(path);
   const stats::ShotTable from_result = stats::table_of_result(original);
   EXPECT_EQ(from_file, from_result);
   EXPECT_EQ(from_file.total(), 12.0);
-  std::remove(path.c_str());
 }
 
 TEST(StatsShotTable, JsonTruncationIsDeterministic) {
@@ -590,15 +577,17 @@ TEST(StatsCompare, ObservedSupportOutsideExpectationIsInfinite) {
 
 TEST(StatsMerge, RoundRobinShardsMergeBackToOriginalBytes) {
   const be::Result original = make_result();
-  const std::string whole = temp_path("merge_whole");
+  const auto whole = temp_path("merge_whole");
   dataset::write_binary(whole, original);
 
   const std::size_t kShards = 3;
+  std::vector<test::TempFile> shards;
   std::vector<std::string> shard_paths;
   {
     std::vector<std::unique_ptr<dataset::StreamWriter>> writers;
     for (std::size_t s = 0; s < kShards; ++s) {
-      shard_paths.push_back(temp_path("merge_shard" + std::to_string(s)));
+      shards.push_back(temp_path("merge_shard" + std::to_string(s)));
+      shard_paths.push_back(shards.back());
       writers.push_back(
           std::make_unique<dataset::StreamWriter>(shard_paths.back()));
     }
@@ -607,7 +596,7 @@ TEST(StatsMerge, RoundRobinShardsMergeBackToOriginalBytes) {
     for (auto& w : writers) w->close();
   }
 
-  const std::string merged = temp_path("merge_out");
+  const auto merged = temp_path("merge_out");
   const stats::MergeReport report =
       stats::merge_datasets(merged, shard_paths);
   EXPECT_EQ(report.inputs, kShards);
@@ -618,27 +607,23 @@ TEST(StatsMerge, RoundRobinShardsMergeBackToOriginalBytes) {
   EXPECT_EQ(slurp(merged), slurp(whole));
 
   // Merging the merge with an empty shard is the identity.
-  const std::string empty_shard = temp_path("merge_empty");
+  const auto empty_shard = temp_path("merge_empty");
   dataset::StreamWriter(empty_shard).close();
-  const std::string merged2 = temp_path("merge_out2");
+  const auto merged2 = temp_path("merge_out2");
   (void)stats::merge_datasets(merged2, {merged, empty_shard});
   EXPECT_EQ(slurp(merged2), slurp(whole));
-
-  for (const std::string& p : shard_paths) std::remove(p.c_str());
-  for (const std::string& p : {whole, merged, empty_shard, merged2})
-    std::remove(p.c_str());
 }
 
 TEST(StatsMerge, BudgetSmallerThanHeadBatchesThrows) {
   const be::Result original = make_result();
-  const std::string a = temp_path("budget_a");
-  const std::string b = temp_path("budget_b");
+  const auto a = temp_path("budget_a");
+  const auto b = temp_path("budget_b");
   dataset::write_binary(a, original);
   dataset::write_binary(b, original);
 
   stats::MergeOptions opts;
   opts.memory_budget_bytes = 8;  // cannot hold even one head batch
-  const std::string out = temp_path("budget_out");
+  const auto out = temp_path("budget_out");
   EXPECT_THROW(stats::merge_datasets(out, {a, b}, opts), runtime_failure);
 
   // A feasible budget reports a peak within it.
@@ -648,15 +633,14 @@ TEST(StatsMerge, BudgetSmallerThanHeadBatchesThrows) {
   EXPECT_LE(report.peak_buffered_bytes, opts.memory_budget_bytes);
 
   EXPECT_THROW(stats::merge_datasets(out, {}), precondition_error);
-  for (const std::string& p : {a, b, out}) std::remove(p.c_str());
 }
 
 TEST(StatsMerge, BudgetCountsRunBlocksAtTheirDecodedSize) {
   // Each shard holds one batch of 100000 equal shots: one run, a block of
   // 64 bytes on disk, which decodes to 800 KB of records. Two such heads
   // overflow a 1 MiB budget however small their files are.
-  const std::string a = temp_path("runs_budget_a");
-  const std::string b = temp_path("runs_budget_b");
+  const auto a = temp_path("runs_budget_a");
+  const auto b = temp_path("runs_budget_b");
   for (std::size_t s = 0; s < 2; ++s) {
     be::Result shard;
     shard.batches.push_back(
@@ -667,7 +651,7 @@ TEST(StatsMerge, BudgetCountsRunBlocksAtTheirDecodedSize) {
 
   stats::MergeOptions opts;
   opts.memory_budget_bytes = 1 << 20;
-  const std::string out = temp_path("runs_budget_out");
+  const auto out = temp_path("runs_budget_out");
   EXPECT_THROW(stats::merge_datasets(out, {a, b}, opts), runtime_failure);
 
   // Room for both decoded heads: the peak is their decoded size.
@@ -676,7 +660,6 @@ TEST(StatsMerge, BudgetCountsRunBlocksAtTheirDecodedSize) {
   EXPECT_EQ(report.peak_buffered_bytes, 2 * (48 + 8 * 100000u));
   EXPECT_EQ(report.records, 200000u);
   EXPECT_EQ(report.bytes_out, dataset::kHeaderBytes + 2 * 64);
-  for (const std::string& p : {a, b, out}) std::remove(p.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -842,8 +825,8 @@ TEST(StatsNetLoopback, PerShardTableMergeEqualsSingleProcessTable) {
   const RunResult run_a = client_a.submit(req).run;
   const RunResult run_b = client_b.submit(req).run;
 
-  const std::string shard_even = temp_path("net_shard_even");
-  const std::string shard_odd = temp_path("net_shard_odd");
+  const auto shard_even = temp_path("net_shard_even");
+  const auto shard_odd = temp_path("net_shard_odd");
   {
     dataset::StreamWriter even(shard_even);
     dataset::StreamWriter odd(shard_odd);
@@ -866,7 +849,7 @@ TEST(StatsNetLoopback, PerShardTableMergeEqualsSingleProcessTable) {
                               .backend(req.backend, req.backend_config)
                               .seed(req.seed)
                               .run();
-  const std::string local_path = temp_path("net_local");
+  const auto local_path = temp_path("net_local");
   local.to_binary(local_path);
 
   // Property 1: per-shard table merge == single-process table, and the
@@ -880,13 +863,9 @@ TEST(StatsNetLoopback, PerShardTableMergeEqualsSingleProcessTable) {
 
   // Property 2: the out-of-core file merge reproduces the single-process
   // dataset bytes themselves.
-  const std::string merged_path = temp_path("net_merged");
+  const auto merged_path = temp_path("net_merged");
   (void)stats::merge_datasets(merged_path, {shard_even, shard_odd});
   EXPECT_EQ(slurp(merged_path), slurp(local_path));
-
-  for (const std::string& p :
-       {shard_even, shard_odd, local_path, merged_path})
-    std::remove(p.c_str());
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "ptsbe/common/inverse_cdf.hpp"
 #include "ptsbe/core/dataset.hpp"
-#include "ptsbe/core/leaf_sampler.hpp"
 #include "ptsbe/core/pts.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "temp_file.hpp"
@@ -49,7 +49,7 @@ std::vector<TrajectorySpec> sample_specs(const NoisyCircuit& noisy,
 /// remainder, so every leaf splits its draw across executor tasks.
 std::vector<TrajectorySpec> multi_chunk(std::vector<TrajectorySpec> specs) {
   for (std::size_t i = 0; i < specs.size(); ++i)
-    specs[i].shots = (1 + i % 3) * be::kSampleChunk + 2 * i + 1;
+    specs[i].shots = (1 + i % 3) * kSampleChunk + 2 * i + 1;
   return specs;
 }
 
@@ -231,10 +231,10 @@ TEST(StreamWriter, StreamedExportIsByteIdenticalToBulkWriter) {
   const NoisyCircuit noisy = ghz_program();
   const auto specs = sample_specs(noisy);
 
-  const std::string bulk_path = test::temp_file("stream_bulk.bin");
+  const auto bulk_path = test::temp_file("stream_bulk.bin");
   dataset::write_binary(bulk_path, be::execute(noisy, specs, {}));
 
-  const std::string stream_path = test::temp_file("stream_inc.bin");
+  const auto stream_path = test::temp_file("stream_inc.bin");
   {
     dataset::StreamWriter writer(stream_path);
     (void)be::execute_streaming(noisy, specs, {},
@@ -262,7 +262,7 @@ TEST(StreamWriter, MultiDeviceStreamedExportRoundTripsCompletely) {
   options.threads = 4;
   const be::Result reference = be::execute(noisy, specs, options);
 
-  const std::string path = test::temp_file("stream_multidev.bin");
+  const auto path = test::temp_file("stream_multidev.bin");
   {
     dataset::StreamWriter writer(path);
     (void)be::execute_streaming(noisy, specs, options,
@@ -300,8 +300,8 @@ TEST(StreamWriter, ZeroProbabilityBatchRoundTrips) {
   unrealizable.realized_probability = 0.0;  // no records by contract
   synthetic.batches = {realizable, unrealizable};
 
-  const std::string bulk_path = test::temp_file("stream_zero_bulk.bin");
-  const std::string stream_path = test::temp_file("stream_zero_inc.bin");
+  const auto bulk_path = test::temp_file("stream_zero_bulk.bin");
+  const auto stream_path = test::temp_file("stream_zero_inc.bin");
   dataset::write_binary(bulk_path, synthetic);
   {
     dataset::StreamWriter writer(stream_path);
@@ -321,7 +321,7 @@ TEST(StreamWriter, ZeroProbabilityBatchRoundTrips) {
 // smaller-but-complete corpus: the destructor skips header patching during
 // unwinding, so the partial file reads back as empty/incomplete.
 TEST(StreamWriter, AbortedRunLeavesFileMarkedIncomplete) {
-  const std::string path = test::temp_file("stream_aborted.bin");
+  const auto path = test::temp_file("stream_aborted.bin");
   be::TrajectoryBatch batch;
   batch.spec.shots = 2;
   batch.spec.nominal_probability = 1.0;
@@ -337,7 +337,7 @@ TEST(StreamWriter, AbortedRunLeavesFileMarkedIncomplete) {
 }
 
 TEST(StreamWriter, AppendAfterCloseThrows) {
-  const std::string path = test::temp_file("stream_closed.bin");
+  const auto path = test::temp_file("stream_closed.bin");
   dataset::StreamWriter writer(path);
   writer.close();
   writer.close();  // idempotent
