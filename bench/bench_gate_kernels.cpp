@@ -2,8 +2,10 @@
 //
 // Part 1 sweeps every compiled-and-supported kernel set (scalar, AVX2,
 // AVX-512) over the gate classes the classifier routes — dense 1q at low /
-// mid / high qubit positions (the three stride regimes), dense 2q, diagonal,
-// permutation and controlled — and reports amplitudes touched per second.
+// mid / high qubit positions (the three stride regimes), dense 2q and
+// controlled on low qubits (whose strides are below the register width)
+// and higher ones, diagonal and permutation — and reports amplitudes
+// touched per second.
 // Its general-Kraus rows time an amplitude-damping no-decay site both
 // ways: the fused `kraus_sweep` (prescale, K and block sums in one pass)
 // and the three sweeps it replaces (K, the block sums of |a|², the
@@ -237,10 +239,18 @@ int main(int argc, char** argv) {
   run_kernel_case("dense1q/mid", u1, {n / 2}, n, reps);
   run_kernel_case("dense1q/high", u1, {n - 1}, n, reps);
   run_kernel_case("dense2q", u2, {n / 2, n / 2 + 1}, n, reps);
+  // Low qubits: a stride below the register width gathers its groups
+  // with lane shuffles; (2,3) is the first pair whose strides fill a
+  // register on every set.
+  run_kernel_case("dense2q/low(0,1)", u2, {0, 1}, n, reps);
+  run_kernel_case("dense2q/low(1,3)", u2, {1, 3}, n, reps);
+  run_kernel_case("dense2q(2,3)", u2, {2, 3}, n, reps);
   run_kernel_case("diag1q(S)", gates::S(), {n / 2}, n, reps * 2);
   run_kernel_case("diag2q(CZ)", gates::CZ(), {1, n - 1}, n, reps * 2);
   run_kernel_case("perm1q(X)", gates::X(), {n / 2}, n, reps * 2);
   run_kernel_case("ctrl1q(CX)", gates::CX(), {0, n - 1}, n, reps * 2);
+  run_kernel_case("ctrl1q/low(CX 1,0)", gates::CX(), {1, 0}, n, reps * 2);
+  run_kernel_case("ctrl1q(CX 3,2)", gates::CX(), {3, 2}, n, reps * 2);
   // Amplitude damping's no-decay branch: a diagonal K, and nearly every
   // readout site.
   run_kraus_case("kraus(AD no-decay)",

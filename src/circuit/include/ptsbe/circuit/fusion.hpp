@@ -18,11 +18,15 @@
 ///
 /// Fusion must never move work across a point where something *observes or
 /// perturbs* the state mid-circuit: measurement operations, and — in the
-/// noisy-program setting — noise sites. Callers mark those boundaries via
-/// the `barrier_after` predicate; `build_exec_plan` (ptsbe/core/exec_plan.hpp)
-/// derives the predicate from a NoisyCircuit's sites so fused preparation is
-/// mathematically equivalent to the unfused sweep, trajectory by trajectory
-/// (bitwise only up to floating-point reassociation of the gate products).
+/// noisy-program setting — noise sites where a trajectory takes a branch
+/// other than the identity. Callers mark those boundaries via the
+/// `barrier_after` predicate or by fusing each run between them on its
+/// own; `build_exec_plan` (ptsbe/core/exec_plan.hpp) fuses the gates
+/// between sites, and beside them windows across sites whose default
+/// branch is the identity, which a trajectory runs only where it takes
+/// each of those branches. So fused preparation is mathematically
+/// equivalent to the unfused sweep, trajectory by trajectory (bitwise only
+/// up to floating-point reassociation of the gate products).
 
 #include <cstddef>
 #include <functional>

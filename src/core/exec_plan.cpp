@@ -1,5 +1,6 @@
 #include "ptsbe/core/exec_plan.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "ptsbe/circuit/fusion.hpp"
@@ -27,7 +28,8 @@ void emit_segment(ExecPlan& plan, std::vector<Operation>& segment,
 void emit_sites(ExecPlan& plan, std::vector<Operation>& segment,
                 bool fuse_gates, const std::vector<std::size_t>& site_ids) {
   if (site_ids.empty()) return;
-  emit_segment(plan, segment, fuse_gates);  // sites are fusion barriers
+  // The step list fuses no gate across a site; windows do (see below).
+  emit_segment(plan, segment, fuse_gates);
   for (std::size_t id : site_ids) {
     PlanStep step;
     step.is_gate = false;
@@ -36,11 +38,27 @@ void emit_sites(ExecPlan& plan, std::vector<Operation>& segment,
   }
 }
 
+/// Can a window span `site`: a unitary mixture whose default branch's
+/// unitary is the identity, up to the rounding of K/√p (an identity
+/// branch of weight 1 − p can come out at 1 − 2^-53)?
+bool default_is_identity(const NoiseSite& site) {
+  const KrausChannel& ch = *site.channel;
+  if (!ch.is_unitary_mixture()) return false;
+  const Matrix& u = ch.unitary(ch.default_branch());
+  for (std::size_t r = 0; r < u.rows(); ++r)
+    for (std::size_t c = 0; c < u.cols(); ++c)
+      if (std::abs(u(r, c) - cplx{r == c ? 1.0 : 0.0, 0.0}) > 1e-12)
+        return false;
+  return true;
+}
+
 }  // namespace
 
 ExecPlan build_exec_plan(const NoisyCircuit& noisy, bool fuse_gates) {
   ExecPlan plan;
   std::vector<Operation> segment;
+  // cut[s]: a measurement lies just before step s, so no run crosses it.
+  std::vector<bool> cut;
   emit_sites(plan, segment, fuse_gates,
              noisy.sites_after(NoiseSite::kBeforeCircuit));
   const auto& ops = noisy.circuit().ops();
@@ -53,35 +71,69 @@ ExecPlan build_exec_plan(const NoisyCircuit& noisy, bool fuse_gates) {
       // records at the measure step must see the pre-measurement segment
       // applied as written.
       emit_segment(plan, segment, fuse_gates);
+      cut.resize(plan.steps.size() + 1, false);
+      cut.back() = true;
     }
     emit_sites(plan, segment, fuse_gates, noisy.sites_after(i));
   }
   emit_segment(plan, segment, fuse_gates);
-  for (const PlanStep& step : plan.steps)
-    step.is_gate ? ++plan.gate_count : ++plan.site_count;
+  const std::size_t n = plan.steps.size();
+  cut.resize(n + 1, false);
+  for (PlanStep& step : plan.steps) {
+    if (!step.is_gate)
+      ++plan.site_count;
+    else if (step.qubits.size() <= 2)
+      step.prepared = kernels::prepare_gate(step.matrix, step.qubits);
+  }
 
-  // Pre-classify barrier-free 1-/2-qubit gate stretches into PreparedRuns:
-  // the per-gate classification and matrix flattening happen once here,
-  // then every trajectory walk appends whole runs to the gate span it
-  // hands the batched kernel entry point. A gate wider than 2 qubits
-  // breaks the run (it takes the general k-qubit path), as does any site
-  // step.
-  plan.run_at_step.assign(plan.steps.size(), ExecPlan::npos);
-  std::size_t s = 0;
-  while (s < plan.steps.size()) {
+  // Runs: the classification and matrix flattening happen once here, then
+  // every trajectory walk appends whole runs to the gate span it hands the
+  // batched kernel entry point. A run is a stretch of 1-/2-qubit gate steps
+  // and, under fusion, of sites a window can span; everything else — a
+  // wider gate, any other site, a measurement — ends it. Under fusion a
+  // stretch is cut into windows of about kWindowGates gates, each closed
+  // just before a gate that follows a site, so the segments the step list
+  // fused stay whole.
+  const auto joins = [&](std::size_t s) {
     const PlanStep& step = plan.steps[s];
-    if (!step.is_gate || step.qubits.size() > 2) {
+    if (step.is_gate) return step.qubits.size() <= 2;
+    return fuse_gates && default_is_identity(noisy.sites()[step.site]);
+  };
+  plan.run_at_step.assign(n, ExecPlan::npos);
+  std::size_t s = 0;
+  while (s < n) {
+    if (!joins(s)) {
+      if (plan.steps[s].is_gate) ++plan.gate_count;
       ++s;
       continue;
     }
     ExecPlan::PreparedRun run;
     run.first_step = s;
-    while (s < plan.steps.size() && plan.steps[s].is_gate &&
-           plan.steps[s].qubits.size() <= 2) {
-      run.gates.push_back(
-          kernels::prepare_gate(plan.steps[s].matrix, plan.steps[s].qubits));
+    do {
+      const PlanStep& step = plan.steps[s];
+      if (!step.is_gate) {
+        run.sites.push_back(step.site);
+      } else if (run.gates.size() >= ExecPlan::kWindowGates &&
+                 !plan.steps[s - 1].is_gate) {
+        break;
+      } else {
+        run.gates.push_back(step.prepared);
+      }
       ++s;
+    } while (s < n && joins(s) && !cut[s]);
+    run.end_step = s;
+    if (run.gates.empty()) continue;  // sites only: walked step by step
+    if (!run.sites.empty()) {
+      std::vector<Operation> window;
+      for (std::size_t t = run.first_step; t < run.end_step; ++t)
+        if (plan.steps[t].is_gate)
+          window.push_back(Operation{OpKind::kGate, "", plan.steps[t].qubits,
+                                     {}, plan.steps[t].matrix});
+      run.gates.clear();
+      for (const Operation& op : fuse_gate_run(window))
+        run.gates.push_back(kernels::prepare_gate(op.matrix, op.qubits));
     }
+    plan.gate_count += run.gates.size();
     plan.run_at_step[run.first_step] = plan.prepared_runs.size();
     plan.prepared_runs.push_back(std::move(run));
   }

@@ -43,10 +43,13 @@ namespace ptsbe {
 struct BackendConfig {
   /// MPS truncation policy ("mps" backend only).
   MpsConfig mps;
-  /// Run the gate-fusion pass over every barrier-free segment of the
-  /// preparation sweep (amplitude backends). Fusion never crosses a noise
-  /// site or measurement, so fused preparation is equivalent to the unfused
-  /// sweep up to floating-point reassociation of the gate products.
+  /// Run the gate-fusion pass over the preparation sweep (amplitude
+  /// backends): over every gate segment between sites and measurements,
+  /// and over windows that span noise sites whose default branch is the
+  /// identity, which a spec runs fused where it takes each of those
+  /// branches (ptsbe/core/exec_plan.hpp). Fused preparation is equivalent
+  /// to the unfused sweep, trajectory by trajectory, up to floating-point
+  /// reassociation of the gate products.
   bool fuse_gates = false;
 };
 

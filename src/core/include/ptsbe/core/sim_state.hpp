@@ -57,7 +57,8 @@ class SimState {
   /// True when this state consumes classified `kernels::PreparedGate` runs
   /// directly (the amplitude representations). The plan walk uses this to
   /// swap per-step `apply_gate` calls for one `apply_prepared_run` per
-  /// straight-line stretch: the gates between two forks, together with the
+  /// straight-line stretch: the gates between two forks (a fused window's
+  /// gates where the range takes its default branches), together with the
   /// chosen unitaries of the unitary-mixture sites among them, up to the
   /// next general-Kraus site or gate wider than two qubits.
   [[nodiscard]] virtual bool supports_prepared_runs() const { return false; }

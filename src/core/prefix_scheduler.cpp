@@ -44,12 +44,21 @@ void spawn_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
 /// than recursing.
 ///
 /// On a state with prepared runs, the walk defers its gates: each prepared
-/// run, and the chosen unitary of each unitary-mixture site on at most two
-/// qubits, is appended to `span`, which goes to the kernels as one call
-/// (and so one cache-blocked pass) only where the state must be current —
-/// before a fork's first snapshot, a general-Kraus site, a gate no run
-/// covers, and the leaf sampler. The gate sequence is the same as applying
-/// each one at its step.
+/// run's gates, each gate step's prepared gate, and the chosen unitary of
+/// each unitary-mixture site on at most two qubits, are appended to `span`,
+/// which goes to the kernels as one call (and so one cache-blocked pass)
+/// only where the state must be current — before a fork's first snapshot,
+/// a general-Kraus site, a gate wider than two qubits, and the leaf
+/// sampler. The gate sequence is the same as applying each one at its step.
+///
+/// At a run's first step the range splits by the run's sites: its leading
+/// specs that all take the default branch at every one of them, or all do
+/// not, stay here, and the rest re-enter at this step in a subtree of their
+/// own, where the same split applies. An all-default range appends the
+/// run's gates — a window's fused gates — and multiplies each site's
+/// nominal probability into `realized` in site order, as the steps would;
+/// any other range walks the run's steps one by one. So which gates a spec
+/// runs depends only on its own branches, on both schedules.
 ///
 /// A general-Kraus site and each general-Kraus site step right after it on
 /// which the range agrees go to the state in one `apply_kraus_branches`
@@ -61,7 +70,9 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
   if (walk->executor.cancelled()) return;
   WallTimer timer;
   const bool batched = state->supports_prepared_runs();
-  const std::vector<PlanStep>& steps = walk->plan.steps;
+  const ExecPlan& plan = walk->plan;
+  const std::vector<PlanStep>& steps = plan.steps;
+  const std::vector<NoiseSite>& sites = walk->noisy.sites();
   std::vector<kernels::PreparedGate> span;
   std::vector<KrausBranch> kraus;
   std::vector<double> probs;
@@ -69,12 +80,21 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
   const auto agreed_kraus = [&](std::size_t at) -> std::optional<KrausBranch> {
     if (at >= steps.size() || steps[at].is_gate) return std::nullopt;
     const std::size_t id = steps[at].site;
-    const NoiseSite& site = walk->noisy.sites()[id];
+    const NoiseSite& site = sites[id];
     const std::size_t branch = walk->rows[first][id];
     if (site.channel->is_unitary_mixture()) return std::nullopt;
     for (std::size_t i = first + 1; i < last; ++i)
       if (walk->rows[i][id] != branch) return std::nullopt;
     return KrausBranch{&site.channel->kraus(branch), site.qubits};
+  };
+  // Does the spec at position i take the default branch at every site of
+  // `run`?
+  const auto takes_defaults = [&](const ExecPlan::PreparedRun& run,
+                                  std::size_t i) {
+    for (const std::size_t id : run.sites)
+      if (walk->rows[i][id] != sites[id].channel->default_branch())
+        return false;
+    return true;
   };
   // Bring the state up to date; false when the walk was cancelled instead,
   // so a cancelled walk never starts a long span.
@@ -90,23 +110,44 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
     walk->leaves.accum(worker).prepare_seconds += timer.seconds();
   };
   std::size_t s = step;
+  // Steps before this one are walked one by one: the range left the
+  // all-default path of the run they belong to.
+  std::size_t stepwise_until = 0;
   while (s < steps.size()) {
+    const std::size_t r = batched && s >= stepwise_until
+                              ? plan.run_starting_at(s)
+                              : ExecPlan::npos;
+    if (r != ExecPlan::npos) {
+      const ExecPlan::PreparedRun& run = plan.prepared_runs[r];
+      const bool all_default = takes_defaults(run, first);
+      std::size_t end = first + 1;
+      while (end < last && takes_defaults(run, end) == all_default) ++end;
+      if (end < last) {
+        if (!flush()) return stop();
+        spawn_subtree(walk, worker, state->clone(), realized, s, end, last);
+        last = end;
+      }
+      if (all_default) {
+        span.insert(span.end(), run.gates.begin(), run.gates.end());
+        for (const std::size_t id : run.sites) {
+          const KrausChannel& ch = *sites[id].channel;
+          realized *= ch.nominal_probabilities()[ch.default_branch()];
+        }
+        s = run.end_step;
+      } else {
+        stepwise_until = run.end_step;
+      }
+      continue;
+    }
     const PlanStep& plan_step = steps[s];
     if (plan_step.is_gate) {
-      // Subtrees enter the plan at step 0 or just after a site step, which
-      // is exactly where prepared runs begin.
-      const std::size_t run =
-          batched ? walk->plan.run_starting_at(s) : ExecPlan::npos;
-      if (run != ExecPlan::npos) {
-        const std::vector<kernels::PreparedGate>& gates =
-            walk->plan.prepared_runs[run].gates;
-        span.insert(span.end(), gates.begin(), gates.end());
-        s += gates.size();
+      if (batched && plan_step.qubits.size() <= 2) {
+        span.push_back(plan_step.prepared);
       } else {
         if (!flush()) return stop();
         state->apply_gate(plan_step.matrix, plan_step.qubits);
-        ++s;
       }
+      ++s;
       continue;
     }
     if (walk->executor.cancelled()) return stop();
@@ -123,7 +164,7 @@ void run_subtree(const WalkPtr& walk, std::size_t worker, SimStatePtr state,
       spawn_subtree(walk, worker, state->clone(), realized, s, first, end);
       first = end;
     }
-    const NoiseSite& site = walk->noisy.sites()[site_id];
+    const NoiseSite& site = sites[site_id];
     const KrausChannel& ch = *site.channel;
     const std::size_t branch = walk->rows[first][site_id];
     if (ch.is_unitary_mixture()) {

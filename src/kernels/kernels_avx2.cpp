@@ -63,19 +63,21 @@ struct Avx2Policy {
     acc = add(acc, _mm256_permute2f128_pd(n01, n23, 0x20));
     acc = add(acc, _mm256_permute2f128_pd(n01, n23, 0x31));
   }
-  /// Dense 2x2 on qubit 0: deinterleave four consecutive amplitudes into
-  /// (even, odd) group registers, run the exact dense math, re-interleave.
-  /// Value-identical to the scalar loop — only the lane packing differs.
-  static void apply1_stride1(cplx* p, const Coef* mc) {
-    const Reg a = load(p);      // [c0 | c1]
-    const Reg b = load(p + 2);  // [c2 | c3]
-    const Reg v0 = _mm256_permute2f128_pd(a, b, 0x20);  // [c0 | c2]
-    const Reg v1 = _mm256_permute2f128_pd(a, b, 0x31);  // [c1 | c3]
-    const Reg v0s = swapri(v0), v1s = swapri(v1);
-    const Reg o0 = add(mulc(mc[0], v0, v0s), mulc(mc[1], v1, v1s));
-    const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
-    store(p, _mm256_permute2f128_pd(o0, o1, 0x20));
-    store(p + 2, _mm256_permute2f128_pd(o0, o1, 0x31));
+  /// Lane gathers for qubit 0, whose stride is below the register width
+  /// (kernels_impl.hpp `with_gather`): `deinterleave<1>` splits four
+  /// consecutive amplitudes, a then b, into the even (v0) and odd (v1)
+  /// ones, each in index order; `interleave<1>` puts them back.
+  template <unsigned S>
+  static void deinterleave(Reg a, Reg b, Reg& v0, Reg& v1) {
+    static_assert(S == 1);
+    v0 = _mm256_permute2f128_pd(a, b, 0x20);  // [a0 b0]
+    v1 = _mm256_permute2f128_pd(a, b, 0x31);  // [a1 b1]
+  }
+  template <unsigned S>
+  static void interleave(Reg v0, Reg v1, Reg& a, Reg& b) {
+    static_assert(S == 1);
+    a = _mm256_permute2f128_pd(v0, v1, 0x20);  // [v0.0 v1.0]
+    b = _mm256_permute2f128_pd(v0, v1, 0x31);  // [v0.1 v1.1]
   }
 
   /// Philox lanes (kernels_impl.hpp `philox_doubles`): four counter blocks

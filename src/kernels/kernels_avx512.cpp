@@ -75,37 +75,38 @@ struct Avx512Policy {
     acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(k23));
     acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(k23, 1));
   }
-  /// Dense 2x2 on qubit 0 over eight consecutive amplitudes: gather the
-  /// even/odd amplitudes of four (v0, v1) pairs into two registers with
-  /// permutex2var, run the dense math, scatter back.
-  static void apply1_stride1(cplx* p, const Coef* mc) {
-    const Reg a = load(p);      // [c0 c1 c2 c3]
-    const Reg b = load(p + 4);  // [c4 c5 c6 c7]
-    const __m512i even = _mm512_set_epi64(13, 12, 9, 8, 5, 4, 1, 0);
-    const __m512i odd = _mm512_set_epi64(15, 14, 11, 10, 7, 6, 3, 2);
-    const Reg v0 = _mm512_permutex2var_pd(a, even, b);  // [c0 c2 c4 c6]
-    const Reg v1 = _mm512_permutex2var_pd(a, odd, b);   // [c1 c3 c5 c7]
-    const Reg v0s = swapri(v0), v1s = swapri(v1);
-    const Reg o0 = add(mulc(mc[0], v0, v0s), mulc(mc[1], v1, v1s));
-    const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
-    const __m512i lo = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
-    const __m512i hi = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
-    store(p, _mm512_permutex2var_pd(o0, lo, o1));      // [c0' c1' c2' c3']
-    store(p + 4, _mm512_permutex2var_pd(o0, hi, o1));  // [c4' .. c7']
+  /// Lane gathers for a qubit whose stride S (1 or 2) is below the
+  /// register width (kernels_impl.hpp `with_gather`): `deinterleave<S>`
+  /// splits eight consecutive amplitudes, a then b, into the four whose
+  /// stride-S bit is clear (v0) and the four where it is set (v1), each in
+  /// index order; `interleave<S>` puts them back. Stride 1 takes
+  /// permutex2var; stride-2 partners are whole 128-bit lanes apart, so one
+  /// lane shuffle per register does it.
+  template <unsigned S>
+  static void deinterleave(Reg a, Reg b, Reg& v0, Reg& v1) {
+    static_assert(S == 1 || S == 2);
+    if constexpr (S == 1) {
+      const __m512i even = _mm512_set_epi64(13, 12, 9, 8, 5, 4, 1, 0);
+      const __m512i odd = _mm512_set_epi64(15, 14, 11, 10, 7, 6, 3, 2);
+      v0 = _mm512_permutex2var_pd(a, even, b);  // [a0 a2 b0 b2]
+      v1 = _mm512_permutex2var_pd(a, odd, b);   // [a1 a3 b1 b3]
+    } else {
+      v0 = _mm512_shuffle_f64x2(a, b, 0x44);  // [a0 a1 b0 b1]
+      v1 = _mm512_shuffle_f64x2(a, b, 0xEE);  // [a2 a3 b2 b3]
+    }
   }
-  /// Dense 2x2 on qubit 1 over eight consecutive amplitudes: the bit-1
-  /// partners are whole 128-bit lanes apart, so one lane shuffle per
-  /// register gathers them, and the same two shuffles scatter back.
-  static void apply1_stride2(cplx* p, const Coef* mc) {
-    const Reg a = load(p);                           // [c0 c1 c2 c3]
-    const Reg b = load(p + 4);                       // [c4 c5 c6 c7]
-    const Reg v0 = _mm512_shuffle_f64x2(a, b, 0x44);  // [c0 c1 c4 c5]
-    const Reg v1 = _mm512_shuffle_f64x2(a, b, 0xEE);  // [c2 c3 c6 c7]
-    const Reg v0s = swapri(v0), v1s = swapri(v1);
-    const Reg o0 = add(mulc(mc[0], v0, v0s), mulc(mc[1], v1, v1s));
-    const Reg o1 = add(mulc(mc[2], v0, v0s), mulc(mc[3], v1, v1s));
-    store(p, _mm512_shuffle_f64x2(o0, o1, 0x44));      // [c0' c1' c2' c3']
-    store(p + 4, _mm512_shuffle_f64x2(o0, o1, 0xEE));  // [c4' .. c7']
+  template <unsigned S>
+  static void interleave(Reg v0, Reg v1, Reg& a, Reg& b) {
+    static_assert(S == 1 || S == 2);
+    if constexpr (S == 1) {
+      const __m512i lo = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+      const __m512i hi = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+      a = _mm512_permutex2var_pd(v0, lo, v1);  // [v0.0 v1.0 v0.1 v1.1]
+      b = _mm512_permutex2var_pd(v0, hi, v1);  // [v0.2 v1.2 v0.3 v1.3]
+    } else {
+      a = _mm512_shuffle_f64x2(v0, v1, 0x44);  // [v0.0 v0.1 v1.0 v1.1]
+      b = _mm512_shuffle_f64x2(v0, v1, 0xEE);  // [v0.2 v0.3 v1.2 v1.3]
+    }
   }
 
   /// Philox lanes (kernels_impl.hpp `philox_doubles`): eight counter

@@ -25,9 +25,12 @@
 /// left-associated in every path. With `-ffp-contract=off` on all kernel
 /// TUs, every kernel set therefore produces bit-identical amplitudes; the
 /// SIMD sets only vectorise *across* amplitude groups. A stride narrower
-/// than the vector either takes a packed policy variant with the same
-/// per-lane arithmetic (dense 2x2 on qubit 0, and on qubit 1 for AVX-512)
-/// or calls the scalar set, so narrow states stay bit-identical too.
+/// than the vector gathers kWidth groups into registers with the policy's
+/// lane shuffles (`with_gather`: qubit 0, and qubit 1 for AVX-512) and runs
+/// the wide path's per-lane arithmetic on them — the dense 2x2, and the
+/// dense 4x4, controlled and permutation kernels whose low qubit is sub-width
+/// (`quad_sweep`) — or calls the scalar set, so narrow states stay
+/// bit-identical too.
 ///
 /// Loop structure: every kernel runs the slice [first, last) of its group
 /// index space (kernel_set.hpp) as rows of contiguous columns — a 1-qubit
@@ -41,6 +44,8 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "ptsbe/common/philox.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
@@ -82,6 +87,113 @@ struct Row2 {
   }
   std::uint64_t index, mid_mask, base, step, wrap;
 };
+
+/// Call `f(std::integral_constant<unsigned, S>{})` with the policy's lane
+/// gather for a qubit of stride S = `stride` below the register width —
+/// `P::deinterleave<S>` and `P::interleave<S>` (kernels_avx*.cpp) — and
+/// return true, or return false when the policy has none for it.
+template <class P, class F>
+bool with_gather(std::uint64_t stride, const F& f) {
+  if constexpr (P::kWidth >= 2) {
+    if (stride == 1) {
+      f(std::integral_constant<unsigned, 1>{});
+      return true;
+    }
+  }
+  if constexpr (P::kWidth >= 4) {
+    if (stride == 2) {
+      f(std::integral_constant<unsigned, 2>{});
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A two-qubit sweep whose low qubit's stride is below the register width,
+/// with the policy's lane gathers: each step gathers kWidth groups into
+/// v[c], c = bit qa | bit qb << 1 of the amplitudes in each lane, calls
+/// `body(v)`, which overwrites v, and scatters v back — so a kernel runs
+/// its wide path's per-lane arithmetic on the same values. A step covers
+/// 4·kWidth amplitudes: two register pairs across the high qubit's bit,
+/// each pair split on the low qubit's bit, and when the high stride is
+/// below the register width too (AVX-512 on qubits 0 and 1), each pair
+/// split on it first. Returns false, having done nothing, when the policy
+/// has no gather for the low stride or the state holds fewer than four
+/// registers.
+template <class P, class Body>
+bool quad_sweep(cplx* amp, std::uint64_t dim, unsigned qa, unsigned qb,
+                std::uint64_t first, std::uint64_t last, const Body& body) {
+  using Reg = typename P::Reg;
+  constexpr std::uint64_t W = P::kWidth;
+  static_assert(W <= 4, "a step gathers at most two sub-width bits");
+  if constexpr (W == 1) {
+    return false;  // no stride is below the width of one amplitude
+  } else {
+    if (dim < 4 * W) return false;
+    const unsigned lo = std::min(qa, qb), hi = std::max(qa, qb);
+    const std::uint64_t shi = std::uint64_t{1} << hi;
+    // The gathers index by (bit lo, bit hi); v indexes by (bit qa, bit qb).
+    const bool swapped = qa != lo;
+    return with_gather<P>(std::uint64_t{1} << lo, [&](auto stride) {
+      constexpr unsigned S = decltype(stride)::value;
+      // r[0], r[1]: registers whose amplitudes have the high bit clear,
+      // split on the low bit into v[0] and v[1]; r[2], r[3]: the same with
+      // it set. Updated in place.
+      const auto update = [&](Reg (&r)[4]) {
+        Reg v[4];
+        P::template deinterleave<S>(r[0], r[1], v[0], v[1]);
+        P::template deinterleave<S>(r[2], r[3], v[2], v[3]);
+        if (swapped) std::swap(v[1], v[2]);
+        body(v);
+        if (swapped) std::swap(v[1], v[2]);
+        P::template interleave<S>(v[0], v[1], r[0], r[1]);
+        P::template interleave<S>(v[2], v[3], r[2], r[3]);
+      };
+      const auto step = [&](cplx* const (&p)[4]) {
+        Reg r[4] = {P::load(p[0]), P::load(p[1]), P::load(p[2]),
+                    P::load(p[3])};
+        update(r);
+        for (unsigned k = 0; k < 4; ++k) P::store(p[k], r[k]);
+      };
+      if (shi >= 2 * W) {
+        // Rows of 2^(hi-1) groups: the 2^hi amplitudes below bit hi, whose
+        // partners lie shi further on.
+        const Run run(first, last, hi - 1, W);
+        for (std::uint64_t row = run.begin; row < run.end; ++row) {
+          cplx* p = amp + (row << (hi + 1)) + 2 * run.lo;
+          for (std::int64_t j = 0, n = run.registers; j < n; ++j, p += 2 * W)
+            step({p, p + W, p + shi, p + shi + W});
+        }
+        return;
+      }
+      // Both bits lie inside a block of 4·kWidth amplitudes, which holds
+      // kWidth whole groups, so the sweep runs flat over the slice's blocks.
+      for (std::uint64_t i = first / W; i < last / W; ++i) {
+        cplx* p = amp + 4 * W * i;
+        if (shi == W) {
+          step({p, p + 2 * W, p + W, p + 3 * W});
+        } else if constexpr (2 * S < W) {
+          // The high bit is a lane bit too: split each register pair on it
+          // first, which leaves it the register's bit and the third bit in
+          // the lanes.
+          Reg r[4];
+          P::template deinterleave<2 * S>(P::load(p), P::load(p + W), r[0],
+                                          r[2]);
+          P::template deinterleave<2 * S>(P::load(p + 2 * W),
+                                          P::load(p + 3 * W), r[1], r[3]);
+          update(r);
+          Reg a, b;
+          P::template interleave<2 * S>(r[0], r[2], a, b);
+          P::store(p, a);
+          P::store(p + W, b);
+          P::template interleave<2 * S>(r[1], r[3], a, b);
+          P::store(p + 2 * W, a);
+          P::store(p + 3 * W, b);
+        }
+      }
+    });
+  }
+}
 
 /// The scalar reference policy: one complex per "register", arithmetic in
 /// the exact shape the vector lanes replicate.
@@ -147,25 +259,29 @@ void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q,
     }
     return;
   }
-  // Sub-width stride: a policy may vectorise qubit 0 (`apply1_stride1`)
-  // and qubit 1 (`apply1_stride2`), each step updating 2*kWidth consecutive
-  // amplitudes (kWidth groups) with the wide path's per-lane arithmetic.
-  const std::int64_t steps =
-      static_cast<std::int64_t>((last - first) / P::kWidth);
-  cplx* const base = amp + 2 * first;
-  if constexpr (requires { P::apply1_stride1(base, mc); }) {
-    if (stride == 1 && dim >= 2 * P::kWidth) {
-      for (std::int64_t i = 0; i < steps; ++i)
-        P::apply1_stride1(base + 2 * P::kWidth * i, mc);
+  // Sub-width stride: with the policy's lane gather, each step updates
+  // 2*kWidth consecutive amplitudes (kWidth groups) with the wide path's
+  // per-lane arithmetic.
+  if constexpr (P::kWidth > 1) {
+    const std::int64_t steps =
+        static_cast<std::int64_t>((last - first) / P::kWidth);
+    cplx* const base = amp + 2 * first;
+    if (dim >= 2 * P::kWidth && with_gather<P>(stride, [&](auto gather) {
+          constexpr unsigned S = decltype(gather)::value;
+          for (std::int64_t i = 0; i < steps; ++i) {
+            cplx* const p = base + 2 * P::kWidth * i;
+            typename P::Reg v0, v1, a, b;
+            P::template deinterleave<S>(P::load(p), P::load(p + P::kWidth), v0,
+                                        v1);
+            const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
+            P::template interleave<S>(
+                P::add(P::mulc(mc[0], v0, v0s), P::mulc(mc[1], v1, v1s)),
+                P::add(P::mulc(mc[2], v0, v0s), P::mulc(mc[3], v1, v1s)), a, b);
+            P::store(p, a);
+            P::store(p + P::kWidth, b);
+          }
+        }))
       return;
-    }
-  }
-  if constexpr (requires { P::apply1_stride2(base, mc); }) {
-    if (stride == 2 && dim >= 2 * P::kWidth) {
-      for (std::int64_t i = 0; i < steps; ++i)
-        P::apply1_stride2(base + 2 * P::kWidth * i, mc);
-      return;
-    }
   }
   scalar_kernel_set().apply1(amp, dim, m, q, first, last);
 }
@@ -177,47 +293,36 @@ void apply1(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q,
 template <class P>
 void apply2(cplx* amp, std::uint64_t dim, const cplx* m, unsigned q0,
             unsigned q1, std::uint64_t first, std::uint64_t last) {
+  using Reg = typename P::Reg;
   const std::uint64_t s0 = 1ULL << q0, s1 = 1ULL << q1;
   const unsigned lo = std::min(q0, q1), hi = std::max(q0, q1);
-  if ((1ULL << lo) < P::kWidth) {
-    scalar_kernel_set().apply2(amp, dim, m, q0, q1, first, last);
-    return;
-  }
   typename P::Coef mc[16];
   for (unsigned k = 0; k < 16; ++k) mc[k] = P::prep(P::bcast(m[k]));
+  // Row r of the product, its four terms added left to right.
+  const auto body = [&](Reg (&v)[4]) {
+    const Reg vs[4] = {P::swapri(v[0]), P::swapri(v[1]), P::swapri(v[2]),
+                       P::swapri(v[3])};
+    Reg o[4];
+    for (unsigned r = 0; r < 4; ++r)
+      o[r] = P::add(P::add(P::add(P::mulc(mc[4 * r], v[0], vs[0]),
+                                  P::mulc(mc[4 * r + 1], v[1], vs[1])),
+                           P::mulc(mc[4 * r + 2], v[2], vs[2])),
+                    P::mulc(mc[4 * r + 3], v[3], vs[3]));
+    for (unsigned r = 0; r < 4; ++r) v[r] = o[r];
+  };
+  if ((1ULL << lo) < P::kWidth) {
+    if (!quad_sweep<P>(amp, dim, q0, q1, first, last, body))
+      scalar_kernel_set().apply2(amp, dim, m, q0, q1, first, last);
+    return;
+  }
   const Run run(first, last, lo, P::kWidth);
   for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
     cplx* p0 = amp + row.base + run.lo;
-    cplx* p1 = p0 + s0;
-    cplx* p2 = p0 + s1;
-    cplx* p3 = p0 + s0 + s1;
-    for (std::int64_t j = 0, n = run.registers; j < n;
-         ++j, p0 += P::kWidth, p1 += P::kWidth, p2 += P::kWidth,
-         p3 += P::kWidth) {
-      const typename P::Reg v0 = P::load(p0), v1 = P::load(p1),
-                            v2 = P::load(p2), v3 = P::load(p3);
-      const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1),
-                            v2s = P::swapri(v2), v3s = P::swapri(v3);
-      const typename P::Reg o0 = P::add(
-          P::add(P::add(P::mulc(mc[0], v0, v0s), P::mulc(mc[1], v1, v1s)),
-                 P::mulc(mc[2], v2, v2s)),
-          P::mulc(mc[3], v3, v3s));
-      const typename P::Reg o1 = P::add(
-          P::add(P::add(P::mulc(mc[4], v0, v0s), P::mulc(mc[5], v1, v1s)),
-                 P::mulc(mc[6], v2, v2s)),
-          P::mulc(mc[7], v3, v3s));
-      const typename P::Reg o2 = P::add(
-          P::add(P::add(P::mulc(mc[8], v0, v0s), P::mulc(mc[9], v1, v1s)),
-                 P::mulc(mc[10], v2, v2s)),
-          P::mulc(mc[11], v3, v3s));
-      const typename P::Reg o3 = P::add(
-          P::add(P::add(P::mulc(mc[12], v0, v0s), P::mulc(mc[13], v1, v1s)),
-                 P::mulc(mc[14], v2, v2s)),
-          P::mulc(mc[15], v3, v3s));
-      P::store(p0, o0);
-      P::store(p1, o1);
-      P::store(p2, o2);
-      P::store(p3, o3);
+    for (std::int64_t j = 0, n = run.registers; j < n; ++j, p0 += P::kWidth) {
+      cplx* const p[4] = {p0, p0 + s0, p0 + s1, p0 + s0 + s1};
+      Reg v[4] = {P::load(p[0]), P::load(p[1]), P::load(p[2]), P::load(p[3])};
+      body(v);
+      for (unsigned r = 0; r < 4; ++r) P::store(p[r], v[r]);
     }
   }
 }
@@ -378,28 +483,30 @@ template <class P>
 void perm2(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
            const cplx* ph, unsigned q0, unsigned q1, std::uint64_t first,
            std::uint64_t last) {
+  using Reg = typename P::Reg;
   const std::uint64_t s0 = 1ULL << q0, s1 = 1ULL << q1;
   const unsigned lo = std::min(q0, q1), hi = std::max(q0, q1);
+  const typename P::Coef pc[4] = {
+      P::prep(P::bcast(ph[0])), P::prep(P::bcast(ph[1])),
+      P::prep(P::bcast(ph[2])), P::prep(P::bcast(ph[3]))};
+  const auto body = [&](Reg (&v)[4]) {
+    const Reg in[4] = {v[0], v[1], v[2], v[3]};
+    for (unsigned r = 0; r < 4; ++r)
+      v[r] = P::mulc(pc[r], in[src[r]], P::swapri(in[src[r]]));
+  };
   if ((1ULL << lo) < P::kWidth) {
-    scalar_kernel_set().perm2(amp, dim, src, ph, q0, q1, first, last);
+    if (!quad_sweep<P>(amp, dim, q0, q1, first, last, body))
+      scalar_kernel_set().perm2(amp, dim, src, ph, q0, q1, first, last);
     return;
   }
-  const typename P::Coef ph0 = P::prep(P::bcast(ph[0])),
-                         ph1 = P::prep(P::bcast(ph[1])),
-                         ph2 = P::prep(P::bcast(ph[2])),
-                         ph3 = P::prep(P::bcast(ph[3]));
   const Run run(first, last, lo, P::kWidth);
   for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
     cplx* p0 = amp + row.base + run.lo;
-    for (std::int64_t j = 0, n = run.registers; j < n;
-         ++j, p0 += P::kWidth) {
+    for (std::int64_t j = 0, n = run.registers; j < n; ++j, p0 += P::kWidth) {
       cplx* const p[4] = {p0, p0 + s0, p0 + s1, p0 + s0 + s1};
-      const typename P::Reg v[4] = {P::load(p[0]), P::load(p[1]),
-                                    P::load(p[2]), P::load(p[3])};
-      P::store(p[0], P::mulc(ph0, v[src[0]], P::swapri(v[src[0]])));
-      P::store(p[1], P::mulc(ph1, v[src[1]], P::swapri(v[src[1]])));
-      P::store(p[2], P::mulc(ph2, v[src[2]], P::swapri(v[src[2]])));
-      P::store(p[3], P::mulc(ph3, v[src[3]], P::swapri(v[src[3]])));
+      Reg v[4] = {P::load(p[0]), P::load(p[1]), P::load(p[2]), P::load(p[3])};
+      body(v);
+      for (unsigned r = 0; r < 4; ++r) P::store(p[r], v[r]);
     }
   }
 }
@@ -411,27 +518,38 @@ void perm2(cplx* amp, std::uint64_t dim, const std::uint8_t* src,
 template <class P>
 void ctrl1(cplx* amp, std::uint64_t dim, const cplx* u, unsigned control,
            unsigned target, std::uint64_t first, std::uint64_t last) {
+  using Reg = typename P::Reg;
   const std::uint64_t sc = 1ULL << control, st = 1ULL << target;
   const unsigned lo = std::min(control, target), hi = std::max(control, target);
-  if ((1ULL << lo) < P::kWidth) {
-    scalar_kernel_set().ctrl1(amp, dim, u, control, target, first, last);
-    return;
-  }
   const typename P::Coef u00 = P::prep(P::bcast(u[0])),
                          u01 = P::prep(P::bcast(u[1])),
                          u10 = P::prep(P::bcast(u[2])),
                          u11 = P::prep(P::bcast(u[3]));
+  // v0: control 1, target 0; v1: control 1, target 1.
+  const auto update = [&](Reg& v0, Reg& v1) {
+    const Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
+    const Reg o0 = P::add(P::mulc(u00, v0, v0s), P::mulc(u01, v1, v1s));
+    v1 = P::add(P::mulc(u10, v0, v0s), P::mulc(u11, v1, v1s));
+    v0 = o0;
+  };
+  if ((1ULL << lo) < P::kWidth) {
+    // v[c], c = bit control | bit target << 1: the control-0 half moves
+    // through the gather unchanged.
+    if (!quad_sweep<P>(amp, dim, control, target, first, last,
+                       [&](Reg (&v)[4]) { update(v[1], v[3]); }))
+      scalar_kernel_set().ctrl1(amp, dim, u, control, target, first, last);
+    return;
+  }
   const Run run(first, last, lo, P::kWidth);
   for (Row2 row(run.begin, lo, hi); row.index < run.end; row.next()) {
-    // p0: control 1, target 0; p1: control 1, target 1.
     cplx* p0 = amp + row.base + run.lo + sc;
     cplx* p1 = p0 + st;
     for (std::int64_t j = 0, n = run.registers; j < n;
          ++j, p0 += P::kWidth, p1 += P::kWidth) {
-      const typename P::Reg v0 = P::load(p0), v1 = P::load(p1);
-      const typename P::Reg v0s = P::swapri(v0), v1s = P::swapri(v1);
-      P::store(p0, P::add(P::mulc(u00, v0, v0s), P::mulc(u01, v1, v1s)));
-      P::store(p1, P::add(P::mulc(u10, v0, v0s), P::mulc(u11, v1, v1s)));
+      Reg v0 = P::load(p0), v1 = P::load(p1);
+      update(v0, v1);
+      P::store(p0, v0);
+      P::store(p1, v1);
     }
   }
 }

@@ -192,6 +192,38 @@ TEST(KernelParity, TwoQubitGatesAcrossStridesAndSets) {
       expect_parity(m, q, sizes, seed += 29);
 }
 
+/// Two-qubit kernels whose low qubit's stride is below the register width
+/// gather their groups with lane shuffles (kernels_impl.hpp `quad_sweep`):
+/// the dense 4x4, controlled and permutation classes on every such pair
+/// shape — both bits in one register, in one four-register block, or the
+/// high bit a row apart — from states too small to gather (scalar
+/// fallback) to states of two slices, byte for byte against the scalar set.
+TEST(KernelParity, TwoQubitGatesOnLowQubitsMatchScalarOnEverySet) {
+  const unsigned sizes[] = {2, 3, 4, 5, 8, 15};
+  const Matrix u = random_dense(1, 9);
+  const Matrix phased_perm(4, 4,
+                           {0, 0, cplx(0, 1), 0,
+                            cplx(0.6, 0.8), 0, 0, 0,
+                            0, 0, 0, -1,
+                            0, cplx(-0.8, 0.6), 0, 0});
+  const std::vector<std::pair<Matrix, GateClass>> shapes = {
+      {random_dense(2, 7), GateClass::kGeneral2},
+      {gates::CX(), GateClass::kCtrl1},
+      {controlled_on_lsb(u), GateClass::kCtrl1},
+      {controlled_on_msb(u), GateClass::kCtrl1},
+      {gates::SWAP(), GateClass::kPerm2},
+      {phased_perm, GateClass::kPerm2}};
+  const std::vector<std::vector<unsigned>> positions = {
+      {0, 1}, {1, 0}, {0, 2}, {2, 0}, {2, 1}, {1, 2},
+      {1, 3}, {3, 1}, {0, 3}, {0, 7}, {7, 1}};
+  std::uint64_t seed = 9000;
+  for (const auto& [m, cls] : shapes)
+    for (const std::vector<unsigned>& q : positions) {
+      ASSERT_EQ(kernels::prepare_gate(m, q).cls, cls);
+      expect_parity(m, q, sizes, seed += 31);
+    }
+}
+
 /// The range entry: a sweep's slices, applied one by one in a shuffled
 /// order, give the bytes of the whole sweep on every set and class, at
 /// low, mid and high strides, where a row holds a few registers, many
@@ -205,7 +237,10 @@ TEST(KernelRanges, SlicesInAnyOrderEqualTheWholeSweep) {
       {random_dense(1, 44), {16}},  {gates::CZ(), {1, 15}},
       {gates::CZ(), {0, 1}},        {gates::SWAP(), {3, 16}},
       {gates::CX(), {0, 16}},       {controlled_on_msb(u), {14, 2}},
-      {random_dense(2, 45), {13, 16}}, {random_dense(2, 46), {0, 1}}};
+      {random_dense(2, 45), {13, 16}}, {random_dense(2, 46), {0, 1}},
+      {random_dense(2, 49), {2, 1}},   {gates::CX(), {1, 0}},
+      {controlled_on_lsb(u), {0, 2}},  {gates::SWAP(), {1, 3}},
+      {gates::ISWAP(), {0, 9}}};
   RngStream rng(47);
   for (const auto& [m, qubits] : gates_on) {
     const PreparedGate g = kernels::prepare_gate(m, qubits);
@@ -410,32 +445,47 @@ TEST(KernelBatched, DensityMatrixPreparedRunEqualsOpByOp) {
     }
 }
 
-TEST(KernelBatched, ExecPlanCoversEveryBarrierFreeGateStretch) {
+TEST(KernelBatched, ExecPlanRunsCoverEveryGateStepOnce) {
   Circuit c(5);
   c.h(0);
   for (unsigned q = 0; q + 1 < 5; ++q) c.cx(q, q + 1);
   c.measure_all();
   NoiseModel noise;
   noise.add_all_gate_noise(channels::depolarizing(0.01));
-  const ExecPlan plan = build_exec_plan(noise.apply(c), /*fuse_gates=*/true);
-  // Every 1-/2-qubit gate step must be covered by exactly one prepared run,
-  // and each run must start where run_at_step says it does.
-  std::size_t covered = 0;
-  for (const ExecPlan::PreparedRun& run : plan.prepared_runs) {
-    EXPECT_EQ(plan.run_starting_at(run.first_step),
-              plan.run_at_step[run.first_step]);
-    for (std::size_t i = 0; i < run.gates.size(); ++i) {
-      const PlanStep& step = plan.steps[run.first_step + i];
-      ASSERT_TRUE(step.is_gate);
-      ASSERT_LE(step.qubits.size(), 2u);
-      ++covered;
+  for (const bool fuse : {false, true}) {
+    const ExecPlan plan = build_exec_plan(noise.apply(c), fuse);
+    // Every 1-/2-qubit gate step must lie in exactly one prepared run, each
+    // run must start where run_at_step says it does, and a run's gates are
+    // its gate steps' prepared gates unless it spans sites (a window,
+    // whose gates fuse them).
+    std::vector<int> covered(plan.steps.size(), 0);
+    for (const ExecPlan::PreparedRun& run : plan.prepared_runs) {
+      EXPECT_EQ(plan.run_starting_at(run.first_step),
+                plan.run_at_step[run.first_step]);
+      std::size_t gate_steps = 0;
+      for (std::size_t s = run.first_step; s < run.end_step; ++s) {
+        ++covered[s];
+        if (!plan.steps[s].is_gate) continue;
+        ASSERT_LE(plan.steps[s].qubits.size(), 2u);
+        if (run.sites.empty()) {
+          EXPECT_EQ(run.gates[gate_steps].cls, plan.steps[s].prepared.cls);
+        }
+        ++gate_steps;
+      }
+      if (run.sites.empty()) {
+        EXPECT_EQ(run.gates.size(), gate_steps);
+      } else {
+        EXPECT_TRUE(fuse) << "only a fused plan's windows span sites";
+      }
     }
+    std::size_t small_gate_steps = 0;
+    for (std::size_t s = 0; s < plan.steps.size(); ++s) {
+      if (!plan.steps[s].is_gate || plan.steps[s].qubits.size() > 2) continue;
+      EXPECT_EQ(covered[s], 1) << "step " << s;
+      ++small_gate_steps;
+    }
+    EXPECT_GT(small_gate_steps, 0u);
   }
-  std::size_t small_gate_steps = 0;
-  for (const PlanStep& step : plan.steps)
-    if (step.is_gate && step.qubits.size() <= 2) ++small_gate_steps;
-  EXPECT_EQ(covered, small_gate_steps);
-  EXPECT_GT(covered, 0u);
 }
 
 // ---------------------------------------------------------------------------
